@@ -98,6 +98,17 @@ def _deviation_value(space: FiniteTypeSpace, costs: CostModel,
     return value, plan
 
 
+def _deviations(space: FiniteTypeSpace, costs: CostModel,
+                agent: AgentPayoff, mech: FiniteMechanism, t: AgentType,
+                outside) -> list[tuple]:
+    """(report, plan, value) per report: truth first, then the other
+    types in declaration order."""
+    reports = [t] + [tp for tp in space.types if tp != t]
+    devs = [_deviation_value(space, costs, agent, mech, t, r, outside)
+            for r in reports]
+    return [(r, plan, value) for r, (value, plan) in zip(reports, devs)]
+
+
 def best_response_finite(space: FiniteTypeSpace, costs: CostModel,
                          agent: AgentPayoff, mech: FiniteMechanism,
                          t: AgentType,
@@ -106,18 +117,13 @@ def best_response_finite(space: FiniteTypeSpace, costs: CostModel,
 
     Maximizes over all reports (truth included) with per-recommendation
     quitting.  Ties break toward the truthful report, then declaration
-    order.  Returns (best report, plan, value).
+    order (max keeps the first of equal values).  Returns (best report,
+    plan, value).
     """
     t = AgentType(*t)
     outside = (outside_option or {}).get(t, 0)
-    order = [t] + [tp for tp in space.types if tp != t]
-    best = None
-    for report in order:
-        value, plan = _deviation_value(space, costs, agent, mech, t,
-                                       report, outside)
-        if best is None or value > best[2]:
-            best = (report, plan, value)
-    return best
+    return max(_deviations(space, costs, agent, mech, t, outside),
+               key=lambda dev: dev[2])
 
 
 def best_response_score_rule(scores: Sequence, costs: CostModel,
@@ -189,7 +195,6 @@ def audit_ic(space: FiniteTypeSpace, costs: CostModel, agent: AgentPayoff,
     best_responses = {}
     for t in space.types:
         ubar = outside.get(t, 0)
-        truthful, _ = _deviation_value(space, costs, agent, mech, t, t, ubar)
         # truthful payoff without the quit option
         u_t = 0
         for a in space.scores:
@@ -202,16 +207,11 @@ def audit_ic(space: FiniteTypeSpace, costs: CostModel, agent: AgentPayoff,
             gap = ubar - cont
             if gap > max_pc:
                 max_pc = gap
-        report, plan, value = best_response_finite(
-            space, costs, agent, mech, t, outside_option)
+        devs = _deviations(space, costs, agent, mech, t, ubar)
+        report, plan, value = max(devs, key=lambda dev: dev[2])
         best_responses[t] = {"report": report, "plan": plan,
                              "value": value, "gain": value - u_t}
-        for tp in space.types:
-            if tp == t:
-                continue
-            dev, _ = _deviation_value(space, costs, agent, mech, t, tp, ubar)
-            if dev - u_t > max_tt:
-                max_tt = dev - u_t
+        max_tt = max([max_tt] + [dev - u_t for _, _, dev in devs[1:]])
     return AuditReport(max_tt_violation=float(max_tt),
                        max_pc_violation=float(max_pc),
                        tolerance=tolerance,

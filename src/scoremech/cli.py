@@ -128,6 +128,9 @@ def _solve_lp_instance(inst: model.Instance, mode: str):
         raise CliError(f"LP is {sol.status}", EXIT_REGIME)
     if sol.status == "iteration_limit":
         raise CliError("LP hit the iteration limit", EXIT_NUMERIC)
+    if sol.status == "numerical":
+        raise CliError("LP solver reported numerical difficulties (HiGHS "
+                       f"status {sol.solver_code})", EXIT_NUMERIC)
     if not sol.certified:
         raise CliError("dual certificate failed verification", EXIT_NUMERIC)
     return sol

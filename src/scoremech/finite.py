@@ -24,7 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .lpcore import EQUAL, GREATER, LinearProgram, LpSolution, solve_lp
+import numpy as np
+
+from .lpcore import (EQUAL, GREATER, LinearProgram, LpSolution, entry_dtype,
+                     solve_lp)
 from .model import (
     SUPPORT_TOL,
     AgentPayoff,
@@ -84,70 +87,73 @@ class JointVariableIndex:
         return (self.n_z + self._pi[(t, tp)] * len(self.space.scores)
                 + self._ai[a])
 
-    def z_triple(self, idx: int) -> tuple[str, str, AgentType]:
-        s = self.space
-        xi = idx % len(s.outcomes)
-        ai = (idx // len(s.outcomes)) % len(s.scores)
-        ti = idx // (len(s.outcomes) * len(s.scores))
-        return s.outcomes[xi], s.scores[ai], s.types[ti]
+    def blocks(self):
+        """Column arrays z[t, a, x] and w[pair, a], then the positions of
+        each pair's t and t' (np.nonzero is row-major, like ``pairs``)."""
+        n_t, n_a = len(self.space.types), len(self.space.scores)
+        z = np.arange(self.n_z).reshape(n_t, n_a, -1)
+        w = np.arange(self.n_z, self.n_vars).reshape(-1, n_a)
+        return (z, w) + np.nonzero(~np.eye(n_t, dtype=bool))
 
 
 def build_drm_lp(space: FiniteTypeSpace, costs: CostModel,
                  agent: AgentPayoff, designer: DesignerPayoff,
                  outside_option: Mapping[AgentType, object] | None = None
                  ) -> LinearProgram:
-    """LP over z(x,a|t) >= 0 whose optimum is the designer's best DRM value."""
+    """LP over z(x,a|t) >= 0 whose optimum is the designer's best DRM value.
+
+    Rows: unit mass per t; participation per (t, a); per pair (t, t') the
+    truth-telling row, then per score the w row and, if outside(t) != 0,
+    the outside-option row.  Coefficients are computed per (t, a, x) in
+    the caller's numbers (Fractions stay exact) and gathered over pairs.
+    """
     if costs.kind != "tabulated":
         raise ModelError("the DRM solver needs a finite (tabulated) cost model")
-    idx = JointVariableIndex(space)
+    zcol, wcol, pt, ptp = JointVariableIndex(space).blocks()
+    n_t, n_a, n_x = zcol.shape
     outside = outside_option or {}
 
-    def ubar(t):
-        return outside.get(t, 0)
+    def table(f):  # f(t, a, x) for every type, score and outcome
+        return np.array([[f(t, a, x) for a in space.scores
+                          for x in space.outcomes] for t in space.types],
+                        dtype=object).reshape(zcol.shape)
 
-    objective = [0] * idx.n_vars
-    for t in space.types:
-        f = space.mass(t)
-        for a in space.scores:
-            loss = designer.loss(costs.cost(a, t))
-            for x in space.outcomes:
-                objective[idx.z(x, a, t)] = f * (designer.dv(x, t) - loss)
+    numbers = (
+        table(lambda t, a, x: space.mass(t) * (
+            designer.dv(x, t) - designer.loss(costs.cost(a, t)))),
+        table(lambda t, a, x: agent.v(x, t) - (
+            costs.cost(a, t) + outside.get(t, 0))),
+        table(lambda t, a, x: agent.v(x, t) - costs.cost(a, t)),
+        np.array([outside.get(t, 0) for t in space.types], dtype=object))
+    dtype = entry_dtype(*(a.ravel() for a in numbers))
+    objective, participation, gain, ubar = (a.astype(dtype) for a in numbers)
+    one = np.ones((), dtype)
 
-    constraints: list[tuple] = []
-    # one unit of joint mass per type report
-    for t in space.types:
-        row = {idx.z(x, a, t): 1 for a in space.scores for x in space.outcomes}
-        constraints.append((row, EQUAL, 1))
-    # ex-post participation, multiplied through by rho(a|t)
-    for t in space.types:
-        for a in space.scores:
-            gate = costs.cost(a, t) + ubar(t)
-            row = {}
-            for x in space.outcomes:
-                row[idx.z(x, a, t)] = agent.v(x, t) - gate
-            constraints.append((row, GREATER, 0))
-    # truth-telling with per-recommendation quitting
-    for t, tp in idx.pairs:
-        row = {}
-        for a in space.scores:
-            c = costs.cost(a, t)
-            for x in space.outcomes:
-                row[idx.z(x, a, t)] = agent.v(x, t) - c
-            row[idx.w(a, t, tp)] = -1
-        constraints.append((row, GREATER, 0))
-        for a in space.scores:
-            c = costs.cost(a, t)
-            row = {idx.w(a, t, tp): 1}
-            for x in space.outcomes:
-                row[idx.z(x, a, tp)] = -(agent.v(x, t) - c)
-            constraints.append((row, GREATER, 0))
-            if ubar(t) != 0:
-                row = {idx.w(a, t, tp): 1}
-                for x in space.outcomes:
-                    row[idx.z(x, a, tp)] = -ubar(t)
-                constraints.append((row, GREATER, 0))
+    has = (ubar != 0)[pt]
+    per_pair = 1 + n_a * (1 + has)  # truth-telling row, 1 or 2 per score
+    first = n_t * (1 + n_a) + np.cumsum(per_pair) - per_pair
+    w_row = first[:, None] + 1 + (1 + has)[:, None] * np.arange(n_a)
+    o_row = w_row[has] + 1
+    families = [  # (row, column, coefficient), broadcast per family
+        (np.arange(n_t)[:, None], zcol.reshape(n_t, -1), one),
+        (n_t + np.arange(n_t * n_a)[:, None], zcol.reshape(-1, n_x),
+         participation.reshape(-1, n_x)),
+        (first[:, None], zcol.reshape(n_t, -1)[pt],
+         gain.reshape(n_t, -1)[pt]),
+        (first[:, None], wcol, -one),
+        (w_row[:, :, None], zcol[ptp], -gain[pt]),
+        (w_row, wcol, one),
+        (o_row[:, :, None], zcol[ptp[has]], -ubar[pt[has], None, None]),
+        (o_row, wcol[has], one)]
+    row, col, val = (np.concatenate(parts) for parts in zip(*(
+        [a.ravel() for a in np.broadcast_arrays(*f)] for f in families)))
 
-    return LinearProgram(objective=objective, constraints=constraints)
+    relations = np.full(n_t * (1 + n_a) + per_pair.sum(), GREATER)
+    relations[:n_t] = EQUAL
+    rhs = np.zeros(len(relations), dtype)
+    rhs[:n_t] = 1
+    obj = np.concatenate((objective.ravel(), np.zeros(wcol.size, dtype)))
+    return LinearProgram.from_coo(obj, row, col, val, relations, rhs)
 
 
 def extract_mechanism(space: FiniteTypeSpace,

@@ -1,14 +1,15 @@
-"""Small dense linear-program solver with exact-rational and float modes.
+"""Sparse linear-program solver with exact-rational and float modes.
 
-The finite mechanism solver builds tiny LPs (a few dozen variables for the
-hand-worked instances, a few thousand for discretization cross-checks).  Two
-solution modes are offered:
+An LP is stored once, as sparse arrays (see ``LinearProgram``); the finite
+mechanism solver fills them directly, from a few dozen variables for the
+hand-worked instances to tens of thousands for discretization
+cross-checks.  Two solution modes are offered:
 
-* ``exact`` -- a two-phase tableau simplex over ``fractions.Fraction`` with
-  Bland's anti-cycling rule.  Optima are exact rationals.  This is the mode
-  the golden-value tests run in.
-* ``float`` -- delegated to scipy's HiGHS backend, which handles the larger
-  discretized instances without any dense-tableau memory blowup.
+* ``exact`` -- a two-phase dense tableau simplex over ``fractions.Fraction``
+  with Bland's anti-cycling rule, for small LPs.  Optima are exact
+  rationals.  This is the mode the golden-value tests run in.
+* ``float`` -- the sparse matrix goes to scipy's HiGHS backend, imported on
+  first use so that exact and continuous runs never load scipy.
 
 Every optimal solve also produces a dual certificate: a vector of row
 multipliers whose implied objective bound is checked against the primal
@@ -22,8 +23,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 __all__ = [
     "LinearProgram",
@@ -38,53 +37,108 @@ _RELATIONS = (LESS, EQUAL, GREATER)
 
 DEFAULT_ITERATION_CAP = 10**6
 
+# linprog status codes; any other (4: numerical difficulties) is "numerical"
+_HIGHS_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible",
+                 3: "unbounded"}
+
 
 class LpError(ValueError):
     """Structural problem with an LP (dimension mismatch, bad relation...)."""
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """maximize objective . x  subject to rows and per-variable bounds.
+def entry_dtype(*values) -> type:
+    """float64 when every number is a float or an int, one at least a
+    float; object otherwise, so Fractions and all-int data stay exact."""
+    kinds = {type(v) for vs in values for v in vs}
+    if all(issubclass(k, (int, float)) for k in kinds) and any(
+            issubclass(k, float) for k in kinds):
+        return np.float64
+    return object
 
-    Constraint rows may be given densely (a sequence as long as the
-    objective) or sparsely (a mapping from variable index to coefficient).
-    Bounds default to [0, +inf); ``None`` stands for an infinite upper bound.
+
+class LinearProgram:
+    """maximize objective . x  subject to sparse rows and per-variable bounds.
+
+    Read-only arrays: ``objective``; ``row``, ``col``, ``val`` (entries
+    sorted by row, no zeros); ``relations`` and ``rhs`` per row.  Float
+    data is float64, anything else (Fractions, all-int data) object, so
+    exact LPs are never rounded.  Bounds default to [0, +inf); given, they
+    are one (lo, hi) pair per variable, ``None`` for no upper bound.
+
+    The constructor converts the row form once: (row, relation, rhs)
+    triples, a row being dense (as long as the objective) or a mapping
+    from variable index to coefficient.  ``from_coo`` takes the arrays.
     """
 
-    objective: Sequence
-    constraints: Sequence[tuple]  # (row, relation, rhs)
-    bounds: Sequence[tuple] | None = None
+    def __init__(self, objective: Sequence, constraints: Sequence[tuple],
+                 bounds: Sequence[tuple] | None = None):
+        self.objective, entries, error = objective, [], None
+        try:  # a bad row is reported by validate(), like any other flaw
+            entries = [(i, j, a) for i, (row, _, _) in enumerate(constraints)
+                       for j, a in self.row_items(row)]
+        except LpError as exc:
+            error = exc
+        row, col, val = list(zip(*entries)) or [(), (), ()]
+        rhs = [b for _, _, b in constraints]
+        dtype = entry_dtype(objective, val, rhs)
+        self._set(np.array(objective, dtype), np.array(row, np.intp),
+                  np.array(col, np.intp), np.array(val, dtype),
+                  np.array([rel for _, rel, _ in constraints], str),
+                  np.array(rhs, dtype), bounds, error)
+
+    @classmethod
+    def from_coo(cls, objective, row, col, val, relations, rhs,
+                 bounds=None) -> "LinearProgram":
+        """LP from arrays (numbers all float64 or all object), in any order."""
+        lp = cls.__new__(cls)
+        lp._set(objective, row, col, val, relations, rhs, bounds, None)
+        return lp
+
+    def _set(self, objective, row, col, val, relations, rhs, bounds, error):
+        keep = np.flatnonzero(val != 0)
+        keep = keep[np.argsort(row[keep], kind="stable")]
+        self.row, self.col, self.val = row[keep], col[keep], val[keep]
+        self.objective, self.relations, self.rhs = objective, relations, rhs
+        self.bounds, self._error = bounds, error
+        for a in (objective, self.row, self.col, self.val, relations, rhs):
+            a.flags.writeable = False
 
     @property
     def n_vars(self) -> int:
         return len(self.objective)
 
+    @property
+    def n_rows(self) -> int:
+        return len(self.rhs)
+
+    @property
+    def constraints(self) -> list[tuple]:
+        """Rows as ({column: coefficient}, relation, rhs), rebuilt per call."""
+        ends = np.searchsorted(self.row, np.arange(self.n_rows + 1)).tolist()
+        col, val = self.col.tolist(), self.val.tolist()
+        return [(dict(zip(col[s:e], val[s:e])), rel, b) for s, e, rel, b
+                in zip(ends, ends[1:], self.relations.tolist(),
+                       self.rhs.tolist())]
+
     def row_items(self, row) -> list[tuple[int, object]]:
         """Sparse (index, coefficient) view of a constraint row."""
-        if isinstance(row, Mapping):
-            items = []
-            for j, a in row.items():
-                if not 0 <= j < self.n_vars:
-                    raise LpError(f"row index {j} out of range")
-                if a != 0:
-                    items.append((j, a))
-            return items
+        if isinstance(row, Mapping):  # validate() checks the indices
+            return [(j, a) for j, a in row.items() if a != 0]
         if len(row) != self.n_vars:
             raise LpError(
                 f"row has {len(row)} coefficients, expected {self.n_vars}")
         return [(j, a) for j, a in enumerate(row) if a != 0]
 
-    def bound(self, j: int) -> tuple:
-        if self.bounds is None:
-            return (0, None)
-        return self.bounds[j]
-
     def validate(self) -> None:
-        for row, rel, _ in self.constraints:
-            if rel not in _RELATIONS:
-                raise LpError(f"unknown relation {rel!r}")
-            self.row_items(row)
+        if self._error is not None:
+            raise self._error
+        unknown = set(self.relations.tolist()) - set(_RELATIONS)
+        if unknown:
+            raise LpError(f"unknown relation {unknown.pop()!r}")
+        if len(self.relations) != self.n_rows or len(self.row) and not (
+                0 <= self.row[0] and self.row[-1] < self.n_rows
+                and 0 <= self.col.min() and self.col.max() < self.n_vars):
+            raise LpError("entry index out of range")
         if self.bounds is not None:
             if len(self.bounds) != self.n_vars:
                 raise LpError("bounds length does not match objective")
@@ -97,11 +151,12 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded | iteration_limit
+    status: str  # optimal|infeasible|unbounded|iteration_limit|numerical
     value: object = None
     assignment: list = field(default_factory=list)
     dual: list = field(default_factory=list)  # one multiplier per row
     certified: bool = False
+    solver_code: int | None = None  # HiGHS status code (float mode)
 
     @property
     def optimal(self) -> bool:
@@ -130,24 +185,24 @@ def dual_bound(lp: LinearProgram, dual: Sequence, tol=0):
     ``tol``).  Returns None if the bound is infinite: a reduced cost more
     than ``tol`` above zero on a variable with no upper bound.  Positive
     reduced costs within ``tol`` on unbounded variables are round-off and
-    contribute nothing.
+    contribute nothing.  Arithmetic follows the LP's numbers: exact on
+    object arrays of Fractions, float64 otherwise.
     """
-    n = lp.n_vars
-    reduced = list(lp.objective)
-    total = 0
-    for y, (row, rel, rhs) in zip(dual, lp.constraints):
-        if y == 0:
-            continue
-        if rel == LESS and y < -tol:
-            raise LpError("multiplier on <= row must be nonnegative")
-        if rel == GREATER and y > tol:
-            raise LpError("multiplier on >= row must be nonpositive")
-        total += y * rhs
-        for j, a in lp.row_items(row):
-            reduced[j] -= y * a
-    for j in range(n):
-        r = reduced[j]
-        lo, hi = lp.bound(j)
+    y = np.array(dual, dtype=lp.val.dtype)
+    if len(y) != lp.n_rows:
+        raise LpError(f"{len(y)} multipliers for {lp.n_rows} rows")
+    rel = lp.relations
+    if np.any((rel == LESS) & (y < -tol)):
+        raise LpError("multiplier on <= row must be nonnegative")
+    if np.any((rel == GREATER) & (y > tol)):
+        raise LpError("multiplier on >= row must be nonpositive")
+    total = (y * lp.rhs).sum()
+    used = np.zeros(lp.n_vars, dtype=y.dtype)  # A^T y
+    np.add.at(used, lp.col, y[lp.row] * lp.val)
+    reduced = lp.objective - used
+    if lp.bounds is None:  # x >= 0: r < 0 contributes r * 0
+        return None if np.any(reduced > tol) else total
+    for r, (lo, hi) in zip(reduced, lp.bounds):
         if r > 0:
             if hi is None:
                 if r > tol:
@@ -161,23 +216,16 @@ def dual_bound(lp: LinearProgram, dual: Sequence, tol=0):
 
 def _exact_view(lp: LinearProgram) -> LinearProgram:
     """The same LP with every number coerced to Fraction."""
-    frac = Fraction
-
-    def conv_row(row):
-        return {j: frac(a) for j, a in lp.row_items(row)}
-
-    return LinearProgram(
-        objective=[frac(v) for v in lp.objective],
-        constraints=[(conv_row(row), rel, frac(rhs))
-                     for row, rel, rhs in lp.constraints],
-        bounds=None if lp.bounds is None else [
-            (frac(lo), None if hi is None else frac(hi))
-            for lo, hi in lp.bounds],
-    )
+    frac = np.frompyfunc(Fraction, 1, 1)
+    bounds = lp.bounds and [(Fraction(lo), None if hi is None
+                             else Fraction(hi)) for lo, hi in lp.bounds]
+    return LinearProgram.from_coo(frac(lp.objective), lp.row, lp.col,
+                                  frac(lp.val), lp.relations, frac(lp.rhs),
+                                  bounds)
 
 
 def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
-    if len(sol.dual) != len(lp.constraints):
+    if len(sol.dual) != lp.n_rows:
         return False
     try:
         if exact:
@@ -197,70 +245,39 @@ def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
 # ---------------------------------------------------------------------------
 
 def _solve_float(lp: LinearProgram, iteration_cap: int) -> LpSolution:
-    n = lp.n_vars
-    c = -np.asarray([float(v) for v in lp.objective])  # linprog minimizes
+    import scipy.sparse as sp  # deferred: exact and continuous runs skip it
+    from scipy.optimize import linprog
 
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    row_kind = []  # (bucket, position, sign) to map duals back
-    for row, rel, rhs in lp.constraints:
-        items = lp.row_items(row)
-        if rel == EQUAL:
-            row_kind.append(("eq", len(eq_rows), 1.0))
-            eq_rows.append(items)
-            eq_rhs.append(float(rhs))
-        else:
-            sign = 1.0 if rel == LESS else -1.0
-            row_kind.append(("ub", len(ub_rows), sign))
-            ub_rows.append([(j, sign * float(a)) for j, a in items])
-            ub_rhs.append(sign * float(rhs))
-
-    def to_csr(rows):
-        data, indices, indptr = [], [], [0]
-        for items in rows:
-            for j, a in items:
-                indices.append(j)
-                data.append(float(a))
-            indptr.append(len(indices))
-        return sp.csr_matrix((data, indices, indptr), shape=(len(rows), n))
-
-    bounds = [(float(lp.bound(j)[0]),
-               None if lp.bound(j)[1] is None else float(lp.bound(j)[1]))
-              for j in range(n)]
+    rel = lp.relations
+    eq, ub = rel == EQUAL, rel != EQUAL
+    # >= rows enter HiGHS as <= rows times -1; = rows keep sign 1.  Indices
+    # are 32-bit, as scipy picks for matrices of this size.
+    sign = np.where(rel == GREATER, -1.0, 1.0)
+    a = sp.csr_array((sign[lp.row] * lp.val.astype(float),
+                      (lp.row.astype(np.int32), lp.col.astype(np.int32))),
+                     shape=(lp.n_rows, lp.n_vars))
+    rhs = sign * lp.rhs.astype(float)
+    a_ub, b_ub = (a[ub], rhs[ub]) if ub.any() else (None, None)
+    a_eq, b_eq = (a[eq], rhs[eq]) if eq.any() else (None, None)
     res = linprog(
-        c,
-        A_ub=to_csr(ub_rows) if ub_rows else None,
-        b_ub=np.asarray(ub_rhs) if ub_rows else None,
-        A_eq=to_csr(eq_rows) if eq_rows else None,
-        b_eq=np.asarray(eq_rhs) if eq_rows else None,
-        bounds=bounds,
-        method="highs",
-        options={"maxiter": iteration_cap},
-    )
-    if res.status == 2:
-        return LpSolution(status="infeasible")
-    if res.status == 3:
-        return LpSolution(status="unbounded")
-    if res.status == 1:
-        return LpSolution(status="iteration_limit")
-    if res.status != 0:
-        return LpSolution(status="iteration_limit")
+        -lp.objective.astype(float),  # linprog minimizes
+        A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+        bounds=(0, None) if lp.bounds is None else lp.bounds,
+        method="highs", options={"maxiter": iteration_cap})
+    status = _HIGHS_STATUS.get(res.status, "numerical")
+    if status != "optimal":
+        return LpSolution(status=status, solver_code=res.status)
 
-    # HiGHS marginals are for the minimization form; flip back to max form.
-    dual = []
-    for bucket, pos, sign in row_kind:
-        if bucket == "eq":
-            y = -res.eqlin.marginals[pos]
-        else:
-            y = -sign * res.ineqlin.marginals[pos]
-        dual.append(float(y))
+    # HiGHS marginals are for the minimization form of the signed rows.
+    dual = np.empty(lp.n_rows)
+    dual[eq], dual[ub] = res.eqlin.marginals, res.ineqlin.marginals
+    dual *= -sign
     # Clean round-off that would wreck the sign conditions.
-    for i, (row, rel, _) in enumerate(lp.constraints):
-        if rel == LESS and -1e-7 < dual[i] < 0:
-            dual[i] = 0.0
-        if rel == GREATER and 0 < dual[i] < 1e-7:
-            dual[i] = 0.0
+    dual[(rel == LESS) & (-1e-7 < dual) & (dual < 0)] = 0.0
+    dual[(rel == GREATER) & (0 < dual) & (dual < 1e-7)] = 0.0
     return LpSolution(status="optimal", value=-float(res.fun),
-                      assignment=[float(x) for x in res.x], dual=dual)
+                      assignment=res.x.tolist(), dual=dual.tolist(),
+                      solver_code=res.status)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +294,10 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
 
     # Shift x = lo + x' so every variable has lower bound 0; finite upper
     # bounds become extra <= rows.
-    lo = [frac(lp.bound(j)[0]) for j in range(n)]
+    bounds = lp.bounds or [(0, None)] * n
+    lo = [frac(b[0]) for b in bounds]
     extra_rows = []
-    for j in range(n):
-        hi = lp.bound(j)[1]
+    for j, (_, hi) in enumerate(bounds):
         if hi is not None:
             extra_rows.append(([(j, frac(1))], LESS, frac(hi) - lo[j]))
 
@@ -459,19 +476,9 @@ def _basis_dual(lp, flip, slack_of_row, art_of_row, basis, tableau, cost, m):
     def reduced(j):
         return cost[j] - sum(cb[i] * tableau[i][j] for i in range(m))
 
-    y_std = []
-    for i in range(m):
-        if art_of_row[i] is not None:
-            # artificial column is the i-th identity column
-            y = -reduced(art_of_row[i])
-        else:
-            y = -reduced(slack_of_row[i])
-        y_std.append(y)
-
-    n_orig = len(lp.constraints)
-    dual = []
-    for i in range(n_orig):
-        dual.append(flip[i] * y_std[i])
-    # Fold upper-bound rows' multipliers into nothing: dual_bound() recovers
-    # their effect through the reduced costs, so they are simply dropped.
-    return dual
+    # an artificial column is the i-th identity column
+    y_std = [-reduced(slack_of_row[i] if art_of_row[i] is None
+                      else art_of_row[i]) for i in range(m)]
+    # Upper-bound rows' multipliers are dropped: dual_bound() recovers
+    # their effect through the reduced costs.
+    return [flip[i] * y_std[i] for i in range(lp.n_rows)]

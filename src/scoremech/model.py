@@ -78,9 +78,6 @@ class FiniteTypeSpace:
         if self.score_values is not None:
             object.__setattr__(self, "score_values", dict(self.score_values))
 
-    def natural_score(self, t: AgentType) -> str:
-        return t.score
-
     def score_value(self, a: str) -> float:
         if self.score_values is None or a not in self.score_values:
             raise ModelError(f"score {a!r} carries no numeric value")
@@ -233,13 +230,6 @@ class FiniteMechanism:
     def support(self, t, scores: Sequence[str]):
         return [a for a in scores if self.rho(a, t) > SUPPORT_TOL]
 
-    def deterministic_recommendations(self, space: FiniteTypeSpace) -> bool:
-        for t in space.types:
-            if not any(self.rho(a, t) >= 1 - SUPPORT_TOL
-                       for a in space.scores):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class ScoreBasedRule:
@@ -256,9 +246,6 @@ class ScoreBasedRule:
             raise ModelError(f"score rule undefined at {key}")
         return self.decision[key]
 
-    def scores(self):
-        return sorted({a for _, a in self.decision})
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -269,9 +256,6 @@ class Instance:
     agent: AgentPayoff
     designer: DesignerPayoff
     outside_option: Mapping[AgentType, object] = field(default_factory=dict)
-
-    def outside(self, t):
-        return self.outside_option.get(t, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -162,6 +163,21 @@ def test_infeasible_instance_exits_3(capsys, tmp_path):
                            "--out", str(tmp_path / "o"))
     assert code == 3
     assert "infeasible" in err
+
+
+def test_highs_numerical_difficulties_exit_4(capsys, tmp_path, monkeypatch):
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *args, **kw: SimpleNamespace(status=4))
+    cfg = tmp_path / "college.json"
+    save_instance(college_instance(internalize_costs=True), cfg)
+    code, _, err = run_cli(capsys, "solve-finite", "--mode", "float",
+                           "--instance", str(cfg), "--out",
+                           str(tmp_path / "o"))
+    assert code == cli.EXIT_NUMERIC == 4
+    assert "numerical difficulties (HiGHS status 4)" in err
+    assert "iteration limit" not in err
 
 
 def test_config_file_mirrors_flags(capsys, tmp_path):

@@ -181,6 +181,127 @@ def test_single_type_no_binding_constraints():
 
 
 # ---------------------------------------------------------------------------
+# the array builder against the constraint families written out row by row
+# ---------------------------------------------------------------------------
+
+def _reference_lp(inst):
+    """Objective and rows of the DRM LP from a plain loop over the three
+    constraint families of the finite module docstring (zeros dropped)."""
+    space, costs, agent, designer = (inst.space, inst.costs, inst.agent,
+                                     inst.designer)
+    idx = JointVariableIndex(space)
+    ubar = {t: inst.outside_option.get(t, 0) for t in space.types}
+    objective = [0] * idx.n_vars
+    rows = []
+    for t in space.types:
+        for a in space.scores:
+            loss = designer.loss(costs.cost(a, t))
+            for x in space.outcomes:
+                objective[idx.z(x, a, t)] = space.mass(t) * (
+                    designer.dv(x, t) - loss)
+    for t in space.types:
+        rows.append(({idx.z(x, a, t): 1 for a in space.scores
+                      for x in space.outcomes}, "=", 1))
+    for t in space.types:
+        for a in space.scores:
+            gate = costs.cost(a, t) + ubar[t]
+            rows.append(({idx.z(x, a, t): agent.v(x, t) - gate
+                          for x in space.outcomes}, ">=", 0))
+    for t, tp in idx.pairs:
+        row = {}
+        for a in space.scores:
+            for x in space.outcomes:
+                row[idx.z(x, a, t)] = agent.v(x, t) - costs.cost(a, t)
+            row[idx.w(a, t, tp)] = -1
+        rows.append((row, ">=", 0))
+        for a in space.scores:
+            c = costs.cost(a, t)
+            row = {idx.w(a, t, tp): 1}
+            for x in space.outcomes:
+                row[idx.z(x, a, tp)] = -(agent.v(x, t) - c)
+            rows.append((row, ">=", 0))
+            if ubar[t] != 0:
+                row = {idx.w(a, t, tp): 1}
+                for x in space.outcomes:
+                    row[idx.z(x, a, tp)] = -ubar[t]
+                rows.append((row, ">=", 0))
+    return objective, [({j: v for j, v in row.items() if v != 0}, rel, rhs)
+                       for row, rel, rhs in rows]
+
+
+def _to_fractions(inst):
+    def conv(table):
+        return {k: F(v) for k, v in table.items()}
+
+    s = inst.space
+    space = FiniteTypeSpace(types=s.types, scores=s.scores,
+                            outcomes=s.outcomes, prior=conv(s.prior))
+    return Instance(space=space, costs=CostModel.tabulated(
+                        conv(inst.costs.table)),
+                    agent=AgentPayoff(conv(inst.agent.value)),
+                    designer=DesignerPayoff(
+                        conv(inst.designer.decision_value)),
+                    outside_option=conv(inst.outside_option))
+
+
+def _builder_instances():
+    from scoremech.continuous import Uniform, discretize
+    from scoremech.model import college_instance
+
+    c2 = college_instance(internalize_costs=True)
+    dist = Uniform(-2.0, 1.0)
+    d3 = discretize(dist, CostModel.linear(4.0, (-2.0, 1.0)), 3)
+    d4 = discretize(dist, CostModel.quadratic(3.0, (-2.0, 1.0)), 4)
+    # 0.1: v - (c + 0.1) and v - c - 0.1 differ in the last bit somewhere
+    d4_out = Instance(space=d4.space, costs=d4.costs, agent=d4.agent,
+                      designer=d4.designer,
+                      outside_option={d4.space.types[1]: 0.1})
+    return {
+        "college1": college_instance(internalize_costs=False),
+        "college2": c2,
+        "college2-outside": Instance(
+            space=c2.space, costs=c2.costs, agent=c2.agent,
+            designer=c2.designer, outside_option={T2: F(1, 2), T3: F(1, 3)}),
+        "n3-float": d3, "n3-fraction": _to_fractions(d3),
+        "n4-float": d4, "n4-fraction": _to_fractions(d4),
+        "n4-float-outside": d4_out,
+        "n4-fraction-outside": _to_fractions(d4_out),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_builder_instances()))
+def test_array_builder_matches_row_by_row_families(name):
+    inst = _builder_instances()[name]
+    lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer,
+                      inst.outside_option)
+    objective, rows = _reference_lp(inst)
+    built = lp.constraints
+    assert len(built) == len(rows) == lp.n_rows
+    exact = "float" not in name
+
+    def same(got, want):
+        # exact instances keep the caller's number types (Fractions stay
+        # Fractions, ints stay ints); float instances hold floats
+        assert got == want
+        assert type(got) is (type(want) if exact else float), (got, want)
+
+    for got, want in zip(lp.objective.tolist(), objective):
+        same(got, want)
+    for i, ((row, rel, rhs), (ref, ref_rel, ref_rhs)) in enumerate(
+            zip(built, rows)):
+        assert (rel, sorted(row)) == (ref_rel, sorted(ref)), f"row {i}"
+        same(rhs, ref_rhs)
+        for j in ref:
+            same(row[j], ref[j])
+    if "outside" in name:  # one w >= outside * sum z row per pair, score
+        bare = build_drm_lp(inst.space, inst.costs, inst.agent,
+                            inst.designer)
+        n_out = sum(u != 0 for u in inst.outside_option.values())
+        assert lp.n_rows - bare.n_rows == (
+            n_out * (len(inst.space.types) - 1) * len(inst.space.scores))
+
+
+# ---------------------------------------------------------------------------
 # extract / evaluate
 # ---------------------------------------------------------------------------
 

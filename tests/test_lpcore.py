@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import scoremech
 from scoremech.lpcore import LinearProgram, LpError, dual_bound, solve_lp
 
 
@@ -103,6 +109,21 @@ def _random_lp(rng):
                          bounds=bounds)
 
 
+def _array_form(lp):
+    """The same LP passed to from_coo, from a dense matrix of its rows, with
+    the entries in reverse order."""
+    dense = np.array([[row.get(j, F(0)) for j in range(lp.n_vars)]
+                      for row, _, _ in lp.constraints],
+                     dtype=object).reshape(-1, lp.n_vars)
+    r, c = np.nonzero(dense)
+    r, c = r[::-1], c[::-1]
+    return LinearProgram.from_coo(
+        np.array(list(lp.objective), dtype=object), r, c, dense[r, c],
+        np.array([rel for _, rel, _ in lp.constraints]),
+        np.array([rhs for _, _, rhs in lp.constraints], dtype=object),
+        lp.bounds)
+
+
 def test_exact_and_float_agree_on_random_lps():
     """x = 0 is feasible and bounds are finite, so every draw is optimal."""
     rng = random.Random(20240817)
@@ -114,6 +135,10 @@ def test_exact_and_float_agree_on_random_lps():
         assert abs(float(exact.value) - approx.value) <= 1e-6
         assert exact.certified, "exact dual certificate failed"
         assert approx.certified, "float dual certificate failed"
+        from_arrays = solve_lp(_array_form(lp), "exact")
+        assert from_arrays.value == exact.value
+        assert from_arrays.dual == exact.dual
+        assert from_arrays.certified
 
 
 def test_exact_certificate_is_tight():
@@ -122,3 +147,37 @@ def test_exact_certificate_is_tight():
         lp = _random_lp(rng)
         sol = solve_lp(lp, "exact")
         assert dual_bound(lp, sol.dual) == sol.value
+
+
+@pytest.mark.parametrize("code,status", [
+    (1, "iteration_limit"), (2, "infeasible"), (3, "unbounded"),
+    (4, "numerical"), (5, "numerical")])
+def test_highs_status_is_reported_truthfully(monkeypatch, code, status):
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *args, **kw: SimpleNamespace(status=code))
+    lp = LinearProgram(objective=[1, 1], constraints=[([1, 1], "<=", 1)])
+    sol = solve_lp(lp, mode="float")
+    assert (sol.status, sol.solver_code) == (status, code)
+    assert not sol.certified
+
+
+def test_exact_and_continuous_runs_do_not_load_scipy():
+    """Only the float LP path needs scipy, and it imports it on first use."""
+    script = (
+        "import sys, scoremech\n"
+        "from fractions import Fraction\n"
+        "inst = scoremech.college_instance(internalize_costs=True)\n"
+        "sol, _ = scoremech.solve_drm(inst, mode='exact')\n"
+        "assert sol.value == Fraction(53, 24)\n"
+        "dist = scoremech.Uniform(-2.0, 1.0)\n"
+        "costs = scoremech.CostModel.quadratic(4.0, (-2.0, 1.0))\n"
+        "scoremech.solve_continuous(dist, costs).designer_value()\n"
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.optimize')\n"
+        "             if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(scoremech.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
