@@ -8,20 +8,11 @@ byte-identical and diff-friendly.
 Exit codes: 0 success, 2 config error, 3 infeasible/regime error,
 4 numerical failure.
 
-Instance config schema (JSON; rationals may be written "p/q"):
-
-    types           [[label, natural_score], ...]
-    scores          [score, ...]           declaration order is the order
-    outcomes        [outcome, ...]
-    prior           {"label|score": mass}
-    score_values    {score: number}        optional numeric score values
-    cost            {"kind": "tabulated", "table": {"score|label|tscore": c}}
-                    or {"kind": "linear"|"quadratic", "gamma": g,
-                        "domain": [s_min, s_max]}
-    agent_value     {"outcome|label|score": v}
-    decision_value  {"outcome|label|score": v}
-    loss_coefficient  lam                  optional; loss is lam * c^2
-    outside_option  {"label|score": u}     optional, defaults to 0
+The instance config schema is documented at
+``scoremech.model.instance_from_config``.  Its numbers are read by
+``model.parse_number``, the parser of every table: a decimal string such
+as "0.5" is read as a float (earlier versions rejected it), and "p/q" and
+integer strings stay exact.
 
 A run config passed via ``--config`` is a JSON object whose keys mirror
 the command's flags (``dist``, ``cost``, ``gamma``, ``mode``, ``tol``,
@@ -55,19 +46,16 @@ class CliError(Exception):
 
 
 def _fmt(v) -> str:
+    """Summary display: a rational shows as "<12 digits> = p/q"."""
     if isinstance(v, Fraction):
-        return f"{format(float(v), '.12g')} = {v.numerator}/{v.denominator}"
-    if v is None:
-        return "none"
+        return f"{_fmt(float(v))} = {model.format_number(v)}"
     if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
+        return model.format_number(v)
+    return "none" if v is None else str(v)
 
 
-def _write_summary(path: Path, entries: list[tuple[str, object]]) -> str:
-    text = "\n".join(f"{k} = {_fmt(v)}" for k, v in entries) + "\n"
-    path.write_text(text)
-    return text
+def _summary(entries: list[tuple[str, object]]) -> str:
+    return "".join(f"{k} = {_fmt(v)}\n" for k, v in entries)
 
 
 def _out_dir(args) -> Path:
@@ -84,12 +72,16 @@ def _require(args, *names) -> None:
                            EXIT_CONFIG)
 
 
-def _load_instance(path: str) -> model.Instance:
+def _read(reader, path: str, what: str):
+    """``reader(path)``; unreadable or malformed input is a config error."""
     try:
-        inst = model.load_instance(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CliError(f"cannot read instance config {path}: {exc}",
-                       EXIT_CONFIG)
+        return reader(path)
+    except (OSError, KeyError, ValueError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}", EXIT_CONFIG)
+
+
+def _load_instance(path: str) -> model.Instance:
+    inst = _read(model.load_instance, path, "instance config")
     problems = model.validate(inst.space, inst.costs, inst.designer,
                               inst.agent)
     if problems:
@@ -159,11 +151,11 @@ def cmd_example(args) -> int:
     lines.append(("scenario2 reference menu value", menu_value))
     for t in inst2.space.types:
         lines.append((f"reference menu U({t})", menu_u[t]))
-    text = "\n".join(f"{k} = {_fmt(v)}" for k, v in lines)
-    print(text)
+    text = _summary(lines)
+    print(text, end="")
     if args.out:
         out = _out_dir(args)
-        (out / "college.txt").write_text(text + "\n")
+        (out / "college.txt").write_text(text)
         model.save_instance(inst2, out / "college_scenario2.json")
     return EXIT_OK
 
@@ -178,7 +170,7 @@ def cmd_solve_finite(args) -> int:
     out = _out_dir(args)
     finite.write_mechanism_table(inst.space, mech, out / "mechanism.tsv")
     report.save(out / "audit.json")
-    _write_summary(out / "summary.txt", [
+    (out / "summary.txt").write_text(_summary([
         ("status", sol.status),
         ("mode", args.mode),
         ("value", sol.value),
@@ -186,7 +178,7 @@ def cmd_solve_finite(args) -> int:
         ("audit_passes", report.passes),
         ("max_tt_violation", report.max_tt_violation),
         ("max_pc_violation", report.max_pc_violation),
-    ])
+    ]))
     print(f"value = {_fmt(sol.value)}")
     return EXIT_OK
 
@@ -198,15 +190,13 @@ def cmd_solve_continuous(args) -> int:
     if problems:
         raise CliError("invalid distribution: " + "; ".join(problems),
                        EXIT_CONFIG)
-    if args.cost == "linear":
-        costs = model.CostModel.linear(args.gamma, (dist.s_min, dist.s_max))
-    elif args.cost == "quadratic":
-        costs = model.CostModel.quadratic(args.gamma,
-                                          (dist.s_min, dist.s_max))
-    else:
+    if args.cost not in ("linear", "quadratic"):
         raise CliError("solve-continuous needs --cost linear|quadratic",
                        EXIT_CONFIG)
+    costs = model.CostModel(args.cost, gamma=args.gamma,
+                            domain=(dist.s_min, dist.s_max))
     solution = cont.solve_continuous(dist, costs)
+    value = solution.designer_value()
     out = _out_dir(args)
     ts = np.linspace(dist.s_min, dist.s_max, args.samples)
     cont.write_solution_table(solution, ts, out / "solution.tsv")
@@ -218,16 +208,16 @@ def cmd_solve_continuous(args) -> int:
         ("t_star", solution.t_star),
         ("t_dagger", solution.t_dagger),
         ("p_star", solution.p_star),
-        ("designer_value", solution.designer_value()),
+        ("designer_value", value),
     ]
     if args.grid_types:
         inst = cont.discretize(dist, costs, args.grid_types,
                                args.grid_scores)
         lp_sol = _solve_lp_instance(inst, "float")
         entries.append(("lp_value", lp_sol.value))
-        entries.append(("lp_gap", abs(lp_sol.value
-                                      - solution.designer_value())))
-    text = _write_summary(out / "summary.txt", entries)
+        entries.append(("lp_gap", abs(lp_sol.value - value)))
+    text = _summary(entries)
+    (out / "summary.txt").write_text(text)
     print(text, end="")
     return EXIT_OK
 
@@ -235,10 +225,8 @@ def cmd_solve_continuous(args) -> int:
 def cmd_audit(args) -> int:
     _require(args, "instance", "mechanism")
     inst = _load_instance(args.instance)
-    try:
-        mech = finite.read_mechanism_table(args.mechanism)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read mechanism table: {exc}", EXIT_CONFIG)
+    mech = _read(finite.read_mechanism_table, args.mechanism,
+                 "mechanism table")
     problems = model.validate_mechanism(inst.space, mech)
     if problems:
         raise CliError("invalid mechanism: " + "; ".join(problems),
@@ -260,126 +248,30 @@ def cmd_canonicalize(args) -> int:
     if args.op == "derandomize":
         if not args.mixture:
             raise CliError("--op derandomize needs --mixture", EXIT_CONFIG)
-        mixture = read_mixture_table(args.mixture)
-        mech = finite.derandomize_decision_rules(mixture)
-        finite.write_mechanism_table(inst.space, mech, out / "mechanism.tsv")
-        print("wrote mechanism.tsv")
-        return EXIT_OK
-    if not args.mechanism:
-        raise CliError(f"--op {args.op} needs --mechanism", EXIT_CONFIG)
-    try:
-        mech = finite.read_mechanism_table(args.mechanism)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read mechanism table: {exc}", EXIT_CONFIG)
-    if args.op == "score-based":
-        rule, falsification = finite.reduce_to_score_based(
-            inst.space, inst.costs, inst.agent, inst.designer, mech,
-            tol=args.tol)
-        lines = ["score\toutcome\tq"]
-        for a in inst.space.scores:
-            for x in inst.space.outcomes:
-                lines.append(f"{a}\t{x}\t{finite._fmt(rule.q(x, a))}")
-        (out / "scorerule.tsv").write_text("\n".join(lines) + "\n")
-        lines = ["type_label\ttype_score\tscore"]
-        for t in inst.space.types:
-            lines.append(f"{t.label}\t{t.score}\t{falsification[t]}")
-        (out / "falsification.tsv").write_text("\n".join(lines) + "\n")
-        print("wrote scorerule.tsv, falsification.tsv")
-        return EXIT_OK
-    if args.op == "rebalance":
-        mech2 = rebalance_mechanism(inst, mech)
-        finite.write_mechanism_table(inst.space, mech2,
-                                     out / "mechanism.tsv")
-        print("wrote mechanism.tsv")
-        return EXIT_OK
-    raise CliError(f"unknown canonicalize op {args.op!r}", EXIT_CONFIG)
-
-
-def rebalance_mechanism(inst: model.Instance,
-                        mech: model.FiniteMechanism) -> model.FiniteMechanism:
-    """Monotone-rebalance every type's approval schedule in place.
-
-    Needs numeric score values and binary outcomes; approval is the
-    prior-preferred outcome of the agent payoff.
-    """
-    space = inst.space
-    if len(space.outcomes) != 2:
-        raise CliError("rebalance requires binary outcomes", EXIT_CONFIG)
-
-    def avg(x):
-        return float(sum(space.mass(t) * inst.agent.v(x, t)
-                         for t in space.types))
-
-    x1 = max(space.outcomes, key=avg)
-    x0 = [x for x in space.outcomes if x != x1][0]
-    decision = dict(mech.decision)
-    recommendation = dict(mech.recommendation)
-    for t in space.types:
-        support = mech.support(t, space.scores)
-        support.sort(key=space.score_value)
-        if len(support) < 2:
-            continue
-        rho = [mech.rho(a, t) for a in support]
-        alpha = [mech.q(x1, a, t) for a in support]
-        cost = [inst.costs.cost(a, t) for a in support]
-        try:
-            new_alpha = finite.monotone_rebalance(
-                [space.score_value(a) for a in support], rho, alpha, cost)
-        except model.ModelError as exc:
-            raise CliError(f"rebalance precondition failed for {t}: {exc}",
+        mech = finite.derandomize_decision_rules(_read(
+            finite.read_mixture_table, args.mixture, "mixture table"))
+    else:
+        if not args.mechanism:
+            raise CliError(f"--op {args.op} needs --mechanism", EXIT_CONFIG)
+        mech = _read(finite.read_mechanism_table, args.mechanism,
+                     "mechanism table")
+        if args.op == "score-based":
+            rule, falsification = finite.reduce_to_score_based(
+                inst.space, inst.costs, inst.agent, inst.designer, mech,
+                tol=args.tol)
+            finite.write_score_rule_table(inst.space, rule,
+                                          out / "scorerule.tsv")
+            finite.write_falsification_table(inst.space, falsification,
+                                             out / "falsification.tsv")
+            print("wrote scorerule.tsv, falsification.tsv")
+            return EXIT_OK
+        if args.op != "rebalance":
+            raise CliError(f"unknown canonicalize op {args.op!r}",
                            EXIT_CONFIG)
-        for a, na in zip(support, new_alpha):
-            decision[(x1, a, t)] = na
-            decision[(x0, a, t)] = 1 - na
-    return model.FiniteMechanism(decision=decision,
-                                 recommendation=recommendation)
-
-
-# ---------------------------------------------------------------------------
-# mixture tables (derandomize input)
-# ---------------------------------------------------------------------------
-
-MIXTURE_HEADER = "type_label\ttype_score\tcomponent\tweight\trec_score\tscore\toutcome\tq"
-
-
-def write_mixture_table(randomized, path) -> None:
-    """Flatten {type: [(weight, rule, score), ...]} to one TSV."""
-    lines = [MIXTURE_HEADER]
-    for t, mixture in randomized.items():
-        t = model.AgentType(*t)
-        for ci, (w, rule, rec) in enumerate(mixture):
-            for (x, a), q in sorted(rule.decision.items(),
-                                    key=lambda kv: (kv[0][1], kv[0][0])):
-                lines.append("\t".join([
-                    t.label, t.score, str(ci), finite._fmt(w), rec, a, x,
-                    finite._fmt(q)]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_mixture_table(path):
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != MIXTURE_HEADER:
-            raise CliError(f"unexpected mixture header {header!r}",
-                           EXIT_CONFIG)
-        for line in fh:
-            line = line.rstrip("\n")
-            if line:
-                rows.append(line.split("\t"))
-    grouped: dict = {}
-    for label, tscore, comp, w, rec, a, x, q in rows:
-        key = (model.AgentType(label, tscore), int(comp))
-        entry = grouped.setdefault(
-            key, {"weight": finite._parse_num(w), "rec": rec, "decision": {}})
-        entry["decision"][(x, a)] = finite._parse_num(q)
-    randomized: dict = {}
-    for (t, _), entry in sorted(grouped.items(),
-                                key=lambda kv: (str(kv[0][0]), kv[0][1])):
-        rule = model.ScoreBasedRule(decision=entry["decision"])
-        randomized.setdefault(t, []).append(
-            (entry["weight"], rule, entry["rec"]))
-    return randomized
+        mech = finite.rebalance_mechanism(inst, mech)
+    finite.write_mechanism_table(inst.space, mech, out / "mechanism.tsv")
+    print("wrote mechanism.tsv")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config(parser, argv):
     args = parser.parse_args(argv)
     if args.config:
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config {args.config}: {exc}",
-                           EXIT_CONFIG)
+        overrides = _read(lambda p: json.loads(Path(p).read_text()),
+                          args.config, "config")
         explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
                     for a in argv if a.startswith("--")}
         for key, value in overrides.items():

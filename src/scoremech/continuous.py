@@ -34,6 +34,7 @@ from .model import (
     DesignerPayoff,
     FiniteTypeSpace,
     Instance,
+    format_number,
 )
 
 __all__ = [
@@ -169,10 +170,6 @@ class TruncatedExponential(Distribution):
     def quantile(self, p):
         return self.s_min - math.log(1.0 - p * self._z) / self.rate
 
-    @property
-    def mean(self):
-        return self.tail_expectation(self.s_min)
-
     def tail_expectation(self, t):
         lam = self.rate
 
@@ -305,10 +302,6 @@ class Tabulated(Distribution):
             total += cell(self._ts[j], self._ts[j + 1],
                           self._fs[j], self._fs[j + 1])
         return float(total)
-
-    @property
-    def mean(self):
-        return self.tail_expectation(self.s_min)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +714,7 @@ def write_solution_table(solution: ContinuousSolution, ts: Sequence[float],
     lines = ["\t".join(names)]
     for i in range(len(cols["t"])):
         lines.append("\t".join(
-            format(float(cols[n][i]), ".12g") for n in names))
+            format_number(float(cols[n][i])) for n in names))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

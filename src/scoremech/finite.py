@@ -22,6 +22,7 @@ compatible mechanisms.
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,6 +40,9 @@ from .model import (
     Instance,
     ModelError,
     ScoreBasedRule,
+    format_number,
+    parse_number,
+    validate,
 )
 
 __all__ = [
@@ -51,10 +55,15 @@ __all__ = [
     "derive_drm",
     "reduce_to_score_based",
     "monotone_rebalance",
+    "rebalance_mechanism",
     "joint_law_drm",
     "joint_law_indirect",
     "write_mechanism_table",
     "read_mechanism_table",
+    "write_mixture_table",
+    "read_mixture_table",
+    "write_score_rule_table",
+    "write_falsification_table",
 ]
 
 
@@ -214,9 +223,12 @@ def evaluate_mechanism(space: FiniteTypeSpace, costs: CostModel,
 def solve_drm(inst: Instance, mode: str = "exact"):
     """Build, solve and extract in one call.
 
-    Returns (lp solution, mechanism).  Raises ModelError when the LP is not
-    solvable to optimality.
+    Returns (lp solution, mechanism).  Raises ModelError when the instance
+    is invalid or the LP is not solvable to optimality.
     """
+    problems = validate(inst.space, inst.costs, inst.designer, inst.agent)
+    if problems:
+        raise ModelError("invalid instance: " + "; ".join(problems))
     lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer,
                       inst.outside_option)
     sol = solve_lp(lp, mode=mode)
@@ -338,6 +350,23 @@ def joint_law_indirect(types: Sequence[AgentType],
     return law
 
 
+def _binary_outcomes(space: FiniteTypeSpace, agent: AgentPayoff,
+                     operation: str) -> tuple[str, str]:
+    """(agent-worst, agent-preferred) outcome by prior-average agent value;
+    raises ModelError unless there are two outcomes and they do not tie."""
+    if len(space.outcomes) != 2:
+        raise ModelError(f"{operation} requires binary outcomes")
+
+    def avg(x):
+        return sum(space.mass(t) * agent.v(x, t) for t in space.types)
+
+    worst, best = sorted(space.outcomes, key=avg)
+    if avg(worst) == avg(best):
+        raise ModelError(f"{operation} needs an agent-preferred outcome, but "
+                         f"{worst!r} and {best!r} tie on prior average")
+    return worst, best
+
+
 def reduce_to_score_based(space: FiniteTypeSpace, costs: CostModel,
                           agent: AgentPayoff, designer: DesignerPayoff,
                           mech: FiniteMechanism, tol: float = 1e-9):
@@ -350,26 +379,16 @@ def reduce_to_score_based(space: FiniteTypeSpace, costs: CostModel,
     row (all mass on the agent-worst outcome), which preserves incentive
     compatibility.  Returns (rule, {type: submitted score}).
     """
-    if len(space.outcomes) != 2:
-        raise ModelError("score-based reduction requires binary outcomes")
+    null_outcome, top_outcome = _binary_outcomes(space, agent,
+                                                 "score-based reduction")
     assignment: dict[AgentType, str] = {}
     for t in space.types:
-        target = None
-        for a in space.scores:
-            if mech.rho(a, t) >= 1 - SUPPORT_TOL:
-                target = a
-                break
+        target = next((a for a in space.scores
+                       if mech.rho(a, t) >= 1 - SUPPORT_TOL), None)
         if target is None:
-            raise ModelError(
-                f"recommendation for {t} is not deterministic")
+            raise ModelError(f"recommendation for {t} is not deterministic")
         assignment[t] = target
 
-    # agent-worst outcome (the null/deterrent row for unused scores)
-    def avg_agent_value(x):
-        return sum(space.mass(t) * agent.v(x, t) for t in space.types)
-
-    null_outcome = min(space.outcomes, key=lambda x: float(avg_agent_value(x)))
-    top_outcome = [x for x in space.outcomes if x != null_outcome][0]
     for t in space.types:
         if not agent.v(top_outcome, t) > agent.v(null_outcome, t):
             raise ModelError(
@@ -448,63 +467,129 @@ def monotone_rebalance(scores: Sequence[float], rho: Sequence,
     return levels
 
 
+def rebalance_mechanism(inst: Instance,
+                        mech: FiniteMechanism) -> FiniteMechanism:
+    """Monotone-rebalance every type's approval schedule.
+
+    Needs numeric score values and binary outcomes; approval is the
+    prior-preferred outcome of the agent payoff.
+    """
+    space = inst.space
+    x0, x1 = _binary_outcomes(space, inst.agent, "rebalance")
+    decision = dict(mech.decision)
+    for t in space.types:
+        support = sorted(mech.support(t, space.scores),
+                         key=space.score_value)
+        if len(support) < 2:
+            continue
+        schedule = ([space.score_value(a) for a in support],
+                    [mech.rho(a, t) for a in support],
+                    [mech.q(x1, a, t) for a in support],
+                    [inst.costs.cost(a, t) for a in support])
+        try:
+            new_alpha = monotone_rebalance(*schedule)
+        except ModelError as exc:
+            raise ModelError(f"rebalance precondition failed for {t}: {exc}")
+        for a, na in zip(support, new_alpha):
+            decision[(x1, a, t)] = na
+            decision[(x0, a, t)] = 1 - na
+    return FiniteMechanism(decision=decision,
+                           recommendation=mech.recommendation)
+
+
 # ---------------------------------------------------------------------------
-# mechanism tables (flat delimiter-separated export)
+# tables (flat tab-separated export; numbers through format_number)
 # ---------------------------------------------------------------------------
 
 _HEADER = "type_label\ttype_score\tscore\toutcome\tz\trho\tq"
+MIXTURE_HEADER = ("type_label\ttype_score\tcomponent\tweight\trec_score"
+                  "\tscore\toutcome\tq")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, int):
-        return str(v)
-    return format(float(v), ".12g")
+def _write_table(path, header: str, rows) -> None:
+    lines = [header] + ["\t".join(row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_num(s: str):
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    if s in ("0", "1") or (s.lstrip("-").isdigit()):
-        return Fraction(int(s))
-    return float(s)
+def _read_table(path, header: str, what: str) -> list[list[str]]:
+    with open(path) as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise ModelError(f"unexpected {what} table header: {found!r}")
+        return [line.split("\t") for line in map(str.strip, fh) if line]
 
 
 def write_mechanism_table(space: FiniteTypeSpace, mech: FiniteMechanism,
                           path) -> None:
-    lines = [_HEADER]
+    rows = []
     for t in space.types:
         for a in space.scores:
             r = mech.rho(a, t)
             for x in space.outcomes:
-                if (x, a, t) in mech.decision:
-                    q = mech.decision[(x, a, t)]
-                    z = r * q
-                elif not _on_support(r):
+                if (x, a, t) not in mech.decision:
+                    if _on_support(r):
+                        raise ModelError(
+                            f"q undefined on support at ({a}, {t})")
                     continue
-                else:
-                    raise ModelError(f"q undefined on support at ({a}, {t})")
-                lines.append("\t".join(
-                    [t.label, t.score, a, x, _fmt(z), _fmt(r), _fmt(q)]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+                q = mech.decision[(x, a, t)]
+                rows.append([t.label, t.score, a, x] + [
+                    format_number(v) for v in (r * q, r, q)])
+    _write_table(path, _HEADER, rows)
 
 
 def read_mechanism_table(path) -> FiniteMechanism:
     decision = {}
     recommendation = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != _HEADER.strip():
-            raise ModelError(f"unexpected mechanism table header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            label, tscore, a, x, _z, r, q = line.split("\t")
-            t = AgentType(label, tscore)
-            recommendation[(a, t)] = _parse_num(r)
-            decision[(x, a, t)] = _parse_num(q)
+    for label, tscore, a, x, _z, r, q in _read_table(path, _HEADER,
+                                                     "mechanism"):
+        t = AgentType(label, tscore)
+        recommendation[(a, t)] = parse_number(r)
+        decision[(x, a, t)] = parse_number(q)
     return FiniteMechanism(decision=decision, recommendation=recommendation)
+
+
+def write_mixture_table(randomized, path) -> None:
+    """Flatten {type: [(weight, rule, score), ...]} to one table, the
+    input format of ``read_mixture_table``."""
+    rows = []
+    for t, mixture in randomized.items():
+        t = AgentType(*t)
+        for ci, (w, rule, rec) in enumerate(mixture):
+            for (x, a), q in sorted(rule.decision.items(),
+                                    key=lambda kv: (kv[0][1], kv[0][0])):
+                rows.append([t.label, t.score, str(ci), format_number(w),
+                             rec, a, x, format_number(q)])
+    _write_table(path, MIXTURE_HEADER, rows)
+
+
+def read_mixture_table(path):
+    """{type: [(weight, ScoreBasedRule, score), ...]}, the input of
+    ``derandomize_decision_rules``."""
+    grouped: dict = {}
+    for label, tscore, comp, w, rec, a, x, q in _read_table(
+            path, MIXTURE_HEADER, "mixture"):
+        _, _, decision = grouped.setdefault(
+            (AgentType(label, tscore), int(comp)), (parse_number(w), rec, {}))
+        decision[(x, a)] = parse_number(q)
+    randomized: dict = {}
+    for (t, _), (w, rec, decision) in sorted(
+            grouped.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
+        randomized.setdefault(t, []).append(
+            (w, ScoreBasedRule(decision=decision), rec))
+    return randomized
+
+
+def write_score_rule_table(space: FiniteTypeSpace, rule: ScoreBasedRule,
+                           path) -> None:
+    _write_table(path, "score\toutcome\tq", (
+        [a, x, format_number(rule.q(x, a))]
+        for a in space.scores for x in space.outcomes))
+
+
+def write_falsification_table(space: FiniteTypeSpace,
+                              assignment: Mapping[AgentType, str],
+                              path) -> None:
+    """The submitted score per type, as returned by
+    ``reduce_to_score_based``."""
+    _write_table(path, "type_label\ttype_score\tscore",
+                 ([t.label, t.score, assignment[t]] for t in space.types))

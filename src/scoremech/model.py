@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -34,6 +35,8 @@ __all__ = [
     "instance_from_config",
     "load_instance",
     "save_instance",
+    "format_number",
+    "parse_number",
 ]
 
 SUPPORT_TOL = 1e-12  # rho(a|t) above this counts as "a in supp rho(.|t)"
@@ -224,8 +227,12 @@ class FiniteMechanism:
             raise ModelError(f"decision undefined at {key}")
         return self.decision[key]
 
+    @cached_property
+    def _decided(self) -> frozenset:
+        return frozenset((a, t) for _, a, t in self.decision)
+
     def has_decision(self, a, t) -> bool:
-        return any(k[1] == a and k[2] == t for k in self.decision)
+        return (a, t) in self._decided
 
     def support(self, t, scores: Sequence[str]):
         return [a for a in scores if self.rho(a, t) > SUPPORT_TOL]
@@ -431,22 +438,33 @@ def college_menu_mechanism() -> FiniteMechanism:
 
 
 # ---------------------------------------------------------------------------
-# config serialization (JSON tree; rationals as "p/q" strings)
+# number codec and config serialization (JSON tree; rationals as "p/q")
 # ---------------------------------------------------------------------------
 
-def _num_out(v):
+def format_number(v) -> str:
+    """Fractions as "p/q", ints as digits, reals at 12 significant digits."""
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, int):
+        return str(v)
+    return format(float(v), ".12g")
+
+
+def parse_number(s: str):
+    """Inverse of ``format_number``: "p/q" and integers exact, else float."""
+    if "/" in s or s.lstrip("-").isdigit():
+        return Fraction(s)
+    return float(s)
+
+
+def _to_json(v):
     if isinstance(v, bool):
         raise ModelError("booleans are not model numbers")
-    return v
+    return format_number(v) if isinstance(v, Fraction) else v
 
 
-def _num_in(v):
-    if isinstance(v, str):
-        num, _, den = v.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    return v
+def _from_json(v):
+    return parse_number(v) if isinstance(v, str) else v
 
 
 def _type_key(t: AgentType) -> str:
@@ -458,77 +476,91 @@ def _type_from_key(s: str) -> AgentType:
     return AgentType(label, score)
 
 
+def _pair_key(pair) -> str:  # (outcome or score, type) -> "x|label|score"
+    return f"{pair[0]}|{_type_key(pair[1])}"
+
+
+def _pair_from_key(s: str):
+    x, _, tk = s.partition("|")
+    return x, _type_from_key(tk)
+
+
 def instance_to_config(inst: Instance) -> dict:
-    space = inst.space
+    space, costs = inst.space, inst.costs
+
+    def numbers(items, key):
+        return {key(k): _to_json(v) for k, v in items}
+
     cfg = {
         "types": [[t.label, t.score] for t in space.types],
         "scores": list(space.scores),
         "outcomes": list(space.outcomes),
-        "prior": {_type_key(t): _num_out(space.prior[t])
-                  for t in space.types},
-        "cost": {"kind": inst.costs.kind},
-        "agent_value": {f"{x}|{_type_key(t)}": _num_out(v)
-                        for (x, t), v in inst.agent.value.items()},
-        "decision_value": {f"{x}|{_type_key(t)}": _num_out(v)
-                           for (x, t), v in inst.designer.decision_value.items()},
-        "outside_option": {_type_key(t): _num_out(v)
-                           for t, v in inst.outside_option.items()},
+        "prior": numbers(((t, space.prior[t]) for t in space.types),
+                         _type_key),
+        "cost": {"kind": costs.kind},
+        "agent_value": numbers(inst.agent.value.items(), _pair_key),
+        "decision_value": numbers(inst.designer.decision_value.items(),
+                                  _pair_key),
+        "outside_option": numbers(inst.outside_option.items(), _type_key),
     }
     if space.score_values is not None:
-        cfg["score_values"] = {a: _num_out(v)
-                               for a, v in space.score_values.items()}
-    if inst.costs.kind == "tabulated":
-        cfg["cost"]["table"] = {f"{a}|{_type_key(t)}": _num_out(c)
-                                for (a, t), c in inst.costs.table.items()}
+        cfg["score_values"] = numbers(space.score_values.items(), str)
+    if costs.kind == "tabulated":
+        cfg["cost"]["table"] = numbers(costs.table.items(), _pair_key)
     else:
-        cfg["cost"]["gamma"] = _num_out(inst.costs.gamma)
-        cfg["cost"]["domain"] = [_num_out(v) for v in inst.costs.domain]
+        cfg["cost"]["gamma"] = _to_json(costs.gamma)
+        cfg["cost"]["domain"] = [_to_json(v) for v in costs.domain]
     if inst.designer.loss_coefficient is not None:
-        cfg["loss_coefficient"] = _num_out(inst.designer.loss_coefficient)
+        cfg["loss_coefficient"] = _to_json(inst.designer.loss_coefficient)
     return cfg
 
 
 def instance_from_config(cfg: dict) -> Instance:
-    types = tuple(AgentType(label, score) for label, score in cfg["types"])
+    """Build an instance from its JSON tree.
+
+    Numbers are JSON numbers or strings read by ``parse_number`` ("p/q"
+    and integers exact, decimals as floats).  Keys:
+
+      types           [[label, natural_score], ...]
+      scores          [score, ...]           declaration order is the order
+      outcomes        [outcome, ...]
+      prior           {"label|score": mass}
+      score_values    {score: number}        optional numeric score values
+      cost            {"kind": "tabulated", "table": {"score|label|tscore": c}}
+                      or {"kind": "linear"|"quadratic", "gamma": g,
+                          "domain": [s_min, s_max]}
+      agent_value     {"outcome|label|score": v}
+      decision_value  {"outcome|label|score": v}
+      loss_coefficient  lam                  optional; loss is lam * c^2
+      outside_option  {"label|score": u}     optional, defaults to 0
+    """
+    def numbers(table, key):
+        return {key(k): _from_json(v) for k, v in table.items()}
+
     space = FiniteTypeSpace(
-        types=types,
+        types=tuple(AgentType(label, score) for label, score in cfg["types"]),
         scores=tuple(cfg["scores"]),
         outcomes=tuple(cfg["outcomes"]),
-        prior={_type_from_key(k): _num_in(v)
-               for k, v in cfg["prior"].items()},
-        score_values=({a: _num_in(v)
-                       for a, v in cfg["score_values"].items()}
+        prior=numbers(cfg["prior"], _type_from_key),
+        score_values=(numbers(cfg["score_values"], str)
                       if "score_values" in cfg else None),
     )
     ck = cfg["cost"]
     if ck["kind"] == "tabulated":
-        table = {}
-        for key, c in ck["table"].items():
-            a, _, tk = key.partition("|")
-            table[(a, _type_from_key(tk))] = _num_in(c)
-        costs = CostModel.tabulated(table)
-    elif ck["kind"] == "linear":
-        costs = CostModel.linear(_num_in(ck["gamma"]),
-                                 tuple(_num_in(v) for v in ck["domain"]))
+        costs = CostModel.tabulated(numbers(ck["table"], _pair_from_key))
     else:
-        costs = CostModel.quadratic(_num_in(ck["gamma"]),
-                                    tuple(_num_in(v) for v in ck["domain"]))
-
-    def split_xt(key):
-        x, _, tk = key.partition("|")
-        return x, _type_from_key(tk)
-
-    agent = AgentPayoff({split_xt(k): _num_in(v)
-                         for k, v in cfg["agent_value"].items()})
+        costs = CostModel(ck["kind"], gamma=_from_json(ck["gamma"]),
+                          domain=tuple(map(_from_json, ck["domain"])))
     designer = DesignerPayoff(
-        decision_value={split_xt(k): _num_in(v)
-                        for k, v in cfg["decision_value"].items()},
-        loss_coefficient=_num_in(cfg["loss_coefficient"])
+        decision_value=numbers(cfg["decision_value"], _pair_from_key),
+        loss_coefficient=_from_json(cfg["loss_coefficient"])
         if "loss_coefficient" in cfg else None)
-    outside = {_type_from_key(k): _num_in(v)
-               for k, v in cfg.get("outside_option", {}).items()}
-    return Instance(space=space, costs=costs, agent=agent,
-                    designer=designer, outside_option=outside)
+    return Instance(
+        space=space, costs=costs,
+        agent=AgentPayoff(numbers(cfg["agent_value"], _pair_from_key)),
+        designer=designer,
+        outside_option=numbers(cfg.get("outside_option", {}),
+                               _type_from_key))
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -1,13 +1,22 @@
+import ast
 import hashlib
+import inspect
 import json
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from scoremech import cli
+from scoremech import continuous as cont
 from scoremech.continuous import read_solution_table
-from scoremech.finite import read_mechanism_table, write_mechanism_table
+from scoremech.finite import (
+    read_mechanism_table,
+    read_mixture_table,
+    write_mechanism_table,
+    write_mixture_table,
+)
 from scoremech.model import (
     AgentType,
     ScoreBasedRule,
@@ -15,6 +24,10 @@ from scoremech.model import (
     save_instance,
     validate_mechanism,
 )
+
+
+MIXTURE_HEADER_LINE = ("type_label\ttype_score\tcomponent\tweight\t"
+                       "rec_score\tscore\toutcome\tq\n")
 
 
 def run_cli(capsys, *argv):
@@ -248,7 +261,7 @@ def test_canonicalize_derandomize(capsys, tmp_path):
                                       ("reject", "sL"): F(2, 5)})
     mixture = {t: [(F(1, 2), rule_a, "sL"), (F(1, 2), rule_b, "sL")]}
     mix_path = tmp_path / "mixture.tsv"
-    cli.write_mixture_table(mixture, mix_path)
+    write_mixture_table(mixture, mix_path)
     out_dir = tmp_path / "derand"
     code, _, _ = run_cli(capsys, "canonicalize", "--op", "derandomize",
                          "--instance", str(cfg), "--mixture", str(mix_path),
@@ -300,9 +313,67 @@ def test_mixture_table_roundtrip(tmp_path):
                                     ("reject", "sH"): F(0)})
     mixture = {t: [(F(1, 3), rule, "sL"), (F(2, 3), rule, "sH")]}
     path = tmp_path / "mix.tsv"
-    cli.write_mixture_table(mixture, path)
-    back = cli.read_mixture_table(path)
+    write_mixture_table(mixture, path)
+    back = read_mixture_table(path)
     assert set(back) == {t}
     assert sorted(w for w, _, _ in back[t]) == [F(1, 3), F(2, 3)]
     for w, r, rec in back[t]:
         assert r.decision == rule.decision
+
+
+@pytest.mark.parametrize("content", [
+    None,  # no such file
+    MIXTURE_HEADER_LINE + "F\tsL\t0\t1\tsL\tsL\tadmit\n",  # short row
+    MIXTURE_HEADER_LINE + "F\tsL\t0\tabout half\tsL\tsL\tadmit\t1\n",
+], ids=["missing", "short_row", "bad_number"])
+def test_unreadable_mixture_exits_2(capsys, tmp_path, content):
+    cfg = tmp_path / "college.json"
+    save_instance(college_instance(internalize_costs=True), cfg)
+    mix_path = tmp_path / "mixture.tsv"
+    if content is not None:
+        mix_path.write_text(content)
+    code, _, err = run_cli(capsys, "canonicalize", "--op", "derandomize",
+                           "--instance", str(cfg), "--mixture", str(mix_path),
+                           "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err.startswith(f"error: cannot read mixture table {mix_path}: ")
+
+
+def test_solve_continuous_integrates_designer_value_once(capsys, tmp_path,
+                                                         monkeypatch):
+    calls = []
+    designer_value = cont.ContinuousSolution.designer_value
+
+    def counted(self):
+        calls.append(designer_value(self))
+        return calls[-1]
+
+    monkeypatch.setattr(cont.ContinuousSolution, "designer_value", counted)
+    code, out, _ = run_cli(capsys, "solve-continuous",
+                           "--dist", "uniform:-2,1", "--cost", "linear",
+                           "--gamma", "4", "--grid-types", "5",
+                           "--out", str(tmp_path / "xc"))
+    assert code == 0
+    assert len(calls) == 1
+    s = dict(line.split(" = ", 1) for line in out.splitlines())
+    assert s["designer_value"] == format(calls[0], ".12g")
+    assert float(s["lp_gap"]) == pytest.approx(
+        abs(float(s["lp_value"]) - calls[0]), abs=1e-10)
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    """cli.py is argument glue: every library call goes through a public
+    name of the module that owns it."""
+    tree = ast.parse(inspect.getsource(cli))
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names}
+    assert {"finite", "model", "lpcore", "cont", "audit_mod"} <= modules
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name)
+               and node.value.id in modules and node.attr.startswith("_")]
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names if alias.name.startswith("_")]
+    assert private == [] and imported == []

@@ -16,6 +16,7 @@ from scoremech.finite import (
     joint_law_indirect,
     monotone_rebalance,
     read_mechanism_table,
+    rebalance_mechanism,
     reduce_to_score_based,
     solve_drm,
     write_mechanism_table,
@@ -750,6 +751,70 @@ def test_rebalance_float_inputs(data):
     q_in = sum(r * a for r, a in zip(rho, alpha))
     q_out = sum(r * o for r, o in zip(rho, out))
     assert abs(q_in - q_out) <= 1e-12
+
+
+def _rebalance_instance(v_no=F(0), outcomes=("no", "yes")):
+    """One type at s0 with scores s0 < s1; approving ("yes") is worth 1."""
+    t = AgentType("x", "s0")
+    space = FiniteTypeSpace(types=(t,), scores=("s0", "s1"),
+                            outcomes=outcomes, prior={t: F(1)},
+                            score_values={"s0": 0.0, "s1": 1.0})
+    agent = AgentPayoff({("yes", t): F(1), ("no", t): v_no})
+    designer = DesignerPayoff({("yes", t): F(1), ("no", t): F(0)})
+    inst = Instance(space=space, costs=CostModel.tabulated(
+        {("s0", t): F(0), ("s1", t): F(3, 10)}), agent=agent,
+        designer=designer)
+    mech = FiniteMechanism(
+        decision={("yes", "s0", t): F(4, 5), ("no", "s0", t): F(1, 5),
+                  ("yes", "s1", t): F(2, 5), ("no", "s1", t): F(3, 5)},
+        recommendation={("s0", t): F(1, 2), ("s1", t): F(1, 2)})
+    return inst, mech, t
+
+
+@pytest.mark.parametrize("outcomes", [("no", "yes"), ("yes", "no")])
+def test_rebalance_mechanism_raises_the_agent_preferred_outcome(outcomes):
+    inst, mech, t = _rebalance_instance(outcomes=outcomes)
+    out = rebalance_mechanism(inst, mech)
+    # top level 2/5 + (4/5 * 1/2) / (1/2) = 6/5 caps at 1; 1/10 spills
+    assert (out.q("yes", "s0", t), out.q("yes", "s1", t)) == (F(1, 5), 1)
+    assert (out.q("no", "s0", t), out.q("no", "s1", t)) == (F(4, 5), 0)
+    assert out.recommendation == mech.recommendation
+
+
+def test_rebalance_mechanism_rejects_tied_outcomes():
+    """Equal prior-average agent values leave no approval outcome to
+    raise, so the rebalance refuses instead of picking one by order."""
+    inst, mech, _ = _rebalance_instance(v_no=F(1))
+    with pytest.raises(ModelError, match="tie"):
+        rebalance_mechanism(inst, mech)
+
+
+def test_rebalance_mechanism_names_the_failing_type():
+    inst, mech, t = _rebalance_instance()
+    costly = CostModel.tabulated({("s0", t): F(0), ("s1", t): F(1, 2)})
+    with pytest.raises(ModelError, match=r"precondition failed for .*obed"):
+        rebalance_mechanism(Instance(inst.space, costly, inst.agent,
+                                     inst.designer), mech)
+
+
+def test_reduction_rejects_tied_outcomes():
+    inst, mech, t = _rebalance_instance(v_no=F(1))
+    deterministic = FiniteMechanism(
+        decision=mech.decision, recommendation={("s0", t): F(1)})
+    with pytest.raises(ModelError, match="tie"):
+        reduce_to_score_based(inst.space, inst.costs, inst.agent,
+                              inst.designer, deterministic)
+
+
+def test_solve_drm_validates_the_instance(college2):
+    agent = dict(college2.agent.value)
+    del agent[("admit", T3)]
+    broken = Instance(college2.space, college2.costs, AgentPayoff(agent),
+                      college2.designer)
+    with pytest.raises(ModelError,
+                       match=r"invalid instance: missing agent value "
+                             r"\(admit, NF:sH\)"):
+        solve_drm(broken)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,10 @@ from scoremech.model import (
     Instance,
     ModelError,
     college_instance,
+    format_number,
     instance_from_config,
     instance_to_config,
+    parse_number,
     validate,
     validate_mechanism,
 )
@@ -102,10 +105,39 @@ def test_config_roundtrip_floats():
 @given(num=st.integers(-10**9, 10**9), den=st.integers(1, 10**6),
        x=st.floats(allow_nan=False, allow_infinity=False, width=64))
 def test_number_serialization_is_lossless(num, den, x):
-    from scoremech.model import _num_in, _num_out
     q = F(num, den)
-    assert _num_in(json.loads(json.dumps(_num_out(q)))) == q
-    assert _num_in(json.loads(json.dumps(_num_out(x)))) == x
+    # text codec: exact for Fractions and ints, 12 digits for reals
+    for exact in (q, num):
+        back = parse_number(format_number(exact))
+        assert back == exact and isinstance(back, F)
+    g = gcd(num, den)
+    assert format_number(q) == f"{num // g}/{den // g}"
+    assert format_number(x) == format(x, ".12g")
+    assert parse_number(format_number(x)) == float(format(x, ".12g"))
+    # JSON config: Fractions as "p/q" strings, floats as full-precision
+    # JSON numbers
+    inst = college_instance(internalize_costs=True)
+    t = inst.space.types[0]
+    inst = Instance(inst.space, inst.costs, inst.agent, DesignerPayoff(
+        inst.designer.decision_value, loss_coefficient=q),
+        outside_option={t: x})
+    cfg = json.loads(json.dumps(instance_to_config(inst)))
+    assert isinstance(cfg["loss_coefficient"], str)
+    back = instance_from_config(cfg)
+    assert back.designer.loss_coefficient == q
+    assert isinstance(back.designer.loss_coefficient, F)
+    assert back.outside_option[t] == x
+    assert isinstance(back.outside_option[t], float)
+
+
+def test_config_reads_decimal_strings_as_floats(college2):
+    cfg = instance_to_config(college2)
+    cfg["loss_coefficient"] = "0.5"
+    cfg["prior"] = {k: "1/4" for k in cfg["prior"]}
+    back = instance_from_config(cfg)
+    assert back.designer.loss_coefficient == 0.5
+    assert isinstance(back.designer.loss_coefficient, float)
+    assert set(back.space.prior.values()) == {F(1, 4)}
 
 
 def _perturb(rng, inst: Instance):
