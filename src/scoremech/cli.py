@@ -90,20 +90,23 @@ def _load_instance(path: str) -> model.Instance:
     return inst
 
 
+# parametric --dist kinds: constructor, least and most number of fields
+_DISTS = {"uniform": (cont.Uniform, 2, 2),
+          "texp": (cont.TruncatedExponential, 2, 3),
+          "triangular": (cont.Triangular, 3, 3)}
+
+
 def _parse_dist(spec: str) -> cont.Distribution:
     kind, _, rest = spec.partition(":")
     try:
-        if kind == "uniform":
-            lo, hi = (float(v) for v in rest.split(","))
-            return cont.Uniform(lo, hi)
-        if kind == "texp":
-            parts = [float(v) for v in rest.split(",")]
-            lo, hi = parts[0], parts[1]
-            rate = parts[2] if len(parts) > 2 else 1.0
-            return cont.TruncatedExponential(lo, hi, rate)
-        if kind == "triangular":
-            lo, hi, mode = (float(v) for v in rest.split(","))
-            return cont.Triangular(lo, hi, mode=mode)
+        if kind in _DISTS:
+            make, least, most = _DISTS[kind]
+            fields = [float(v) for v in rest.split(",")]
+            if not least <= len(fields) <= most:
+                arity = f"{least} or {most}" if most > least else least
+                raise ValueError(f"{kind} takes {arity} numbers, "
+                                 f"got {len(fields)}")
+            return make(*fields)
         if kind == "grid":
             rows = np.loadtxt(rest, ndmin=2)
             return cont.Tabulated(rows[:, 0], rows[:, 1])

@@ -5,9 +5,11 @@ mechanism solver fills them directly, from a few dozen variables for the
 hand-worked instances to tens of thousands for discretization
 cross-checks.  Two solution modes are offered:
 
-* ``exact`` -- a two-phase dense tableau simplex over ``fractions.Fraction``
-  with Bland's anti-cycling rule, for small LPs.  Optima are exact
-  rationals.  This is the mode the golden-value tests run in.
+* ``exact`` -- a two-phase tableau simplex over ``fractions.Fraction`` with
+  Bland's anti-cycling rule.  The tableau is stored dense but each pivot
+  updates only the pivot row's nonzero columns, and the dual is read off
+  the maintained reduced-cost row.  Optima are exact rationals.  This is
+  the mode the golden-value tests run in.
 * ``float`` -- the sparse matrix goes to scipy's HiGHS backend, imported on
   first use so that exact and continuous runs never load scipy.
 
@@ -157,6 +159,7 @@ class LpSolution:
     dual: list = field(default_factory=list)  # one multiplier per row
     certified: bool = False
     solver_code: int | None = None  # HiGHS status code (float mode)
+    iterations: int | None = None  # exact: Bland pricing passes; HiGHS nit
 
     @property
     def optimal(self) -> bool:
@@ -215,7 +218,11 @@ def dual_bound(lp: LinearProgram, dual: Sequence, tol=0):
 
 
 def _exact_view(lp: LinearProgram) -> LinearProgram:
-    """The same LP with every number coerced to Fraction."""
+    """``lp`` itself when its numbers are all ints and Fractions; else the
+    same LP with every number coerced to Fraction."""
+    numbers = [lp.objective, lp.val, lp.rhs, *(lp.bounds or ())]
+    if {type(v) for a in numbers for v in a} <= {int, Fraction, type(None)}:
+        return lp
     frac = np.frompyfunc(Fraction, 1, 1)
     bounds = lp.bounds and [(Fraction(lo), None if hi is None
                              else Fraction(hi)) for lo, hi in lp.bounds]
@@ -277,7 +284,7 @@ def _solve_float(lp: LinearProgram, iteration_cap: int) -> LpSolution:
     dual[(rel == GREATER) & (0 < dual) & (dual < 1e-7)] = 0.0
     return LpSolution(status="optimal", value=-float(res.fun),
                       assignment=res.x.tolist(), dual=dual.tolist(),
-                      solver_code=res.status)
+                      solver_code=res.status, iterations=res.nit)
 
 
 # ---------------------------------------------------------------------------
@@ -363,30 +370,32 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
 
     artificials = {a for a in art_of_row if a is not None}
     counter = [0]
-    zrow = [zero] * ncols  # maintained c_B B^-1 A_j - c_j for the phase
+    # c_B B^-1 A_j - c_j for the phase's cost; the last entry, over the rhs
+    # column, is the phase objective c_B B^-1 b.
+    zrow = []
 
     def pivot(ti, tj):
-        piv = tableau[ti][tj]
+        """Dense storage, sparse update: only the pivot row's nonzero
+        columns change in the other rows and in zrow."""
         row = tableau[ti]
-        inv = frac(1) / piv
-        tableau[ti] = [v * inv for v in row]
-        row = tableau[ti]
-        for k in range(m):
-            if k == ti:
-                continue
-            factor = tableau[k][tj]
-            if factor != 0:
-                rk = tableau[k]
-                tableau[k] = [rv - factor * pv for rv, pv in zip(rk, row)]
-        factor = zrow[tj]
-        if factor != 0:
-            zrow[:] = [zv - factor * pv for zv, pv in zip(zrow, row[:-1])]
+        inv = 1 / row[tj]
+        nonzero = [j for j, v in enumerate(row) if v]
+        for j in nonzero:
+            row[j] *= inv
+        for rk in tableau + [zrow]:
+            factor = rk[tj]
+            if factor and rk is not row:
+                for j in nonzero:
+                    rk[j] -= factor * row[j]
         basis[ti] = tj
 
     def load_cost(cost):
-        cb = [(cost[b], i) for i, b in enumerate(basis) if cost[b] != 0]
-        for j in range(ncols):
-            zrow[j] = sum(c * tableau[i][j] for c, i in cb) - cost[j]
+        zrow[:] = [-c for c in cost] + [zero]
+        for row, b in zip(tableau, basis):
+            if cost[b]:
+                for j, v in enumerate(row):
+                    if v:
+                        zrow[j] += cost[b] * v
 
     def run_simplex(allowed):
         """Maximize the loaded cost over the tableau; Bland's rule."""
@@ -421,16 +430,12 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
     try:
         # Phase 1: drive artificials to zero.
         if artificials:
-            cost1 = [zero] * ncols
-            for a in artificials:
-                cost1[a] = frac(-1)
-            load_cost(cost1)
+            load_cost([frac(-1) if j in artificials else zero
+                       for j in range(ncols)])
             bounded = run_simplex(sorted(range(ncols)))
             assert bounded, "phase-1 objective is bounded by construction"
-            infeas = -sum(tableau[i][ncols] for i in range(m)
-                          if basis[i] in artificials)
-            if infeas != 0:
-                return LpSolution(status="infeasible")
+            if zrow[ncols] != 0:  # minus the sum of the artificials
+                return LpSolution("infeasible", iterations=counter[0])
             # Pivot remaining (degenerate) artificials out of the basis.
             for i in range(m):
                 if basis[i] in artificials:
@@ -442,43 +447,22 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
                     # leave the artificial basic at value zero.
 
         # Phase 2.
-        cost2 = [zero] * ncols
-        for j in range(n):
-            cost2[j] = obj[j]
-        load_cost(cost2)
+        load_cost(obj + [zero] * (ncols - n))
         bounded = run_simplex(sorted(set(range(ncols)) - artificials))
         if not bounded:
-            return LpSolution(status="unbounded")
+            return LpSolution("unbounded", iterations=counter[0])
     except _IterationLimit:
-        return LpSolution(status="iteration_limit")
+        return LpSolution("iteration_limit", iterations=counter[0])
 
     x = [zero] * ncols
     for i, b in enumerate(basis):
         x[b] = tableau[i][ncols]
     assignment = [x[j] + lo[j] for j in range(n)]
-    value = sum(obj[j] * x[j] for j in range(n)) + obj_shift
-
-    dual_std = _basis_dual(lp, flip, slack_of_row, art_of_row, basis,
-                           tableau, cost2, m)
-    return LpSolution(status="optimal", value=value, assignment=assignment,
-                      dual=dual_std)
-
-
-def _basis_dual(lp, flip, slack_of_row, art_of_row, basis, tableau, cost, m):
-    """Row multipliers y = c_B B^{-1}, mapped back to the caller's rows.
-
-    y_i is read off the final tableau as the reduced cost of row i's
-    slack/artificial column (negated for +1 columns), which avoids
-    refactorizing the basis.
-    """
-    cb = [cost[b] for b in basis]
-
-    def reduced(j):
-        return cost[j] - sum(cb[i] * tableau[i][j] for i in range(m))
-
-    # an artificial column is the i-th identity column
-    y_std = [-reduced(slack_of_row[i] if art_of_row[i] is None
-                      else art_of_row[i]) for i in range(m)]
-    # Upper-bound rows' multipliers are dropped: dual_bound() recovers
-    # their effect through the reduced costs.
-    return [flip[i] * y_std[i] for i in range(lp.n_rows)]
+    # Row i's multiplier (y = c_B B^-1) is zrow at its identity column: the
+    # artificial if it has one, else the slack.  Upper-bound rows'
+    # multipliers are dropped: dual_bound() recovers their effect through
+    # the reduced costs.
+    dual = [flip[i] * zrow[slack_of_row[i] if art_of_row[i] is None
+                           else art_of_row[i]] for i in range(lp.n_rows)]
+    return LpSolution("optimal", value=zrow[ncols] + obj_shift,
+                      assignment=assignment, dual=dual, iterations=counter[0])

@@ -453,7 +453,10 @@ def format_number(v) -> str:
 def parse_number(s: str):
     """Inverse of ``format_number``: "p/q" and integers exact, else float."""
     if "/" in s or s.lstrip("-").isdigit():
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ModelError(f"zero denominator in {s!r}") from None
     return float(s)
 
 

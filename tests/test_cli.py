@@ -377,3 +377,33 @@ def test_cli_uses_no_private_name_of_another_module():
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 for alias in node.names if alias.name.startswith("_")]
     assert private == [] and imported == []
+
+
+def test_zero_denominator_in_mechanism_table_exits_2(capsys, tmp_path):
+    inst = college_instance(internalize_costs=True)
+    cfg = tmp_path / "college.json"
+    save_instance(inst, cfg)
+    from scoremech.model import college_menu_mechanism
+    mech_path = tmp_path / "menu.tsv"
+    write_mechanism_table(inst.space, college_menu_mechanism(), mech_path)
+    header, first, *rest = mech_path.read_text().splitlines(keepends=True)
+    cells = first.split("\t")
+    cells[header.split("\t").index("rho")] = "1/0"
+    mech_path.write_text("".join([header, "\t".join(cells), *rest]))
+    code, _, err = run_cli(capsys, "audit", "--instance", str(cfg),
+                           "--mechanism", str(mech_path),
+                           "--out", str(tmp_path / "audit"))
+    assert code == 2
+    assert err.startswith(f"error: cannot read mechanism table {mech_path}: ")
+    assert "zero denominator in '1/0'" in err
+
+
+@pytest.mark.parametrize("spec", ["uniform:-2", "texp:-2", "triangular:-2,1",
+                                  "texp:-2,1,1,1"])
+def test_distribution_spec_with_wrong_field_count_exits_2(capsys, tmp_path,
+                                                          spec):
+    code, _, err = run_cli(capsys, "solve-continuous", "--dist", spec,
+                           "--cost", "linear", "--gamma", "4",
+                           "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err.startswith(f"error: bad distribution spec {spec!r}: ")

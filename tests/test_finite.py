@@ -830,3 +830,22 @@ def test_mechanism_table_roundtrip_exact(tmp_path, college2,
         assert back.recommendation[key] == value
     for key, value in menu_mechanism.decision.items():
         assert back.decision[key] == value
+
+
+def test_exact_n5_solve_pins_the_optimum_and_simplex_steps():
+    """Fraction-discretized n=5, Uniform(-2, 1), linear cost, gamma 4.
+
+    The step count pins the pivot sequence of the exact simplex (Bland's
+    rule and its tie-breaks), which a faster pivot must not change.
+    """
+    from scoremech.continuous import Uniform, discretize
+
+    inst = _to_fractions(discretize(
+        Uniform(-2.0, 1.0), CostModel.linear(4.0, (-2.0, 1.0)), 5))
+    lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer,
+                      inst.outside_option)
+    sol = solve_lp(lp, mode="exact")
+    assert sol.optimal and sol.certified
+    assert sol.value == F(3498715656629912269928973509591,
+                          50706024009129176059868128215040)
+    assert sol.iterations == 115

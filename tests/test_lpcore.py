@@ -54,6 +54,14 @@ def test_variable_bounds():
     assert sol.certified
 
 
+def test_lower_bounds_shift_the_value():
+    lp = LinearProgram(objective=[1, 1], constraints=[([1, 1], "<=", 4)],
+                       bounds=[(2, 5), (1, None)])
+    sol = solve_lp(lp, mode="exact")
+    assert sol.value == 4
+    assert sol.certified
+
+
 def test_dimension_mismatch():
     lp = LinearProgram(objective=[1, 1], constraints=[([1], "<=", 1)])
     with pytest.raises(LpError):
@@ -148,6 +156,23 @@ def test_exact_certificate_is_tight():
         sol = solve_lp(lp, "exact")
         assert dual_bound(lp, sol.dual) == sol.value
 
+
+
+def test_exact_certificate_reads_floats_as_binary_fractions():
+    """A float among Fractions is certified as its exact binary value."""
+    lp = LinearProgram(objective=[F(1, 3), 0.1],
+                       constraints=[([1, 1], "<=", 0.1)])
+    sol = solve_lp(lp, mode="exact")
+    assert sol.value == F(1, 3) * F(0.1)
+    assert sol.certified
+
+
+def test_iterations_are_reported():
+    lp = LinearProgram(objective=[1, 1], constraints=[([1, 1], "<=", 1)])
+    # one pivot, then the pricing pass that finds no entering column
+    assert solve_lp(lp, mode="exact").iterations == 2
+    nit = solve_lp(lp, mode="float").iterations
+    assert isinstance(nit, int) and nit >= 0
 
 @pytest.mark.parametrize("code,status", [
     (1, "iteration_limit"), (2, "infeasible"), (3, "unbounded"),

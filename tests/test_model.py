@@ -130,6 +130,12 @@ def test_number_serialization_is_lossless(num, den, x):
     assert isinstance(back.outside_option[t], float)
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+def test_parse_number_rejects_zero_denominator(text):
+    with pytest.raises(ModelError, match="zero denominator"):
+        parse_number(text)
+
+
 def test_config_reads_decimal_strings_as_floats(college2):
     cfg = instance_to_config(college2)
     cfg["loss_coefficient"] = "0.5"
