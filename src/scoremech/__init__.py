@@ -22,6 +22,7 @@ from .model import (
 )
 from .lpcore import LinearProgram, LpSolution, solve_lp
 from .finite import (
+    SolveError,
     build_drm_lp,
     derandomize_decision_rules,
     derive_drm,

@@ -115,22 +115,6 @@ def _parse_dist(spec: str) -> cont.Distribution:
     raise CliError(f"unknown distribution kind {kind!r}", EXIT_CONFIG)
 
 
-def _solve_lp_instance(inst: model.Instance, mode: str):
-    lp = finite.build_drm_lp(inst.space, inst.costs, inst.agent,
-                             inst.designer, inst.outside_option)
-    sol = lpcore.solve_lp(lp, mode=mode)
-    if sol.status in ("infeasible", "unbounded"):
-        raise CliError(f"LP is {sol.status}", EXIT_REGIME)
-    if sol.status == "iteration_limit":
-        raise CliError("LP hit the iteration limit", EXIT_NUMERIC)
-    if sol.status == "numerical":
-        raise CliError("LP solver reported numerical difficulties (HiGHS "
-                       f"status {sol.solver_code})", EXIT_NUMERIC)
-    if not sol.certified:
-        raise CliError("dual certificate failed verification", EXIT_NUMERIC)
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -141,8 +125,7 @@ def cmd_example(args) -> int:
     lines = []
     for scenario, internalize in ((1, False), (2, True)):
         inst = model.college_instance(internalize_costs=internalize)
-        sol = _solve_lp_instance(inst, args.mode)
-        mech = finite.extract_mechanism(inst.space, sol)
+        sol, mech = finite.solve_drm(inst, args.mode)
         report = audit_mod.audit_ic(inst.space, inst.costs, inst.agent, mech,
                                     inst.outside_option)
         lines.append((f"scenario{scenario} value", sol.value))
@@ -166,8 +149,7 @@ def cmd_example(args) -> int:
 def cmd_solve_finite(args) -> int:
     _require(args, "instance")
     inst = _load_instance(args.instance)
-    sol = _solve_lp_instance(inst, args.mode)
-    mech = finite.extract_mechanism(inst.space, sol)
+    sol, mech = finite.solve_drm(inst, args.mode)
     report = audit_mod.audit_ic(inst.space, inst.costs, inst.agent, mech,
                                 inst.outside_option, tolerance=args.tol)
     out = _out_dir(args)
@@ -216,7 +198,7 @@ def cmd_solve_continuous(args) -> int:
     if args.grid_types:
         inst = cont.discretize(dist, costs, args.grid_types,
                                args.grid_scores)
-        lp_sol = _solve_lp_instance(inst, "float")
+        lp_sol, _ = finite.solve_drm(inst, "float")
         entries.append(("lp_value", lp_sol.value))
         entries.append(("lp_gap", abs(lp_sol.value - value)))
     text = _summary(entries)
@@ -366,6 +348,10 @@ def main(argv=None) -> int:
             ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGIME
+    except finite.SolveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return (EXIT_REGIME if exc.status in ("infeasible", "unbounded")
+                else EXIT_NUMERIC)
     except (model.ModelError, lpcore.LpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

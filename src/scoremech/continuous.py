@@ -60,6 +60,8 @@ __all__ = [
 
 QUAD_TOL = 1e-10
 ROOT_XTOL = 1e-12
+# hazard-rate grid: a step of 1e-3 on a support of width 3
+MHR_GRID_POINTS = 3001
 
 
 class ContinuousError(ValueError):
@@ -334,14 +336,13 @@ class MhrReport:
     sufficient_quantity: np.ndarray  # 2 + f'(t)(1-F(t))/f(t)^2
 
 
-def check_mhr(dist: Distribution, step: float = 1e-3,
-              slope_tol: float = -1e-8) -> MhrReport:
-    """Grid check that the hazard rate f/(1-F) never decreases.
+def check_mhr(dist: Distribution, slope_tol: float = -1e-8) -> MhrReport:
+    """Check on ``MHR_GRID_POINTS`` points, whatever the support's width,
+    that the hazard rate f/(1-F) never decreases.
 
     Points where 1-F underflows are dropped from the top of the grid.
     """
-    n = max(3, int(round((dist.s_max - dist.s_min) / step)) + 1)
-    grid = np.linspace(dist.s_min, dist.s_max, n)
+    grid = np.linspace(dist.s_min, dist.s_max, MHR_GRID_POINTS)
     keep, hazard, suff = [], [], []
     for t in grid:
         t = float(t)

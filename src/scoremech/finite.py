@@ -51,6 +51,7 @@ __all__ = [
     "extract_mechanism",
     "evaluate_mechanism",
     "solve_drm",
+    "SolveError",
     "derandomize_decision_rules",
     "derive_drm",
     "reduce_to_score_based",
@@ -65,6 +66,14 @@ __all__ = [
     "write_score_rule_table",
     "write_falsification_table",
 ]
+
+
+class SolveError(ModelError):
+    """The DRM LP has no certified optimum; ``status`` is the LP status."""
+
+    def __init__(self, message: str, status: str):
+        super().__init__(message)
+        self.status = status
 
 
 def _on_support(r) -> bool:
@@ -221,10 +230,11 @@ def evaluate_mechanism(space: FiniteTypeSpace, costs: CostModel,
 
 
 def solve_drm(inst: Instance, mode: str = "exact"):
-    """Build, solve and extract in one call.
+    """Validate, build, solve, certify and extract in one call.
 
-    Returns (lp solution, mechanism).  Raises ModelError when the instance
-    is invalid or the LP is not solvable to optimality.
+    Returns (lp solution, mechanism), the solution a certified optimum.
+    Raises ModelError for an invalid instance, and SolveError, carrying
+    the LP status, when the LP has no certified optimum.
     """
     problems = validate(inst.space, inst.costs, inst.designer, inst.agent)
     if problems:
@@ -232,9 +242,18 @@ def solve_drm(inst: Instance, mode: str = "exact"):
     lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer,
                       inst.outside_option)
     sol = solve_lp(lp, mode=mode)
-    if not sol.optimal:
-        raise ModelError(f"DRM solve failed: {sol.status}")
-    return sol, extract_mechanism(inst.space, sol)
+    if sol.status in ("infeasible", "unbounded"):
+        message = f"LP is {sol.status}"
+    elif sol.status == "iteration_limit":
+        message = "LP hit the iteration limit"
+    elif sol.status == "numerical":
+        message = ("LP solver reported numerical difficulties (HiGHS "
+                   f"status {sol.solver_code})")
+    elif not sol.certified:
+        message = "dual certificate failed verification"
+    else:
+        return sol, extract_mechanism(inst.space, sol)
+    raise SolveError(message, sol.status)
 
 
 # ---------------------------------------------------------------------------

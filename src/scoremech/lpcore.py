@@ -1,9 +1,10 @@
 """Sparse linear-program solver with exact-rational and float modes.
 
-An LP is stored once, as sparse arrays (see ``LinearProgram``); the finite
-mechanism solver fills them directly, from a few dozen variables for the
-hand-worked instances to tens of thousands for discretization
-cross-checks.  Two solution modes are offered:
+An LP -- maximize c . x subject to sparse rows and x >= 0 -- is stored
+once, as sparse arrays (see ``LinearProgram``); the finite mechanism solver
+fills them directly, from a few dozen variables for the hand-worked
+instances to tens of thousands for discretization cross-checks.  Two
+solution modes are offered:
 
 * ``exact`` -- a two-phase tableau simplex over ``fractions.Fraction`` with
   Bland's anti-cycling rule.  The tableau is stored dense but each pivot
@@ -59,21 +60,19 @@ def entry_dtype(*values) -> type:
 
 
 class LinearProgram:
-    """maximize objective . x  subject to sparse rows and per-variable bounds.
+    """maximize objective . x  subject to sparse rows and x >= 0.
 
     Read-only arrays: ``objective``; ``row``, ``col``, ``val`` (entries
     sorted by row, no zeros); ``relations`` and ``rhs`` per row.  Float
     data is float64, anything else (Fractions, all-int data) object, so
-    exact LPs are never rounded.  Bounds default to [0, +inf); given, they
-    are one (lo, hi) pair per variable, ``None`` for no upper bound.
+    exact LPs are never rounded.  An upper bound on a variable is a row.
 
     The constructor converts the row form once: (row, relation, rhs)
     triples, a row being dense (as long as the objective) or a mapping
     from variable index to coefficient.  ``from_coo`` takes the arrays.
     """
 
-    def __init__(self, objective: Sequence, constraints: Sequence[tuple],
-                 bounds: Sequence[tuple] | None = None):
+    def __init__(self, objective: Sequence, constraints: Sequence[tuple]):
         self.objective, entries, error = objective, [], None
         try:  # a bad row is reported by validate(), like any other flaw
             entries = [(i, j, a) for i, (row, _, _) in enumerate(constraints)
@@ -86,22 +85,22 @@ class LinearProgram:
         self._set(np.array(objective, dtype), np.array(row, np.intp),
                   np.array(col, np.intp), np.array(val, dtype),
                   np.array([rel for _, rel, _ in constraints], str),
-                  np.array(rhs, dtype), bounds, error)
+                  np.array(rhs, dtype), error)
 
     @classmethod
-    def from_coo(cls, objective, row, col, val, relations, rhs,
-                 bounds=None) -> "LinearProgram":
+    def from_coo(cls, objective, row, col, val, relations,
+                 rhs) -> "LinearProgram":
         """LP from arrays (numbers all float64 or all object), in any order."""
         lp = cls.__new__(cls)
-        lp._set(objective, row, col, val, relations, rhs, bounds, None)
+        lp._set(objective, row, col, val, relations, rhs, None)
         return lp
 
-    def _set(self, objective, row, col, val, relations, rhs, bounds, error):
+    def _set(self, objective, row, col, val, relations, rhs, error):
         keep = np.flatnonzero(val != 0)
         keep = keep[np.argsort(row[keep], kind="stable")]
         self.row, self.col, self.val = row[keep], col[keep], val[keep]
         self.objective, self.relations, self.rhs = objective, relations, rhs
-        self.bounds, self._error = bounds, error
+        self._error = error
         for a in (objective, self.row, self.col, self.val, relations, rhs):
             a.flags.writeable = False
 
@@ -141,14 +140,6 @@ class LinearProgram:
                 0 <= self.row[0] and self.row[-1] < self.n_rows
                 and 0 <= self.col.min() and self.col.max() < self.n_vars):
             raise LpError("entry index out of range")
-        if self.bounds is not None:
-            if len(self.bounds) != self.n_vars:
-                raise LpError("bounds length does not match objective")
-            for lo, hi in self.bounds:
-                if lo is None:
-                    raise LpError("lower bounds must be finite")
-                if hi is not None and hi < lo:
-                    raise LpError(f"bound [{lo}, {hi}] is empty")
 
 
 @dataclass
@@ -186,10 +177,10 @@ def dual_bound(lp: LinearProgram, dual: Sequence, tol=0):
 
     Multipliers must be >= 0 on <= rows and <= 0 on >= rows (within
     ``tol``).  Returns None if the bound is infinite: a reduced cost more
-    than ``tol`` above zero on a variable with no upper bound.  Positive
-    reduced costs within ``tol`` on unbounded variables are round-off and
-    contribute nothing.  Arithmetic follows the LP's numbers: exact on
-    object arrays of Fractions, float64 otherwise.
+    than ``tol`` above zero.  With x >= 0 a negative reduced cost adds
+    nothing, and positive ones within ``tol`` are round-off.  Rows with a
+    zero multiplier are skipped.  Arithmetic follows the LP's numbers:
+    exact on object arrays of Fractions, float64 otherwise.
     """
     y = np.array(dual, dtype=lp.val.dtype)
     if len(y) != lp.n_rows:
@@ -199,36 +190,26 @@ def dual_bound(lp: LinearProgram, dual: Sequence, tol=0):
         raise LpError("multiplier on <= row must be nonnegative")
     if np.any((rel == GREATER) & (y > tol)):
         raise LpError("multiplier on >= row must be nonpositive")
-    total = (y * lp.rhs).sum()
+    nonzero = y != 0
+    # y * rhs with the zeros in place: dropping them changes float rounding
+    terms = np.zeros_like(y)
+    terms[nonzero] = y[nonzero] * lp.rhs[nonzero]
+    total = terms.sum()
+    entries = nonzero[lp.row]
     used = np.zeros(lp.n_vars, dtype=y.dtype)  # A^T y
-    np.add.at(used, lp.col, y[lp.row] * lp.val)
-    reduced = lp.objective - used
-    if lp.bounds is None:  # x >= 0: r < 0 contributes r * 0
-        return None if np.any(reduced > tol) else total
-    for r, (lo, hi) in zip(reduced, lp.bounds):
-        if r > 0:
-            if hi is None:
-                if r > tol:
-                    return None
-                continue
-            total += r * hi
-        elif r < 0:
-            total += r * lo
-    return total
+    np.add.at(used, lp.col[entries], y[lp.row[entries]] * lp.val[entries])
+    return None if np.any(lp.objective - used > tol) else total
 
 
 def _exact_view(lp: LinearProgram) -> LinearProgram:
     """``lp`` itself when its numbers are all ints and Fractions; else the
     same LP with every number coerced to Fraction."""
-    numbers = [lp.objective, lp.val, lp.rhs, *(lp.bounds or ())]
-    if {type(v) for a in numbers for v in a} <= {int, Fraction, type(None)}:
+    numbers = (lp.objective, lp.val, lp.rhs)
+    if {type(v) for a in numbers for v in a} <= {int, Fraction}:
         return lp
     frac = np.frompyfunc(Fraction, 1, 1)
-    bounds = lp.bounds and [(Fraction(lo), None if hi is None
-                             else Fraction(hi)) for lo, hi in lp.bounds]
     return LinearProgram.from_coo(frac(lp.objective), lp.row, lp.col,
-                                  frac(lp.val), lp.relations, frac(lp.rhs),
-                                  bounds)
+                                  frac(lp.val), lp.relations, frac(lp.rhs))
 
 
 def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
@@ -269,7 +250,7 @@ def _solve_float(lp: LinearProgram, iteration_cap: int) -> LpSolution:
     res = linprog(
         -lp.objective.astype(float),  # linprog minimizes
         A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=(0, None) if lp.bounds is None else lp.bounds,
+        bounds=(0, None),
         method="highs", options={"maxiter": iteration_cap})
     status = _HIGHS_STATUS.get(res.status, "numerical")
     if status != "optimal":
@@ -298,25 +279,9 @@ class _IterationLimit(Exception):
 def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
     n = lp.n_vars
     frac = Fraction
-
-    # Shift x = lo + x' so every variable has lower bound 0; finite upper
-    # bounds become extra <= rows.
-    bounds = lp.bounds or [(0, None)] * n
-    lo = [frac(b[0]) for b in bounds]
-    extra_rows = []
-    for j, (_, hi) in enumerate(bounds):
-        if hi is not None:
-            extra_rows.append(([(j, frac(1))], LESS, frac(hi) - lo[j]))
-
-    rows = []
-    for row, rel, rhs in lp.constraints:
-        items = [(j, frac(a)) for j, a in lp.row_items(row)]
-        shift = sum(a * lo[j] for j, a in items)
-        rows.append((items, rel, frac(rhs) - shift))
-    rows.extend(extra_rows)
-
+    rows = [([(j, frac(a)) for j, a in lp.row_items(row)], rel, frac(rhs))
+            for row, rel, rhs in lp.constraints]
     obj = [frac(v) for v in lp.objective]
-    obj_shift = sum(obj[j] * lo[j] for j in range(n))
 
     m = len(rows)
     # Normalize so every rhs is nonnegative, then append slack/surplus and
@@ -457,12 +422,9 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
     x = [zero] * ncols
     for i, b in enumerate(basis):
         x[b] = tableau[i][ncols]
-    assignment = [x[j] + lo[j] for j in range(n)]
     # Row i's multiplier (y = c_B B^-1) is zrow at its identity column: the
-    # artificial if it has one, else the slack.  Upper-bound rows'
-    # multipliers are dropped: dual_bound() recovers their effect through
-    # the reduced costs.
+    # artificial if it has one, else the slack.
     dual = [flip[i] * zrow[slack_of_row[i] if art_of_row[i] is None
-                           else art_of_row[i]] for i in range(lp.n_rows)]
-    return LpSolution("optimal", value=zrow[ncols] + obj_shift,
-                      assignment=assignment, dual=dual, iterations=counter[0])
+                           else art_of_row[i]] for i in range(m)]
+    return LpSolution("optimal", value=zrow[ncols], assignment=x[:n],
+                      dual=dual, iterations=counter[0])

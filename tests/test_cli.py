@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from scoremech import cli
+from scoremech import cli, lpcore
 from scoremech import continuous as cont
 from scoremech.continuous import read_solution_table
 from scoremech.finite import (
@@ -191,6 +191,16 @@ def test_highs_numerical_difficulties_exit_4(capsys, tmp_path, monkeypatch):
     assert code == cli.EXIT_NUMERIC == 4
     assert "numerical difficulties (HiGHS status 4)" in err
     assert "iteration limit" not in err
+
+
+def test_failed_certificate_exits_4(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(lpcore, "_certify", lambda *args, **kw: False)
+    cfg = tmp_path / "college.json"
+    save_instance(college_instance(internalize_costs=True), cfg)
+    code, _, err = run_cli(capsys, "solve-finite", "--instance", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == cli.EXIT_NUMERIC == 4
+    assert err == "error: dual certificate failed verification\n"
 
 
 def test_config_file_mirrors_flags(capsys, tmp_path):

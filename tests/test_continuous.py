@@ -230,6 +230,12 @@ def test_mhr_truncated_exponential_passes():
     assert check_mhr(TEXP).passes
 
 
+def test_mhr_grid_does_not_grow_with_the_support():
+    report = check_mhr(Uniform(-20.0, 10.0))
+    assert report.passes
+    assert len(report.grid) <= 3001
+
+
 def test_mhr_bimodal_valley_fails():
     xs = np.linspace(-2.0, 1.0, 31)
     report = check_mhr(Tabulated(xs, 0.5 + 0.45 * np.cos(4.0 * xs)))

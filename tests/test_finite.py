@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scoremech import lpcore
 from scoremech.finite import (
     JointVariableIndex,
+    SolveError,
     build_drm_lp,
     derandomize_decision_rules,
     derive_drm,
@@ -815,6 +817,25 @@ def test_solve_drm_validates_the_instance(college2):
                        match=r"invalid instance: missing agent value "
                              r"\(admit, NF:sH\)"):
         solve_drm(broken)
+
+
+def test_solve_drm_reports_an_infeasible_lp(college2):
+    infeasible = Instance(
+        college2.space, college2.costs, college2.agent, college2.designer,
+        outside_option={t: F(2) for t in college2.space.types})
+    with pytest.raises(SolveError, match="LP is infeasible") as err:
+        solve_drm(infeasible)
+    assert err.value.status == "infeasible"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_solve_drm_never_returns_an_uncertified_optimum(college2,
+                                                        monkeypatch, mode):
+    monkeypatch.setattr(lpcore, "_certify", lambda *args, **kw: False)
+    with pytest.raises(SolveError,
+                       match="dual certificate failed verification") as err:
+        solve_drm(college2, mode=mode)
+    assert err.value.status == "optimal"
 
 
 # ---------------------------------------------------------------------------

@@ -45,23 +45,6 @@ def test_equality_and_ge_rows():
     assert sol.certified
 
 
-def test_variable_bounds():
-    lp = LinearProgram(objective=[1, -2], constraints=[],
-                       bounds=[(2, 5), (1, None)])
-    sol = solve_lp(lp, mode="exact")
-    assert sol.value == F(5) - 2
-    assert sol.assignment == [F(5), F(1)]
-    assert sol.certified
-
-
-def test_lower_bounds_shift_the_value():
-    lp = LinearProgram(objective=[1, 1], constraints=[([1, 1], "<=", 4)],
-                       bounds=[(2, 5), (1, None)])
-    sol = solve_lp(lp, mode="exact")
-    assert sol.value == 4
-    assert sol.certified
-
-
 def test_dimension_mismatch():
     lp = LinearProgram(objective=[1, 1], constraints=[([1], "<=", 1)])
     with pytest.raises(LpError):
@@ -96,6 +79,14 @@ def test_dual_bound_rejects_bad_signs():
         dual_bound(lp, [-1])
 
 
+def test_dual_bound_is_infinite_on_a_positive_reduced_cost():
+    lp = LinearProgram(objective=[1, 1],
+                       constraints=[([1, 0], "<=", 1), ([0, 1], "<=", 1)])
+    assert dual_bound(lp, [1, 1]) == 2
+    assert dual_bound(lp, [1, 0]) is None
+    assert dual_bound(lp, [1, 1 - 1e-9], tol=1e-8) == pytest.approx(2)
+
+
 def _random_lp(rng):
     nv = rng.randint(2, 8)
     nc = rng.randint(1, 8)
@@ -112,9 +103,8 @@ def _random_lp(rng):
             row = [abs(a) for a in row]
             rhs = F(0)
         constraints.append((row, rel, rhs))
-    bounds = [(F(0), F(2)) for _ in range(nv)]
-    return LinearProgram(objective=objective, constraints=constraints,
-                         bounds=bounds)
+    constraints += [({j: F(1)}, "<=", F(2)) for j in range(nv)]  # box
+    return LinearProgram(objective=objective, constraints=constraints)
 
 
 def _array_form(lp):
@@ -128,12 +118,12 @@ def _array_form(lp):
     return LinearProgram.from_coo(
         np.array(list(lp.objective), dtype=object), r, c, dense[r, c],
         np.array([rel for _, rel, _ in lp.constraints]),
-        np.array([rhs for _, _, rhs in lp.constraints], dtype=object),
-        lp.bounds)
+        np.array([rhs for _, _, rhs in lp.constraints], dtype=object))
 
 
 def test_exact_and_float_agree_on_random_lps():
-    """x = 0 is feasible and bounds are finite, so every draw is optimal."""
+    """x = 0 is feasible and the box rows bound x, so every draw is
+    optimal."""
     rng = random.Random(20240817)
     for _ in range(60):
         lp = _random_lp(rng)
