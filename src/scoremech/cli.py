@@ -196,8 +196,7 @@ def cmd_solve_continuous(args) -> int:
         ("designer_value", value),
     ]
     if args.grid_types:
-        inst = cont.discretize(dist, costs, args.grid_types,
-                               args.grid_scores)
+        inst = cont.discretize(dist, costs, args.grid_types)
         lp_sol, _ = finite.solve_drm(inst, "float")
         entries.append(("lp_value", lp_sol.value))
         entries.append(("lp_gap", abs(lp_sol.value - value)))
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rows in the solution table")
     p.add_argument("--grid-types", type=int, default=0,
                    help="also cross-check against a discretized LP")
-    p.add_argument("--grid-scores", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_solve_continuous)
 

@@ -62,6 +62,8 @@ QUAD_TOL = 1e-10
 ROOT_XTOL = 1e-12
 # hazard-rate grid: a step of 1e-3 on a support of width 3
 MHR_GRID_POINTS = 3001
+# smallest hazard-rate slope that still passes (grid round-off)
+MHR_SLOPE_TOL = -1e-8
 
 
 class ContinuousError(ValueError):
@@ -336,7 +338,7 @@ class MhrReport:
     sufficient_quantity: np.ndarray  # 2 + f'(t)(1-F(t))/f(t)^2
 
 
-def check_mhr(dist: Distribution, slope_tol: float = -1e-8) -> MhrReport:
+def check_mhr(dist: Distribution) -> MhrReport:
     """Check on ``MHR_GRID_POINTS`` points, whatever the support's width,
     that the hazard rate f/(1-F) never decreases.
 
@@ -359,7 +361,7 @@ def check_mhr(dist: Distribution, slope_tol: float = -1e-8) -> MhrReport:
     hazard = np.asarray(hazard)
     slopes = np.diff(hazard) / np.diff(keep)
     min_slope = float(slopes.min()) if len(slopes) else 0.0
-    return MhrReport(passes=bool(min_slope >= slope_tol),
+    return MhrReport(passes=bool(min_slope >= MHR_SLOPE_TOL),
                      min_hazard_slope=min_slope,
                      grid=keep, hazard=hazard,
                      sufficient_quantity=np.asarray(suff))
@@ -651,32 +653,24 @@ def solve_continuous(dist: Distribution, costs: CostModel
 # discretization bridge to the finite LP
 # ---------------------------------------------------------------------------
 
-def discretize(dist: Distribution, costs: CostModel, n_types: int,
-               n_scores: int | None = None) -> Instance:
+def discretize(dist: Distribution, costs: CostModel,
+               n_types: int) -> Instance:
     """Equal-mass finite instance for cross-checking against the LP.
 
     Types sit at the (2i-1)/(2n) quantiles with mass 1/n each; the score
-    grid is the type grid plus the top score (plus further quantile points
-    when ``n_scores`` asks for more).  Decision values are t for approval,
-    0 for rejection, without a loss term, and the agent values approval
-    at 1.
+    grid is the type grid plus the top score.  Decision values are t for
+    approval, 0 for rejection, without a loss term, and the agent values
+    approval at 1.
     """
-    if n_types < 2 or (n_scores is not None and n_scores < n_types + 1):
-        raise ContinuousError("need n_types >= 2 and n_scores > n_types")
+    if n_types < 2:
+        raise ContinuousError("need n_types >= 2")
     if not costs.parametric:
         raise ContinuousError("discretize needs a parametric cost model")
     from fractions import Fraction
 
     points = [dist.quantile((2 * i + 1) / (2 * n_types))
               for i in range(n_types)]
-    score_vals = list(points)
-    if n_scores is not None and n_scores > n_types + 1:
-        extra = n_scores - n_types - 1
-        for j in range(extra):
-            q = (j + 1) / (extra + 1)
-            v = dist.quantile(q)
-            score_vals.append(v)
-    score_vals = sorted(set(score_vals) | {dist.s_max})
+    score_vals = sorted(set(points) | {dist.s_max})
 
     def sid(v: float) -> str:
         return f"s{score_vals.index(v):03d}"

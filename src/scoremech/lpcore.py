@@ -7,10 +7,11 @@ instances to tens of thousands for discretization cross-checks.  Two
 solution modes are offered:
 
 * ``exact`` -- a two-phase tableau simplex over ``fractions.Fraction`` with
-  Bland's anti-cycling rule.  The tableau is stored dense but each pivot
-  updates only the pivot row's nonzero columns, and the dual is read off
-  the maintained reduced-cost row.  Optima are exact rationals.  This is
-  the mode the golden-value tests run in.
+  Bland's anti-cycling rule.  The tableau is built straight from the
+  sparse arrays and stored dense, but each pivot updates only the pivot
+  row's nonzero columns, and the dual is read off the maintained
+  reduced-cost row.  Optima are exact rationals.  This is the mode the
+  golden-value tests run in.
 * ``float`` -- the sparse matrix goes to scipy's HiGHS backend, imported on
   first use so that exact and continuous runs never load scipy.
 
@@ -114,7 +115,11 @@ class LinearProgram:
 
     @property
     def constraints(self) -> list[tuple]:
-        """Rows as ({column: coefficient}, relation, rhs), rebuilt per call."""
+        """Rows as ({column: coefficient}, relation, rhs), rebuilt per call.
+
+        No solver reads this view; it serves callers that want the row
+        form back, such as the benchmark's LP counts and the tests.
+        """
         ends = np.searchsorted(self.row, np.arange(self.n_rows + 1)).tolist()
         col, val = self.col.tolist(), self.val.tolist()
         return [(dict(zip(col[s:e], val[s:e])), rel, b) for s, e, rel, b
@@ -277,63 +282,36 @@ class _IterationLimit(Exception):
 
 
 def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
-    n = lp.n_vars
+    n, m, rel = lp.n_vars, lp.n_rows, lp.relations
     frac = Fraction
-    rows = [([(j, frac(a)) for j, a in lp.row_items(row)], rel, frac(rhs))
-            for row, rel, rhs in lp.constraints]
     obj = [frac(v) for v in lp.objective]
-
-    m = len(rows)
-    # Normalize so every rhs is nonnegative, then append slack/surplus and
-    # artificial columns: A x = b, x >= 0.
-    slack_of_row = [None] * m
-    art_of_row = [None] * m
-    ncols = n
-    norm_rows = []
-    flip = []
-    for items, rel, rhs in rows:
-        # flip to make rhs nonnegative; also flip >= rows with zero rhs so
-        # their slack can start basic (saves an artificial variable)
-        s = -1 if (rhs < 0 or (rhs == 0 and rel == GREATER)) else 1
-        flip.append(s)
-        if s == -1:
-            items = [(j, -a) for j, a in items]
-            rhs = -rhs
-            rel = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[rel]
-        norm_rows.append((items, rel, rhs))
-    for i, (items, rel, rhs) in enumerate(norm_rows):
-        if rel == LESS:
-            slack_of_row[i] = ncols
-            ncols += 1
-        elif rel == GREATER:
-            slack_of_row[i] = ncols
-            ncols += 1
-            art_of_row[i] = ncols
-            ncols += 1
-        else:
-            art_of_row[i] = ncols
-            ncols += 1
+    # Flip rows to make every rhs nonnegative; also flip >= rows with zero
+    # rhs so their slack can start basic (saves an artificial variable).
+    flip = np.where((lp.rhs < 0) | ((lp.rhs == 0) & (rel == GREATER)), -1, 1)
+    # Flipped relation as the slack's coefficient: 1 (<=), -1 (>=), 0 (=).
+    sense = flip * ((rel == LESS).astype(int) - (rel == GREATER))
+    # A x = b, x >= 0: per row its slack (<=, >=), then its artificial (>=, =)
+    has_slack, has_art = sense != 0, sense <= 0
+    width = has_slack.astype(int) + has_art.astype(int)
+    slack = n + np.cumsum(width) - width
+    art = slack + has_slack
+    ncols = n + int(width.sum())
 
     zero = frac(0)
     tableau = [[zero] * (ncols + 1) for _ in range(m)]
-    basis = [None] * m
-    for i, (items, rel, rhs) in enumerate(norm_rows):
-        trow = tableau[i]
-        for j, a in items:
-            trow[j] = a
-        trow[ncols] = rhs
-        if rel == LESS:
-            trow[slack_of_row[i]] = frac(1)
-            basis[i] = slack_of_row[i]
-        elif rel == GREATER:
-            trow[slack_of_row[i]] = frac(-1)
-            trow[art_of_row[i]] = frac(1)
-            basis[i] = art_of_row[i]
-        else:
-            trow[art_of_row[i]] = frac(1)
-            basis[i] = art_of_row[i]
+    r = np.concatenate([lp.row, np.flatnonzero(has_slack),
+                        np.flatnonzero(has_art), np.arange(m)])
+    c = np.concatenate([lp.col, slack[has_slack], art[has_art],
+                        np.full(m, ncols)])
+    v = np.concatenate([flip[lp.row] * lp.val, sense[has_slack],
+                        np.ones(int(has_art.sum()), int), flip * lp.rhs])
+    for i, j, a in zip(r.tolist(), c.tolist(), v.tolist()):
+        tableau[i][j] = frac(a)
+    # each row's identity column: the artificial if it has one, else slack
+    start = np.where(has_art, art, slack).tolist()
+    basis = list(start)
 
-    artificials = {a for a in art_of_row if a is not None}
+    artificials = set(art[has_art].tolist())
     counter = [0]
     # c_B B^-1 A_j - c_j for the phase's cost; the last entry, over the rhs
     # column, is the phase objective c_B B^-1 b.
@@ -422,9 +400,7 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
     x = [zero] * ncols
     for i, b in enumerate(basis):
         x[b] = tableau[i][ncols]
-    # Row i's multiplier (y = c_B B^-1) is zrow at its identity column: the
-    # artificial if it has one, else the slack.
-    dual = [flip[i] * zrow[slack_of_row[i] if art_of_row[i] is None
-                           else art_of_row[i]] for i in range(m)]
+    # Row i's multiplier (y = c_B B^-1) is zrow at its identity column.
+    dual = [f * zrow[j] for f, j in zip(flip.tolist(), start)]
     return LpSolution("optimal", value=zrow[ncols], assignment=x[:n],
                       dual=dual, iterations=counter[0])

@@ -417,3 +417,57 @@ def test_distribution_spec_with_wrong_field_count_exits_2(capsys, tmp_path,
                            "--out", str(tmp_path / "o"))
     assert code == 2
     assert err.startswith(f"error: bad distribution spec {spec!r}: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["solve-finite"],
+    ["audit", "--mechanism", "menu.tsv"],
+    ["canonicalize", "--op", "rebalance", "--mechanism", "menu.tsv"]])
+def test_unnormalized_prior_exits_2(capsys, tmp_path, monkeypatch, command):
+    inst = college_instance(internalize_costs=True)
+    cfg = tmp_path / "college.json"
+    save_instance(inst, cfg)
+    data = json.loads(cfg.read_text())
+    data["prior"]["NF|sL"] = "0/1"  # the prior now sums to 3/4
+    cfg.write_text(json.dumps(data))
+    from scoremech.model import college_menu_mechanism
+    write_mechanism_table(inst.space, college_menu_mechanism(),
+                          tmp_path / "menu.tsv")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *command, "--instance", str(cfg),
+                           "--out", "o")
+    assert code == 2
+    assert err == ("error: invalid instance: prior not normalized "
+                   "(sums to 0.75)\n")
+
+
+def test_invalid_distribution_exits_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "solve-continuous", "--dist", "uniform:1,2",
+                           "--cost", "linear", "--gamma", "4",
+                           "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err.startswith("error: invalid distribution: support [1.0, 2.0] "
+                          "must straddle 0")
+
+
+def test_unnormalized_recommendation_exits_2(capsys, tmp_path):
+    inst = college_instance(internalize_costs=True)
+    cfg = tmp_path / "college.json"
+    save_instance(inst, cfg)
+    from scoremech.model import college_menu_mechanism
+    mech_path = tmp_path / "menu.tsv"
+    write_mechanism_table(inst.space, college_menu_mechanism(), mech_path)
+    header, *rows = mech_path.read_text().splitlines(keepends=True)
+    rho = header.split("\t").index("rho")
+    for i, row in enumerate(rows):  # rho(sH | NF, sH) = 1/2 on both rows
+        cells = row.split("\t")
+        if cells[:3] == ["NF", "sH", "sH"]:
+            cells[rho] = "1/2"
+            rows[i] = "\t".join(cells)
+    mech_path.write_text("".join([header, *rows]))
+    code, _, err = run_cli(capsys, "audit", "--instance", str(cfg),
+                           "--mechanism", str(mech_path),
+                           "--out", str(tmp_path / "audit"))
+    assert code == 2
+    assert err.startswith("error: invalid mechanism: recommendation for ")
+    assert "sums to 0.5" in err

@@ -870,3 +870,32 @@ def test_exact_n5_solve_pins_the_optimum_and_simplex_steps():
     assert sol.value == F(3498715656629912269928973509591,
                           50706024009129176059868128215040)
     assert sol.iterations == 115
+
+
+@pytest.mark.parametrize("prior,cost,n,value,iterations", [
+    ("uniform", "linear", 3, F(1, 16), 22),
+    ("uniform", "quadratic", 3, F(3, 32), 21),
+    ("texp", "linear", 3, 0, 15),
+    ("texp", "quadratic", 3, 0, 15),
+    ("uniform", "linear", 4, F(69, 1024), 48),
+    ("uniform", "quadratic", 4, F(225, 2048), 42),
+    ("texp", "linear", 4, 0, 27),
+    ("texp", "quadratic", 4, 0, 27),
+    ("texp", "linear", 5, 0, 43),
+    ("texp", "quadratic", 5, 0, 43),
+])
+def test_exact_ladder_pins_the_optimum_and_simplex_steps(prior, cost, n,
+                                                         value, iterations):
+    """Fraction-discretized instances on (-2, 1), gamma 4: like the n=5
+    pin above, the step count pins the exact simplex's pivot sequence."""
+    from scoremech.continuous import TruncatedExponential, Uniform, discretize
+
+    dist = {"uniform": Uniform(-2.0, 1.0),
+            "texp": TruncatedExponential(-2.0, 1.0, 1.0)}[prior]
+    costs = CostModel(cost, gamma=4.0, domain=(-2.0, 1.0))
+    inst = _to_fractions(discretize(dist, costs, n))
+    lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer,
+                      inst.outside_option)
+    sol = solve_lp(lp, mode="exact")
+    assert sol.optimal and sol.certified
+    assert (sol.value, sol.iterations) == (value, iterations)

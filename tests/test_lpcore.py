@@ -45,6 +45,26 @@ def test_equality_and_ge_rows():
     assert sol.certified
 
 
+def test_every_row_flip_case():
+    """x0 + x1 + x2 = 5/2, x0 >= 2 x1, x1 >= 1/2, x0 + x1 >= 1: maximize
+    x1 - x2.  On the equality x1 - x2 = 2 x1 + x0 - 5/2, so the optimum
+    has x2 = 0 and x0 = 2 x1: x = (5/3, 5/6, 0), value 5/6."""
+    lp = LinearProgram(
+        objective=[0, 1, -1],
+        constraints=[([-1, -1, 0], "<=", -1),  # negative rhs, flips to >=
+                     ([-1, -1, -1], "=", F(-5, 2)),  # negative rhs
+                     ([0, 1, 0], ">=", F(1, 2)),  # slack and artificial
+                     ([1, -2, 0], ">=", 0)])  # zero rhs, flips to <=
+    sol = solve_lp(lp, mode="exact")
+    assert sol.status == "optimal" and sol.certified
+    assert sol.value == F(5, 6)
+    assert sol.assignment == [F(5, 3), F(5, 6), 0]
+    approx = solve_lp(lp, mode="float")
+    assert approx.certified
+    assert abs(approx.value - 5 / 6) <= 1e-9
+    assert np.allclose(approx.assignment, [5 / 3, 5 / 6, 0], atol=1e-9)
+
+
 def test_dimension_mismatch():
     lp = LinearProgram(objective=[1, 1], constraints=[([1], "<=", 1)])
     with pytest.raises(LpError):
@@ -196,3 +216,15 @@ def test_exact_and_continuous_runs_do_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_exact_mode_does_not_read_the_row_view(monkeypatch):
+    """The exact tableau is built from the sparse arrays alone."""
+    def no_row_view(*args):
+        raise AssertionError("row view read")
+
+    monkeypatch.setattr(LinearProgram, "constraints", property(no_row_view))
+    monkeypatch.setattr(LinearProgram, "row_items", no_row_view)
+    sol, _ = scoremech.solve_drm(
+        scoremech.college_instance(internalize_costs=True), mode="exact")
+    assert sol.certified and sol.value == F(53, 24)
