@@ -231,50 +231,35 @@ def _grid_menus(space, costs, agent, designer, t, grid, outside, tol):
     deviation value per evaluating type).
     """
     x0, x1 = space.outcomes
-    denom = len(grid) - 1
     scores = space.scores
-    menus, vals, owns = [], [], []
-    devs = {tp: [] for tp in space.types}
+    # Per row (score index i, approval level q): each type's continuation
+    # value, a deviator's payoff (it quits below its outside option), and
+    # the designer's value of the row in t's menu.
+    cont, dev, dval = {}, {}, {}
+    for tp, i, (q, q1) in product(space.types, range(len(scores)),
+                                  enumerate(grid)):
+        c = costs.cost(scores[i], tp)
+        cont[tp, i, q] = q1 * agent.v(x1, tp) + (1 - q1) * agent.v(x0, tp) - c
+        dev[tp, i, q] = max(cont[tp, i, q], outside.get(tp, 0))
+        if tp == t:
+            dval[i, q] = (q1 * designer.dv(x1, t)
+                          + (1 - q1) * designer.dv(x0, t) - designer.loss(c))
+    # t's participation-feasible approval levels per score
+    ubar = outside.get(t, 0)
+    levels = [[q for q in range(len(grid)) if cont[t, i, q] >= ubar - tol]
+              for i in range(len(scores))]
 
-    def conts(rows, tp):
-        ubar = outside.get(tp, 0)
-        total = 0
-        for a, r, q1 in rows:
-            c = costs.cost(a, tp)
-            cont = q1 * agent.v(x1, tp) + (1 - q1) * agent.v(x0, tp) - c
-            total += r * max(cont, ubar)
-        return total
-
-    for comp in _compositions(denom, len(scores)):
+    menus, vals, owns, devs = [], [], [], {tp: [] for tp in space.types}
+    for comp in _compositions(len(grid) - 1, len(scores)):
         support = [i for i, k in enumerate(comp) if k]
-        for qs in product(range(denom + 1), repeat=len(support)):
-            rows = tuple((scores[i], grid[comp[i]], grid[q])
-                         for i, q in zip(support, qs))
-            ubar = outside.get(t, 0)
-            ok = True
-            u = 0
-            val = 0
-            for a, r, q1 in rows:
-                c = costs.cost(a, t)
-                cont = (q1 * agent.v(x1, t)
-                        + (1 - q1) * agent.v(x0, t) - c)
-                if cont < ubar - tol:
-                    ok = False
-                    break
-                u += r * cont
-                val += r * (q1 * designer.dv(x1, t)
-                            + (1 - q1) * designer.dv(x0, t)
-                            - designer.loss(c))
-            if not ok:
-                continue
-            menus.append(rows)
-            owns.append(u)
-            vals.append(val)
+        for qs in product(*(levels[i] for i in support)):
+            rows = [(i, q, grid[comp[i]]) for i, q in zip(support, qs)]
+            menus.append(tuple((scores[i], r, grid[q]) for i, q, r in rows))
+            owns.append(sum(r * cont[t, i, q] for i, q, r in rows))
+            vals.append(sum(r * dval[i, q] for i, q, r in rows))
             for tp in space.types:
-                if tp == t:
-                    devs[tp].append(0)
-                else:
-                    devs[tp].append(conts(rows, tp))
+                devs[tp].append(0 if tp == t else
+                                sum(r * dev[tp, i, q] for i, q, r in rows))
     return menus, vals, owns, devs
 
 

@@ -6,12 +6,13 @@ fills them directly, from a few dozen variables for the hand-worked
 instances to tens of thousands for discretization cross-checks.  Two
 solution modes are offered:
 
-* ``exact`` -- a two-phase tableau simplex over ``fractions.Fraction`` with
-  Bland's anti-cycling rule.  The tableau is built straight from the
-  sparse arrays and stored dense, but each pivot updates only the pivot
-  row's nonzero columns, and the dual is read off the maintained
-  reduced-cost row.  Optima are exact rationals.  This is the mode the
-  golden-value tests run in.
+* ``exact`` -- a two-phase tableau simplex in exact rational arithmetic
+  with Bland's anti-cycling rule.  The tableau is built straight from the
+  sparse arrays and stored dense, each entry a plain-int numerator and
+  denominator in lowest terms; each pivot updates only the pivot row's
+  nonzero columns, and the dual is read off the maintained reduced-cost
+  row.  Optima are returned as ``fractions.Fraction``.  This is the mode
+  the golden-value tests run in.
 * ``float`` -- the sparse matrix goes to scipy's HiGHS backend, imported on
   first use so that exact and continuous runs never load scipy.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -274,7 +276,7 @@ def _solve_float(lp: LinearProgram, iteration_cap: int) -> LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# exact mode (two-phase Fraction tableau, Bland's rule)
+# exact mode (two-phase rational tableau of reduced int pairs, Bland's rule)
 # ---------------------------------------------------------------------------
 
 class _IterationLimit(Exception):
@@ -297,8 +299,11 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
     art = slack + has_slack
     ncols = n + int(width.sum())
 
-    zero = frac(0)
-    tableau = [[zero] * (ncols + 1) for _ in range(m)]
+    # Entry (i, j) is num[i][j] / den[i][j] in lowest terms with den > 0;
+    # row m is the cost row: c_B B^-1 A_j - c_j for the phase's cost, and
+    # over the rhs column (ncols) the phase objective c_B B^-1 b.
+    num = [[0] * (ncols + 1) for _ in range(m + 1)]
+    den = [[1] * (ncols + 1) for _ in range(m + 1)]
     r = np.concatenate([lp.row, np.flatnonzero(has_slack),
                         np.flatnonzero(has_art), np.arange(m)])
     c = np.concatenate([lp.col, slack[has_slack], art[has_art],
@@ -306,39 +311,48 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
     v = np.concatenate([flip[lp.row] * lp.val, sense[has_slack],
                         np.ones(int(has_art.sum()), int), flip * lp.rhs])
     for i, j, a in zip(r.tolist(), c.tolist(), v.tolist()):
-        tableau[i][j] = frac(a)
+        num[i][j], den[i][j] = frac(a).as_integer_ratio()
     # each row's identity column: the artificial if it has one, else slack
     start = np.where(has_art, art, slack).tolist()
     basis = list(start)
 
     artificials = set(art[has_art].tolist())
     counter = [0]
-    # c_B B^-1 A_j - c_j for the phase's cost; the last entry, over the rhs
-    # column, is the phase objective c_B B^-1 b.
-    zrow = []
+    zero, znum = frac(0), num[m]
 
     def pivot(ti, tj):
         """Dense storage, sparse update: only the pivot row's nonzero
-        columns change in the other rows and in zrow."""
-        row = tableau[ti]
-        inv = 1 / row[tj]
-        nonzero = [j for j, v in enumerate(row) if v]
+        columns change in the other rows and in the cost row."""
+        rn, rd = num[ti], den[ti]
+        inv_n, inv_d = rd[tj], rn[tj]  # 1 / pivot, with inv_d made > 0
+        if inv_d < 0:
+            inv_n, inv_d = -inv_n, -inv_d
+        nonzero = [j for j, x in enumerate(rn) if x]
         for j in nonzero:
-            row[j] *= inv
-        for rk in tableau + [zrow]:
-            factor = rk[tj]
-            if factor and rk is not row:
+            a, b = rn[j] * inv_n, rd[j] * inv_d
+            g = gcd(a, b)
+            rn[j], rd[j] = a // g, b // g
+        for k in range(m + 1):
+            kn = num[k]
+            fn = kn[tj]
+            if fn and k != ti:  # row k -= (fn / fd) * pivot row
+                kd = den[k]
+                fd = kd[tj]
                 for j in nonzero:
-                    rk[j] -= factor * row[j]
+                    u = fd * rd[j]
+                    a, b = kn[j] * u - fn * rn[j] * kd[j], kd[j] * u
+                    g = gcd(a, b)
+                    kn[j], kd[j] = a // g, b // g
         basis[ti] = tj
 
     def load_cost(cost):
-        zrow[:] = [-c for c in cost] + [zero]
-        for row, b in zip(tableau, basis):
+        zrow = [-c for c in cost] + [zero]
+        for rn, rd, b in zip(num, den, basis):
             if cost[b]:
-                for j, v in enumerate(row):
-                    if v:
-                        zrow[j] += cost[b] * v
+                for j, x in enumerate(rn):
+                    if x:
+                        zrow[j] += cost[b] * frac(x, rd[j])
+        znum[:], den[m][:] = zip(*[z.as_integer_ratio() for z in zrow])
 
     def run_simplex(allowed):
         """Maximize the loaded cost over the tableau; Bland's rule."""
@@ -349,21 +363,20 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
                 raise _IterationLimit
             entering = -1
             for j in allowed:
-                if zrow[j] < 0 and j not in basic:
+                if znum[j] < 0 and j not in basic:
                     entering = j
                     break
             if entering < 0:
                 return True  # optimal
-            leaving = -1
-            best = None
+            leaving, best = -1, (0, 1)
             for i in range(m):
-                a = tableau[i][entering]
-                if a > 0:
-                    ratio = tableau[i][ncols] / a
-                    if best is None or ratio < best or (
-                            ratio == best and basis[i] < basis[leaving]):
-                        best = ratio
-                        leaving = i
+                a = num[i][entering]
+                if a > 0:  # ratio rhs / a, compared by cross-multiplying
+                    p, q = num[i][ncols] * den[i][entering], den[i][ncols] * a
+                    d = p * best[1] - best[0] * q
+                    if leaving < 0 or d < 0 or (
+                            d == 0 and basis[i] < basis[leaving]):
+                        leaving, best = i, (p, q)
             if leaving < 0:
                 return False  # unbounded
             basic.discard(basis[leaving])
@@ -377,13 +390,13 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
                        for j in range(ncols)])
             bounded = run_simplex(sorted(range(ncols)))
             assert bounded, "phase-1 objective is bounded by construction"
-            if zrow[ncols] != 0:  # minus the sum of the artificials
+            if znum[ncols] != 0:  # minus the sum of the artificials
                 return LpSolution("infeasible", iterations=counter[0])
             # Pivot remaining (degenerate) artificials out of the basis.
             for i in range(m):
                 if basis[i] in artificials:
                     for j in range(ncols):
-                        if j not in artificials and tableau[i][j] != 0:
+                        if j not in artificials and num[i][j] != 0:
                             pivot(i, j)
                             break
                     # A row with no eligible pivot is redundant; harmless to
@@ -399,8 +412,8 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
 
     x = [zero] * ncols
     for i, b in enumerate(basis):
-        x[b] = tableau[i][ncols]
-    # Row i's multiplier (y = c_B B^-1) is zrow at its identity column.
-    dual = [f * zrow[j] for f, j in zip(flip.tolist(), start)]
-    return LpSolution("optimal", value=zrow[ncols], assignment=x[:n],
-                      dual=dual, iterations=counter[0])
+        x[b] = frac(num[i][ncols], den[i][ncols])
+    # Row i's multiplier (y = c_B B^-1) is the cost row at its identity column.
+    dual = [f * frac(znum[j], den[m][j]) for f, j in zip(flip.tolist(), start)]
+    return LpSolution("optimal", value=frac(znum[ncols], den[m][ncols]),
+                      assignment=x[:n], dual=dual, iterations=counter[0])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from scoremech.audit import (
+    _grid_menus,
     audit_ic,
     best_response_continuous,
     best_response_finite,
@@ -222,6 +223,23 @@ def test_brute_force_matches_lp_on_college(college2):
     sol, _ = solve_drm(college2, mode="exact")
     assert value == sol.value == F(53, 24)
     assert value >= F(69, 32)  # the menu mechanism is grid-feasible
+
+
+@pytest.mark.parametrize("scenario,value", [("college1", F(9, 4)),
+                                            ("college2", F(53, 24))])
+def test_brute_force_pins_menus_and_optimum_at_step_one_eighth(
+        request, scenario, value):
+    """At step 1/8 every college type has 73 PC-feasible menus, and the
+    search attains the LP optimum.  A menu dropped or enumerated twice
+    changes a count; a row left out of a menu's values moves the optimum."""
+    inst = request.getfixturevalue(scenario)
+    grid = [F(i, 8) for i in range(9)]
+    counts = [len(_grid_menus(inst.space, inst.costs, inst.agent,
+                              inst.designer, t, grid, {}, 1e-9)[0])
+              for t in inst.space.types]
+    assert counts == [73] * 4
+    assert brute_force_optimum(inst.space, inst.costs, inst.agent,
+                               inst.designer, F(1, 8)) == value
 
 
 def test_brute_force_single_type_matches_lp():

@@ -883,6 +883,11 @@ def test_exact_n5_solve_pins_the_optimum_and_simplex_steps():
     ("texp", "quadratic", 4, 0, 27),
     ("texp", "linear", 5, 0, 43),
     ("texp", "quadratic", 5, 0, 43),
+    ("uniform", "quadratic", 5,
+     F(39429004269498837450277471813371,
+       405648192073033408478945025720320), 120),
+    ("uniform", "linear", 6, F(13, 192), 189),
+    ("uniform", "quadratic", 6, F(49, 512), 197),
 ])
 def test_exact_ladder_pins_the_optimum_and_simplex_steps(prior, cost, n,
                                                          value, iterations):

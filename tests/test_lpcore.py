@@ -3,12 +3,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import scoremech
+from scoremech import lpcore
 from scoremech.lpcore import LinearProgram, LpError, dual_bound, solve_lp
 
 
@@ -157,6 +159,25 @@ def test_exact_and_float_agree_on_random_lps():
         assert from_arrays.value == exact.value
         assert from_arrays.dual == exact.dual
         assert from_arrays.certified
+
+
+def test_exact_tableau_entries_stay_in_lowest_terms(monkeypatch):
+    """The exact simplex keeps each tableau entry as an int numerator and a
+    positive int denominator in lowest terms, also after pivots on negative
+    elements: every pair it turns back into a Fraction (loading the cost
+    row, reading off the results) is already reduced."""
+    pairs = []
+
+    def recording_fraction(numerator=0, denominator=None):
+        if denominator is not None:
+            pairs.append((numerator, denominator))
+        return F(numerator, denominator)
+
+    monkeypatch.setattr(lpcore, "Fraction", recording_fraction)
+    rng = random.Random(20240817)
+    for _ in range(60):
+        assert solve_lp(_random_lp(rng), "exact").certified
+    assert pairs and all(d > 0 and gcd(n, d) == 1 for n, d in pairs)
 
 
 def test_exact_certificate_is_tight():
