@@ -43,9 +43,6 @@ from .continuous import (
     compute_t0,
     discretize,
     solve_continuous,
-    solve_first_best,
-    solve_linear,
-    solve_quadratic,
 )
 from .audit import (
     AuditReport,

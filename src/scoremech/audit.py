@@ -27,8 +27,9 @@ from .model import (
     FiniteTypeSpace,
     ModelError,
     ScoreBasedRule,
+    on_support,
 )
-from .finite import _on_support, evaluate_mechanism
+from .finite import evaluate_mechanism
 
 __all__ = [
     "AuditReport",
@@ -85,7 +86,7 @@ def _deviation_value(space: FiniteTypeSpace, costs: CostModel,
     plan = {}
     for a in space.scores:
         r = mech.rho(a, report)
-        if not _on_support(r):
+        if not on_support(r):
             continue
         cont = sum(mech.q(x, a, report) * agent.v(x, t)
                    for x in space.outcomes) - costs.cost(a, t)
@@ -199,7 +200,7 @@ def audit_ic(space: FiniteTypeSpace, costs: CostModel, agent: AgentPayoff,
         u_t = 0
         for a in space.scores:
             r = mech.rho(a, t)
-            if not _on_support(r):
+            if not on_support(r):
                 continue
             cont = sum(mech.q(x, a, t) * agent.v(x, t)
                        for x in space.outcomes) - costs.cost(a, t)

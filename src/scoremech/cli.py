@@ -5,8 +5,8 @@ Commands: ``example``, ``solve-finite``, ``solve-continuous``, ``audit``,
 with reals at 12 significant digits and rationals as "p/q", so reruns are
 byte-identical and diff-friendly.
 
-Exit codes: 0 success, 2 config error, 3 infeasible/regime error,
-4 numerical failure.
+Exit codes: 0 success, 2 config error, 3 infeasible LP or a refused
+continuous problem (nonnegative mean, hazard rate), 4 numerical failure.
 
 The instance config schema is documented at
 ``scoremech.model.instance_from_config``.  Its numbers are read by
@@ -148,7 +148,7 @@ def cmd_example(args) -> int:
 
 def cmd_solve_finite(args) -> int:
     _require(args, "instance")
-    inst = _load_instance(args.instance)
+    inst = _read(model.load_instance, args.instance, "instance config")
     sol, mech = finite.solve_drm(inst, args.mode)
     report = audit_mod.audit_ic(inst.space, inst.costs, inst.agent, mech,
                                 inst.outside_option, tolerance=args.tol)
@@ -171,13 +171,6 @@ def cmd_solve_finite(args) -> int:
 def cmd_solve_continuous(args) -> int:
     _require(args, "dist", "cost", "gamma")
     dist = _parse_dist(args.dist)
-    problems = dist.validate()
-    if problems:
-        raise CliError("invalid distribution: " + "; ".join(problems),
-                       EXIT_CONFIG)
-    if args.cost not in ("linear", "quadratic"):
-        raise CliError("solve-continuous needs --cost linear|quadratic",
-                       EXIT_CONFIG)
     costs = model.CostModel(args.cost, gamma=args.gamma,
                             domain=(dist.s_min, dist.s_max))
     solution = cont.solve_continuous(dist, costs)
@@ -342,8 +335,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (cont.RegimeError, cont.MonotonicityError, cont.ContinuousError
-            ) as exc:
+    except cont.ContinuousError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGIME
     except finite.SolveError as exc:

@@ -5,11 +5,13 @@ negative mean; the designer approves (value t) or rejects (value 0) and the
 agent, regardless of type, wants approval.  Falsification costs are
 |a-t|/gamma or (a-t)^2/gamma.
 
-When falsifying from 0 to the top score costs more than the prize
-(gamma <= raw cost of s_max from 0) the first-best is attainable; otherwise
-the optimal mechanism caps approval at p* and screens with costly
-falsification.  The interior quadratic solution needs a nondecreasing
-hazard rate, which `check_mhr` verifies on a grid.
+`solve_continuous` is the one solve path.  It checks gamma and the mean
+once, then classifies the regime: when falsifying from 0 to the top score
+costs at least the prize (gamma <= raw cost of s_max from 0) the
+first-best is attainable; otherwise the optimal mechanism caps approval at
+p* and screens with costly falsification.  The interior quadratic solution
+needs a nondecreasing hazard rate, which `check_mhr` verifies on a grid.
+Distributions check their support when constructed, so a solve does not.
 
 The envelope derivative C is kept in original-cost form, C(t) =
 2(a*(t)-t)/gamma for quadratic costs, which is the actual derivative of the
@@ -35,6 +37,7 @@ from .model import (
     FiniteTypeSpace,
     Instance,
     format_number,
+    require_gamma,
 )
 
 __all__ = [
@@ -45,14 +48,10 @@ __all__ = [
     "Tabulated",
     "ContinuousSolution",
     "ContinuousError",
-    "RegimeError",
     "MonotonicityError",
     "MhrReport",
     "compute_t0",
     "check_mhr",
-    "solve_first_best",
-    "solve_linear",
-    "solve_quadratic",
     "solve_continuous",
     "discretize",
     "write_solution_table",
@@ -70,10 +69,6 @@ class ContinuousError(ValueError):
     """Bad input to a continuous solver."""
 
 
-class RegimeError(ContinuousError):
-    """Solver called outside its gamma regime."""
-
-
 class MonotonicityError(ContinuousError):
     """Hazard-rate check failed; the quadratic solution is refused."""
 
@@ -83,10 +78,16 @@ class MonotonicityError(ContinuousError):
 # ---------------------------------------------------------------------------
 
 class Distribution:
-    """Type distribution on [s_min, s_max] with full-support density."""
+    """Type distribution on [s_min, s_max] with full-support density.
+    Every constructor ends in ``__post_init__``, the support check."""
 
     s_min: float
     s_max: float
+
+    def __post_init__(self):
+        if not -math.inf < self.s_min < 0 < self.s_max < math.inf:
+            raise ContinuousError(
+                f"support [{self.s_min}, {self.s_max}] must straddle 0")
 
     def pdf(self, t: float) -> float:
         raise NotImplementedError
@@ -104,26 +105,13 @@ class Distribution:
 
     def tail_expectation(self, t: float) -> float:
         """integral of z f(z) dz from t to s_max."""
-        return simpson(lambda z: z * self.pdf(z), t, self.s_max, tol=1e-12)
+        raise NotImplementedError
 
     def pdf_derivative(self, t: float) -> float:
         h = 1e-4 * (self.s_max - self.s_min)
         lo = max(self.s_min, t - h)
         hi = min(self.s_max, t + h)
         return (self.pdf(hi) - self.pdf(lo)) / (hi - lo)
-
-    def validate(self) -> list[str]:
-        problems = []
-        if not self.s_min < 0 < self.s_max:
-            problems.append(
-                f"support [{self.s_min}, {self.s_max}] must straddle 0")
-        grid = np.linspace(self.s_min, self.s_max, 203)[1:-1]
-        if min(self.pdf(float(t)) for t in grid) <= 0:
-            problems.append("density must be strictly positive on support")
-        total = self.cdf(self.s_max)
-        if abs(total - 1.0) > 1e-10:
-            problems.append(f"density integrates to {total}, not 1")
-        return problems
 
 
 @dataclass(frozen=True)
@@ -160,6 +148,11 @@ class TruncatedExponential(Distribution):
     s_max: float
     rate: float = 1.0
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not math.isfinite(self.rate) or self.rate == 0:
+            raise ContinuousError(f"rate {self.rate} must be finite, nonzero")
+
     @property
     def _z(self) -> float:
         return 1.0 - math.exp(-self.rate * (self.s_max - self.s_min))
@@ -193,6 +186,7 @@ class Triangular(Distribution):
     mode: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.s_min < self.mode < self.s_max:
             raise ContinuousError("mode must lie strictly inside the support")
 
@@ -270,6 +264,7 @@ class Tabulated(Distribution):
                               * np.diff(ts))])
         self.s_min = float(ts[0])
         self.s_max = float(ts[-1])
+        self.__post_init__()
 
     def pdf(self, t):
         return float(np.interp(t, self._ts, self._fs))
@@ -312,19 +307,15 @@ class Tabulated(Distribution):
 # shared machinery
 # ---------------------------------------------------------------------------
 
-def _require_negative_mean(dist: Distribution) -> None:
-    if not dist.mean < 0:
-        raise ContinuousError(
-            f"solver assumes a negative mean type; got {dist.mean}")
-
-
 def compute_t0(dist: Distribution) -> float:
     """Type above which the conditional mean is zero.
 
     Root of g(t) = integral_t^{s_max} z f(z) dz, which is strictly
     increasing on [s_min, 0] with g(s_min) = mean < 0 and g(0) > 0.
     """
-    _require_negative_mean(dist)
+    if not dist.mean < 0:
+        raise ContinuousError(
+            f"solver assumes a negative mean type; got {dist.mean}")
     return bisect(dist.tail_expectation, dist.s_min, 0.0,
                   xtol=ROOT_XTOL, ftol=1e-12)
 
@@ -431,27 +422,29 @@ class ContinuousSolution:
         return total
 
 
-def _regime_threshold(cost_kind: str, s_max: float) -> float:
-    return s_max if cost_kind == "linear" else s_max ** 2
+def solve_continuous(dist: Distribution, costs: CostModel
+                     ) -> ContinuousSolution:
+    """The optimal mechanism; ModelError for a bad cost model or gamma.
 
-
-def solve_first_best(dist: Distribution, costs: CostModel
-                     ) -> ContinuousSolution | None:
-    """First-best solution, or None when gamma makes it unattainable.
-
-    Attainable iff falsifying from 0 to the top score costs at least the
-    prize: gamma <= s_max (linear) or gamma <= s_max^2 (quadratic).  The
-    boundary gamma is classified first-best (type 0 exactly indifferent).
+    First-best iff gamma <= s_max (linear) or gamma <= s_max^2
+    (quadratic); the boundary gamma counts as first-best (type 0 exactly
+    indifferent).  Otherwise the interior solution of the cost's kind.
     """
-    if not costs.parametric:
-        raise ContinuousError("continuous solvers need a parametric cost")
-    _require_negative_mean(dist)
-    gamma = float(costs.gamma)
-    s_max = dist.s_max
-    if gamma > _regime_threshold(costs.kind, s_max):
-        return None
+    gamma = require_gamma(costs)
     t0 = compute_t0(dist)
-    prize_score = gamma if costs.kind == "linear" else math.sqrt(gamma)
+    s_max = dist.s_max
+    if gamma <= (s_max if costs.kind == "linear" else s_max ** 2):
+        return _first_best(dist, costs.kind, gamma, t0)
+    if costs.kind == "linear":
+        return _linear(dist, gamma, t0)
+    return _quadratic(dist, gamma, t0)
+
+
+def _first_best(dist: Distribution, kind: str, gamma: float,
+                t0: float) -> ContinuousSolution:
+    """Approve exactly the nonnegative types; those below the prize score
+    falsify up to it."""
+    prize_score = gamma if kind == "linear" else math.sqrt(gamma)
 
     def a_star(t):
         if 0.0 <= t < prize_score:
@@ -461,7 +454,7 @@ def solve_first_best(dist: Distribution, costs: CostModel
     def Q(t):
         return 1.0 if t >= 0.0 else 0.0
 
-    if costs.kind == "linear":
+    if kind == "linear":
         def C(t):
             return 1.0 / gamma if 0.0 <= t < prize_score else 0.0
 
@@ -470,8 +463,7 @@ def solve_first_best(dist: Distribution, costs: CostModel
                 return 0.0
             return min(t, prize_score) / gamma
 
-        def C_ic(t):
-            return C(t)
+        C_ic = C
     else:
         def C(t):
             if 0.0 <= t < prize_score:
@@ -489,26 +481,20 @@ def solve_first_best(dist: Distribution, costs: CostModel
             return 2.0 * a_star(t) / gamma
 
     return ContinuousSolution(
-        regime="first_best", cost_kind=costs.kind, gamma=gamma, dist=dist,
+        regime="first_best", cost_kind=kind, gamma=gamma, dist=dist,
         t0=t0, t_star=0.0, t_dagger=None, p_star=1.0,
         a_star=a_star, C=C, U=U, Q=Q, C_ic=C_ic)
 
 
-def solve_linear(dist: Distribution, gamma: float) -> ContinuousSolution:
+def _linear(dist: Distribution, gamma: float,
+            t0: float) -> ContinuousSolution:
     """Interior optimal mechanism for cost |a - t| / gamma.
 
     All positive types pool at the top score with approval p* =
     min(1, (s_max - t0)/gamma); negative types above t* are approved with
     probability p* - (s_max - t)/gamma at their natural score.
     """
-    gamma = float(gamma)
-    _require_negative_mean(dist)
     s_max = dist.s_max
-    if gamma <= _regime_threshold("linear", s_max):
-        raise RegimeError(
-            f"gamma={gamma} <= s_max={s_max}: first-best regime; "
-            "use solve_first_best")
-    t0 = compute_t0(dist)
     if s_max - t0 <= gamma:
         p_star, t_star = (s_max - t0) / gamma, t0
     else:
@@ -532,16 +518,14 @@ def solve_linear(dist: Distribution, gamma: float) -> ContinuousSolution:
             return p_star
         return p_star - (s_max - t) / gamma
 
-    def C_ic(t):
-        return C(t)
-
     return ContinuousSolution(
         regime="interior", cost_kind="linear", gamma=gamma, dist=dist,
         t0=t0, t_star=t_star, t_dagger=None, p_star=p_star,
-        a_star=a_star, C=C, U=U, Q=Q, C_ic=C_ic)
+        a_star=a_star, C=C, U=U, Q=Q, C_ic=C)
 
 
-def solve_quadratic(dist: Distribution, gamma: float) -> ContinuousSolution:
+def _quadratic(dist: Distribution, gamma: float,
+               t0: float) -> ContinuousSolution:
     """Interior optimal mechanism for cost (a - t)^2 / gamma.
 
     The pointwise optimal target a*(t) = t - tail(t)/(t f(t)) is
@@ -551,19 +535,12 @@ def solve_quadratic(dist: Distribution, gamma: float) -> ContinuousSolution:
     can land above the raw crossing point, in which case every approved
     type is sent straight to the top score).
     """
-    gamma = float(gamma)
-    _require_negative_mean(dist)
     s_max = dist.s_max
-    if gamma <= _regime_threshold("quadratic", s_max):
-        raise RegimeError(
-            f"gamma={gamma} <= s_max^2={s_max ** 2}: first-best regime; "
-            "use solve_first_best")
     report = check_mhr(dist)
     if not report.passes:
         raise MonotonicityError(
             "monotonicity unverified: hazard rate decreases "
             f"(min slope {report.min_hazard_slope:.3g}); solution refused")
-    t0 = compute_t0(dist)
 
     def a_point(t):
         return t - dist.tail_expectation(t) / (t * dist.pdf(t))
@@ -638,17 +615,6 @@ def solve_quadratic(dist: Distribution, gamma: float) -> ContinuousSolution:
         a_star=a_star, C=C, U=U, Q=Q, C_ic=C_ic)
 
 
-def solve_continuous(dist: Distribution, costs: CostModel
-                     ) -> ContinuousSolution:
-    """Regime-detecting front end over the three solvers."""
-    solution = solve_first_best(dist, costs)
-    if solution is not None:
-        return solution
-    if costs.kind == "linear":
-        return solve_linear(dist, float(costs.gamma))
-    return solve_quadratic(dist, float(costs.gamma))
-
-
 # ---------------------------------------------------------------------------
 # discretization bridge to the finite LP
 # ---------------------------------------------------------------------------
@@ -664,8 +630,7 @@ def discretize(dist: Distribution, costs: CostModel,
     """
     if n_types < 2:
         raise ContinuousError("need n_types >= 2")
-    if not costs.parametric:
-        raise ContinuousError("discretize needs a parametric cost model")
+    gamma = require_gamma(costs)
     from fractions import Fraction
 
     points = [dist.quantile((2 * i + 1) / (2 * n_types))
@@ -687,7 +652,7 @@ def discretize(dist: Distribution, costs: CostModel,
     table = {}
     for t, tv in zip(types, points):
         for a, av in zip(space.scores, score_vals):
-            table[(a, t)] = costs.raw_cost(av, tv) / float(costs.gamma)
+            table[(a, t)] = costs.raw_cost(av, tv) / gamma
     agent = AgentPayoff.unit_approval(space, approve="approve")
     designer = DesignerPayoff(
         decision_value={(x, t): (tv if x == "approve" else 0.0)

@@ -41,6 +41,7 @@ from .model import (
     ModelError,
     ScoreBasedRule,
     format_number,
+    on_support,
     parse_number,
     validate,
 )
@@ -74,12 +75,6 @@ class SolveError(ModelError):
     def __init__(self, message: str, status: str):
         super().__init__(message)
         self.status = status
-
-
-def _on_support(r) -> bool:
-    if isinstance(r, (int, Fraction)):
-        return r > 0
-    return r > SUPPORT_TOL
 
 
 class JointVariableIndex:
@@ -189,10 +184,10 @@ def extract_mechanism(space: FiniteTypeSpace,
             r = sum(z[idx.z(x, a, t)] for x in space.outcomes)
             recommendation[(a, t)] = r
             total += r
-            if _on_support(r):
+            if on_support(r):
                 for x in space.outcomes:
                     decision[(x, a, t)] = z[idx.z(x, a, t)] / r
-        if not _on_support(total):
+        if not on_support(total):
             raise ModelError(f"degenerate all-zero joint row for {t}")
     return FiniteMechanism(decision=decision, recommendation=recommendation)
 
@@ -213,7 +208,7 @@ def evaluate_mechanism(space: FiniteTypeSpace, costs: CostModel,
         contrib = 0
         for a in space.scores:
             r = mech.rho(a, t)
-            if not _on_support(r):
+            if not on_support(r):
                 continue
             c = costs.cost(a, t)
             ev_agent = sum(mech.q(x, a, t) * agent.v(x, t)
@@ -287,7 +282,7 @@ def derandomize_decision_rules(
         for a, parts in by_score.items():
             mass = sum(w for w, _ in parts)
             recommendation[(a, t)] = mass
-            if not _on_support(mass):
+            if not on_support(mass):
                 continue
             outcomes = {x for _, rule in parts for (x, aa) in rule.decision}
             for x in outcomes:
@@ -336,7 +331,7 @@ def joint_law_drm(space: FiniteTypeSpace, mech: FiniteMechanism) -> dict:
     for t in space.types:
         for a in space.scores:
             r = mech.rho(a, t)
-            if not _on_support(r):
+            if not on_support(r):
                 continue
             for x in space.outcomes:
                 if (x, a, t) in mech.decision:
@@ -546,7 +541,7 @@ def write_mechanism_table(space: FiniteTypeSpace, mech: FiniteMechanism,
             r = mech.rho(a, t)
             for x in space.outcomes:
                 if (x, a, t) not in mech.decision:
-                    if _on_support(r):
+                    if on_support(r):
                         raise ModelError(
                             f"q undefined on support at ({a}, {t})")
                     continue

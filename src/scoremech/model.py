@@ -29,6 +29,8 @@ __all__ = [
     "Instance",
     "ModelError",
     "SUPPORT_TOL",
+    "on_support",
+    "require_gamma",
     "validate",
     "college_instance",
     "instance_to_config",
@@ -39,12 +41,17 @@ __all__ = [
     "parse_number",
 ]
 
-SUPPORT_TOL = 1e-12  # rho(a|t) above this counts as "a in supp rho(.|t)"
+SUPPORT_TOL = 1e-12  # a float rho(a|t) above this is "a in supp rho(.|t)"
 _NORM_TOL = 1e-12
 
 
 class ModelError(ValueError):
     """Structural error in a model object (bad key, broken invariant)."""
+
+
+def on_support(r) -> bool:
+    """Exact probabilities count when above 0, floats above SUPPORT_TOL."""
+    return r > (0 if isinstance(r, (int, Fraction)) else SUPPORT_TOL)
 
 
 class AgentType(NamedTuple):
@@ -149,6 +156,17 @@ class CostModel:
         raise ModelError("raw_cost is only defined for parametric kinds")
 
 
+def require_gamma(costs: CostModel) -> float:
+    """Gamma of a parametric cost as a float, or ModelError.  The rule is
+    ``gamma > 0``: NaN fails it, +inf passes (the limit p* = 0)."""
+    if not costs.parametric:
+        raise ModelError(
+            f"need a linear or quadratic cost model, got {costs.kind!r}")
+    if costs.gamma is None or not costs.gamma > 0:
+        raise ModelError("parametric cost model requires gamma > 0")
+    return float(costs.gamma)
+
+
 @dataclass(frozen=True)
 class AgentPayoff:
     """Agent's outcome utility v(x, t)."""
@@ -202,7 +220,7 @@ class FiniteMechanism:
 
     ``decision`` maps (outcome, score, type) to q(x|a,t); ``recommendation``
     maps (score, type) to rho(a|t).  q(.|a,t) must be defined wherever
-    rho(a|t) exceeds the support tolerance; off-support entries are allowed
+    rho(a|t) is ``on_support``; off-support entries are allowed
     but ignored by evaluation (the null-outcome convention makes them
     payoff-irrelevant).
     """
@@ -235,7 +253,7 @@ class FiniteMechanism:
         return (a, t) in self._decided
 
     def support(self, t, scores: Sequence[str]):
-        return [a for a in scores if self.rho(a, t) > SUPPORT_TOL]
+        return [a for a in scores if on_support(self.rho(a, t))]
 
 
 @dataclass(frozen=True)
@@ -314,8 +332,10 @@ def validate(space: FiniteTypeSpace, costs: CostModel,
                     if (a, t) not in costs.table:
                         problems.append(f"missing cost entry ({a}, {t})")
     else:
-        if costs.gamma is None or costs.gamma <= 0:
-            problems.append("parametric cost model requires gamma > 0")
+        try:
+            require_gamma(costs)
+        except ModelError as exc:
+            problems.append(str(exc))
         if costs.domain is None:
             problems.append("parametric cost model requires a domain")
         else:
@@ -352,7 +372,7 @@ def validate_mechanism(space: FiniteTypeSpace,
             r = mech.rho(a, t)
             if r < 0 or r > 1:
                 problems.append(f"rho({a}|{t}) = {r} outside [0, 1]")
-            if r > SUPPORT_TOL:
+            if on_support(r):
                 if not mech.has_decision(a, t):
                     problems.append(f"q undefined on support at ({a}, {t})")
                     continue

@@ -27,9 +27,7 @@ from scoremech.continuous import (
     Uniform,
     check_mhr,
     discretize,
-    solve_first_best,
-    solve_linear,
-    solve_quadratic,
+    solve_continuous,
 )
 from scoremech.finite import (
     build_drm_lp,
@@ -61,6 +59,11 @@ def criterion(label: str):
         print(f"ACCEPTANCE {label}: FAIL — {exc}")
         raise
     print(f"ACCEPTANCE {label}: PASS")
+
+
+def _solve(dist, gamma, kind):
+    make = CostModel.linear if kind == "linear" else CostModel.quadratic
+    return solve_continuous(dist, make(gamma, (dist.s_min, dist.s_max)))
 
 
 def test_criterion_1_scenario1_first_best():
@@ -109,7 +112,7 @@ def test_criterion_2_scenario2_golden_value():
 def test_criterion_3_linear_uniform_gamma4():
     """Linear cost on uniform[-2, 1] with gamma 4: closed-form numbers."""
     with criterion("3 (linear gamma=4: t0, t*, p*, Q(-0.5))"):
-        sol = solve_linear(Uniform(-2.0, 1.0), 4.0)
+        sol = _solve(Uniform(-2.0, 1.0), 4.0, "linear")
         assert abs(sol.t0 - (-1.0)) <= 1e-10
         assert abs(sol.t_star - (-1.0)) <= 1e-10
         assert abs(sol.p_star - 0.5) <= 1e-10
@@ -119,7 +122,7 @@ def test_criterion_3_linear_uniform_gamma4():
 def test_criterion_4_quadratic_uniform_gamma4():
     """Quadratic cost on uniform[-2, 1] with gamma 4: target, cap, cutoff."""
     with criterion("4 (quadratic gamma=4: a*, t_dagger, p*)"):
-        sol = solve_quadratic(Uniform(-2.0, 1.0), 4.0)
+        sol = _solve(Uniform(-2.0, 1.0), 4.0, "quadratic")
         for t in np.linspace(-1.0, -1.0 / 3.0, 100):
             expected = 1.5 * t - 0.5 / t
             assert abs(sol.a_star(float(t)) - expected) <= 1e-10, \
@@ -134,7 +137,7 @@ def test_criterion_4_quadratic_uniform_gamma4():
 def test_criterion_5_first_best_regime_detection():
     """Quadratic gamma=1 <= s_max^2: first-best with cost (1-t)^2."""
     with criterion("5 (first-best regime at gamma=1)"):
-        sol = solve_first_best(Uniform(-2.0, 1.0),
+        sol = solve_continuous(Uniform(-2.0, 1.0),
                                CostModel.quadratic(1.0, (-2.0, 1.0)))
         assert sol is not None and sol.regime == "first_best"
         for t in np.linspace(-2.0, 1.0, 301):
@@ -164,8 +167,7 @@ def test_criterion_6_property_suite():
             assert check_mhr(dist).passes
             for gamma in (1.5, 4.0, 8.0):
                 for kind in ("linear", "quadratic"):
-                    sol = (solve_linear(dist, gamma) if kind == "linear"
-                           else solve_quadratic(dist, gamma))
+                    sol = _solve(dist, gamma, kind)
                     ts = np.linspace(dist.s_min, dist.s_max, 1000)
                     cols = sol.sample(ts)
                     # envelope identity vs an independent integrator
@@ -205,7 +207,7 @@ def test_criterion_7_discretization_tracks_continuous_value():
     with criterion("7 (discretized LP converges to the continuous value)"):
         dist = Uniform(-2.0, 1.0)
         costs = CostModel.linear(4.0, (-2.0, 1.0))
-        continuous_value = solve_linear(dist, 4.0).designer_value()
+        continuous_value = _solve(dist, 4.0, "linear").designer_value()
         gaps = {}
         for n in (7, 13, 25):
             inst = discretize(dist, costs, n)

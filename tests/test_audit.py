@@ -12,7 +12,7 @@ from scoremech.audit import (
     best_response_score_rule,
     brute_force_optimum,
 )
-from scoremech.continuous import Uniform, solve_linear
+from scoremech.continuous import Uniform, solve_continuous
 from scoremech.finite import solve_drm
 from scoremech.model import (
     AgentPayoff,
@@ -101,7 +101,7 @@ def test_score_rule_against_continuous_solution():
     probability of the self-submitting negative type below zero, and zero
     on the unused scores in [0, s_max)."""
     dist = Uniform(-2.0, 1.0)
-    sol = solve_linear(dist, 4.0)
+    sol = solve_continuous(dist, CostModel.linear(4.0, (-2.0, 1.0)))
     grid = list(np.linspace(-2.0, 1.0, 200))
 
     def alloc(a):
@@ -336,7 +336,8 @@ def test_best_response_is_monotone_in_the_mechanism():
 
 
 def test_best_response_continuous_flags_planted_violation():
-    sol = solve_linear(Uniform(-2.0, 1.0), 4.0)
+    sol = solve_continuous(Uniform(-2.0, 1.0),
+                           CostModel.linear(4.0, (-2.0, 1.0)))
     # lie about U: pretend the agent gets nothing, deviations must show up
     broken = type(sol)(
         regime=sol.regime, cost_kind=sol.cost_kind, gamma=sol.gamma,

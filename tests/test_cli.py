@@ -446,8 +446,37 @@ def test_invalid_distribution_exits_2(capsys, tmp_path):
                            "--cost", "linear", "--gamma", "4",
                            "--out", str(tmp_path / "o"))
     assert code == 2
-    assert err.startswith("error: invalid distribution: support [1.0, 2.0] "
-                          "must straddle 0")
+    assert err.startswith("error: bad distribution spec 'uniform:1,2': "
+                          "support [1.0, 2.0] must straddle 0")
+
+
+def test_zero_texp_rate_exits_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "solve-continuous", "--dist", "texp:-2,1,0",
+                           "--cost", "linear", "--gamma", "4",
+                           "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err.startswith("error: bad distribution spec 'texp:-2,1,0': ")
+
+
+def test_nonparametric_cost_from_config_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"cost": "tabulated"}))
+    code, _, err = run_cli(capsys, "--config", str(cfg), "solve-continuous",
+                           "--dist", "uniform:-2,1", "--gamma", "4",
+                           "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == ("error: need a linear or quadratic cost model, "
+                   "got 'tabulated'\n")
+
+
+@pytest.mark.parametrize("cost", ["linear", "quadratic"])
+@pytest.mark.parametrize("gamma", ["-1", "0", "nan"])
+def test_nonpositive_gamma_exits_2(capsys, tmp_path, cost, gamma):
+    code, out, err = run_cli(capsys, "solve-continuous",
+                             "--dist", "uniform:-2,1", "--cost", cost,
+                             "--gamma", gamma, "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err == "error: parametric cost model requires gamma > 0\n"
 
 
 def test_unnormalized_recommendation_exits_2(capsys, tmp_path):

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from scoremech.continuous import (
     ContinuousError,
     MonotonicityError,
-    RegimeError,
     Tabulated,
     Triangular,
     TruncatedExponential,
@@ -17,12 +16,9 @@ from scoremech.continuous import (
     discretize,
     read_solution_table,
     solve_continuous,
-    solve_first_best,
-    solve_linear,
-    solve_quadratic,
     write_solution_table,
 )
-from scoremech.model import CostModel
+from scoremech.model import CostModel, ModelError
 from scoremech.finite import build_drm_lp
 from scoremech.lpcore import solve_lp
 
@@ -36,13 +32,17 @@ ALL_DISTS = [UNIFORM, TEXP, TRIANGULAR]
 P_STAR_UNIFORM_QUAD_4 = 1.0 / 3.0 + math.log(3.0) / 4.0
 
 
+def _solve(dist, gamma, kind):
+    make = CostModel.linear if kind == "linear" else CostModel.quadratic
+    return solve_continuous(dist, make(gamma, (dist.s_min, dist.s_max)))
+
+
 # ---------------------------------------------------------------------------
 # distributions
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
 def test_distribution_self_consistency(dist):
-    assert dist.validate() == []
     assert dist.cdf(dist.s_max) == pytest.approx(1.0, abs=1e-12)
     # cdf matches quadrature of the density
     for t in np.linspace(dist.s_min, dist.s_max, 7):
@@ -58,10 +58,27 @@ def test_distribution_self_consistency(dist):
         assert dist.cdf(dist.quantile(p)) == pytest.approx(p, abs=1e-10)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Uniform(1.0, 2.0),
+    lambda: Uniform(-2.0, 0.0),
+    lambda: Uniform(-math.inf, 1.0),
+    lambda: Uniform(-2.0, math.nan),
+    lambda: TruncatedExponential(-2.0, 1.0, 0.0),
+    lambda: TruncatedExponential(-2.0, 1.0, math.inf),
+    lambda: TruncatedExponential(1.0, 2.0),
+    lambda: Triangular(1.0, 3.0, 2.0),
+    lambda: Tabulated([1.0, 1.5, 2.0], [1.0, 1.0, 1.0]),
+], ids=["uniform-positive", "uniform-zero-top", "uniform-infinite",
+        "uniform-nan", "texp-rate-0", "texp-rate-inf", "texp-positive",
+        "triangular-positive", "tabulated-positive"])
+def test_invalid_distributions_fail_at_construction(make):
+    with pytest.raises(ContinuousError):
+        make()
+
+
 def test_tabulated_matches_quadrature():
     xs = np.linspace(-2.0, 1.0, 25)
     dist = Tabulated(xs, 1.0 + 0.5 * np.sin(xs))
-    assert dist.validate() == []
     for t in (-1.7, -0.4, 0.3, 0.9):
         ref, _ = quad(dist.pdf, t, 1.0, points=list(xs), limit=200)
         assert 1.0 - dist.cdf(t) == pytest.approx(ref, abs=1e-9)
@@ -99,7 +116,7 @@ def test_t0_requires_negative_mean():
 # ---------------------------------------------------------------------------
 
 def test_first_best_quadratic_matches_left_panel():
-    sol = solve_first_best(UNIFORM, CostModel.quadratic(1.0, (-2.0, 1.0)))
+    sol = solve_continuous(UNIFORM, CostModel.quadratic(1.0, (-2.0, 1.0)))
     assert sol is not None and sol.regime == "first_best"
     assert sol.a_star(0.0) == pytest.approx(1.0)  # falsify to sqrt(gamma)
     for t in np.linspace(-2.0, 1.0, 301):
@@ -110,31 +127,37 @@ def test_first_best_quadratic_matches_left_panel():
 
 
 def test_first_best_linear_below_threshold():
-    sol = solve_first_best(UNIFORM, CostModel.linear(0.9, (-2.0, 1.0)))
+    sol = solve_continuous(UNIFORM, CostModel.linear(0.9, (-2.0, 1.0)))
     assert sol is not None and sol.regime == "first_best"
     assert sol.a_star(0.5) == pytest.approx(0.9)
     assert sol.U(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_first_best_none_when_gaming_is_cheap():
-    assert solve_first_best(UNIFORM, CostModel.linear(4.0, (-2.0, 1.0))) \
-        is None
-    assert solve_first_best(UNIFORM, CostModel.quadratic(4.0, (-2.0, 1.0))) \
-        is None
+    assert _solve(UNIFORM, 4.0, "linear").regime == "interior"
+    assert _solve(UNIFORM, 4.0, "quadratic").regime == "interior"
 
 
 def test_boundary_gamma_counts_as_first_best():
-    sol = solve_first_best(UNIFORM, CostModel.quadratic(1.0, (-2.0, 1.0)))
-    assert sol is not None
-    sol = solve_first_best(UNIFORM, CostModel.linear(1.0, (-2.0, 1.0)))
-    assert sol is not None
+    for dist in (UNIFORM, Uniform(-3.0, 2.0)):
+        s_max = dist.s_max
+        assert _solve(dist, s_max, "linear").regime == "first_best"
+        assert _solve(dist, s_max ** 2, "quadratic").regime == "first_best"
+    # s_max = 2: the linear threshold is s_max, not s_max^2
+    assert _solve(Uniform(-3.0, 2.0), 4.0, "linear").regime == "interior"
 
 
-def test_interior_solvers_reject_first_best_gamma():
-    with pytest.raises(RegimeError):
-        solve_linear(UNIFORM, 0.5)
-    with pytest.raises(RegimeError):
-        solve_quadratic(UNIFORM, 0.9)
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan])
+def test_solve_continuous_rejects_nonpositive_gamma(kind, gamma):
+    with pytest.raises(ModelError, match="requires gamma > 0"):
+        _solve(UNIFORM, gamma, kind)
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+def test_infinite_gamma_approves_nobody(kind):
+    sol = _solve(UNIFORM, math.inf, kind)
+    assert sol.regime == "interior" and sol.p_star == 0.0
 
 
 def test_solve_continuous_dispatch():
@@ -149,14 +172,14 @@ def test_solve_continuous_dispatch():
 # ---------------------------------------------------------------------------
 
 def test_linear_uniform_gamma4():
-    sol = solve_linear(UNIFORM, 4.0)
+    sol = _solve(UNIFORM, 4.0, "linear")
     assert sol.p_star == pytest.approx(0.5, abs=1e-12)
     assert sol.t_star == pytest.approx(-1.0, abs=1e-10)
     assert sol.Q(-0.5) == pytest.approx(0.125, abs=1e-12)
 
 
 def test_linear_uniform_gamma15():
-    sol = solve_linear(UNIFORM, 1.5)
+    sol = _solve(UNIFORM, 1.5, "linear")
     assert sol.p_star == pytest.approx(1.0)
     assert sol.t_star == pytest.approx(-0.5, abs=1e-12)
     assert sol.Q(-0.25) == pytest.approx(1.0 - 1.25 / 1.5, abs=1e-12)
@@ -165,7 +188,7 @@ def test_linear_uniform_gamma15():
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
 @pytest.mark.parametrize("gamma", [1.5, 4.0, 8.0])
 def test_linear_top_type_pays_nothing(dist, gamma):
-    sol = solve_linear(dist, gamma)
+    sol = _solve(dist, gamma, "linear")
     assert sol.a_star(dist.s_max) == dist.s_max
     assert sol.cost(dist.s_max) == 0.0
     assert sol.Q(dist.s_max) == pytest.approx(sol.p_star)
@@ -177,7 +200,7 @@ def test_linear_top_type_pays_nothing(dist, gamma):
 # ---------------------------------------------------------------------------
 
 def test_quadratic_uniform_gamma4_closed_forms():
-    sol = solve_quadratic(UNIFORM, 4.0)
+    sol = _solve(UNIFORM, 4.0, "quadratic")
     assert sol.t0 == pytest.approx(-1.0, abs=1e-10)
     assert sol.t_star == pytest.approx(-1.0, abs=1e-10)
     assert sol.t_dagger == pytest.approx(-1.0 / 3.0, abs=1e-8)
@@ -189,14 +212,14 @@ def test_quadratic_uniform_gamma4_closed_forms():
 
 
 def test_quadratic_plateau_above_t_dagger():
-    sol = solve_quadratic(UNIFORM, 4.0)
+    sol = _solve(UNIFORM, 4.0, "quadratic")
     for t in np.linspace(sol.t_dagger, 1.0, 50):
         assert sol.Q(t) == pytest.approx(sol.p_star, abs=1e-10)
         assert sol.a_star(t) == 1.0
 
 
 def test_quadratic_clamps_cap_at_one():
-    sol = solve_quadratic(UNIFORM, 1.5)
+    sol = _solve(UNIFORM, 1.5, "quadratic")
     assert sol.p_star == 1.0
     # U(t*) = 0 pins (s_max - t*)^2 = gamma here
     assert sol.t_star == pytest.approx(1.0 - math.sqrt(1.5), abs=1e-10)
@@ -209,7 +232,7 @@ def test_quadratic_refuses_non_mhr_distribution():
     bimodal = Tabulated(xs, 0.5 + 0.45 * np.cos(4.0 * xs))
     assert not check_mhr(bimodal).passes
     with pytest.raises(MonotonicityError, match="monotonicity unverified"):
-        solve_quadratic(bimodal, 4.0)
+        _solve(bimodal, 4.0, "quadratic")
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +294,7 @@ def test_discretize_lp_tracks_continuous_value():
     """13-type grid lands within 0.05 of the quadrature value; the gap
     shrinks monotonically along 7 -> 13 -> 25."""
     costs = CostModel.linear(4.0, (-2.0, 1.0))
-    continuous_value = solve_linear(UNIFORM, 4.0).designer_value()
+    continuous_value = _solve(UNIFORM, 4.0, "linear").designer_value()
     # analytic check of the oracle itself: 5/72
     assert continuous_value == pytest.approx(5.0 / 72.0, abs=1e-10)
     gaps = []
@@ -290,12 +313,17 @@ def test_discretize_rejects_tiny_grids():
         discretize(UNIFORM, CostModel.linear(4.0, (-2.0, 1.0)), 1)
 
 
+def test_discretize_rejects_zero_gamma():
+    with pytest.raises(ModelError, match="requires gamma > 0"):
+        discretize(UNIFORM, CostModel.linear(0.0, (-2.0, 1.0)), 5)
+
+
 # ---------------------------------------------------------------------------
 # solution export
 # ---------------------------------------------------------------------------
 
 def test_solution_table_roundtrip(tmp_path):
-    sol = solve_quadratic(UNIFORM, 4.0)
+    sol = _solve(UNIFORM, 4.0, "quadratic")
     ts = np.linspace(-2.0, 1.0, 37)
     path = tmp_path / "solution.tsv"
     write_solution_table(sol, ts, path)

@@ -195,6 +195,36 @@ def test_random_invariant_breaks_are_always_caught():
         assert validate(space, costs, designer) != []
 
 
+@pytest.mark.parametrize("gamma", [0, -1.0, float("nan"), None])
+def test_parametric_gamma_must_be_positive(college2, gamma):
+    costs = CostModel(kind="linear", gamma=gamma, domain=(-2.0, 1.0))
+    assert "parametric cost model requires gamma > 0" in validate(
+        college2.space, costs, college2.designer)
+
+
+def test_infinite_gamma_is_a_valid_parametric_cost(college2):
+    costs = CostModel.quadratic(float("inf"), (-2.0, 1.0))
+    assert not any("gamma" in p for p in validate(college2.space, costs,
+                                                  college2.designer))
+
+
+@pytest.mark.parametrize("tiny,flagged", [(F(1, 10**13), True),
+                                          (1e-13, False)])
+def test_validate_mechanism_support_rule(college2, menu_mechanism, tiny,
+                                         flagged):
+    """An exact rho counts on support when above 0, a float one above
+    SUPPORT_TOL; a q undefined there is flagged in the first case only."""
+    from scoremech.model import FiniteMechanism
+    t3 = AgentType("NF", "sH")
+    rec = dict(menu_mechanism.recommendation)
+    rec[("sL", t3)], rec[("sH", t3)] = tiny, 1 - tiny
+    dec = {k: v for k, v in menu_mechanism.decision.items()
+           if k[1:] != ("sL", t3)}
+    expected = [f"q undefined on support at (sL, {t3})"] if flagged else []
+    assert validate_mechanism(college2.space,
+                              FiniteMechanism(dec, rec)) == expected
+
+
 def test_validate_mechanism_flags_bad_rows(college2, menu_mechanism):
     assert validate_mechanism(college2.space, menu_mechanism) == []
     t1 = AgentType("F", "sL")

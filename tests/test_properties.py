@@ -16,9 +16,7 @@ from scoremech.continuous import (
     TruncatedExponential,
     Uniform,
     check_mhr,
-    solve_first_best,
-    solve_linear,
-    solve_quadratic,
+    solve_continuous,
 )
 from scoremech.model import CostModel
 
@@ -33,9 +31,8 @@ DEVIATION_TOL = 1e-6
 
 
 def _interior(dist, gamma, kind):
-    if kind == "linear":
-        return solve_linear(dist, gamma)
-    return solve_quadratic(dist, gamma)
+    make = CostModel.linear if kind == "linear" else CostModel.quadratic
+    return solve_continuous(dist, make(gamma, (dist.s_min, dist.s_max)))
 
 
 def _suffix_integrals(sol, ts):
@@ -136,7 +133,7 @@ def test_first_best_boundary_continuity(kind, threshold):
         costs = CostModel.linear(threshold, (-2.0, 1.0))
     else:
         costs = CostModel.quadratic(threshold, (-2.0, 1.0))
-    first_best = solve_first_best(dist, costs)
+    first_best = solve_continuous(dist, costs)
     assert first_best is not None
     assert abs(interior.designer_value() - first_best.designer_value()) \
         <= 1e-4
