@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import isfinite
+
 __all__ = ["simpson", "bisect"]
 
 
@@ -15,7 +17,11 @@ def _simpson_step(f, a, fa, b, fb, m, fm):
 
 def simpson(f, a: float, b: float, tol: float = 1e-10,
             max_depth: int = 40) -> float:
-    """Adaptive Simpson integral of ``f`` on [a, b] to absolute tolerance."""
+    """Adaptive Simpson integral of ``f`` on [a, b] to absolute tolerance.
+
+    Raises NumericsError when a refinement step is not finite (a NaN or
+    infinite integrand value), rather than recursing to ``max_depth``.
+    """
     if a == b:
         return 0.0
     fa, fb = f(a), f(b)
@@ -34,6 +40,8 @@ def _simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, depth):
     delta = left + right - whole
     if depth <= 0 or abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
+    if not isfinite(delta):  # NaN would recurse to max_depth everywhere
+        raise NumericsError(f"integrand is not finite on [{a}, {b}]")
     return (_simpson_rec(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
             + _simpson_rec(f, m, fm, b, fb, rm, frm, right, tol / 2.0,
                            depth - 1))

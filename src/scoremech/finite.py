@@ -17,6 +17,15 @@ auxiliary variable w(a; t, t') per deviation pair and score:
 Minimal feasible w reproduces the sum of positive parts exactly, so the
 projection of the feasible set onto z is precisely the set of incentive
 compatible mechanisms.
+
+Only a few deviation pairs (t, t') bind at an optimum, so ``solve_drm``
+never builds all of them: it solves a restricted LP holding the pairs
+found violated so far (truth-telling row generation).  Every omitted row
+has rhs 0 and every omitted w column has cost 0, so the restricted LP's
+dual certificate, padded with zeros, certifies the full LP too; its
+solution's arrays index the restricted LP (z block first, as in the full
+LP).  ``build_drm_lp`` builds the full LP, or with a pair mask a
+restricted one.
 """
 
 from __future__ import annotations
@@ -78,7 +87,7 @@ class SolveError(ModelError):
 
 
 class JointVariableIndex:
-    """Bijection between LP columns and the z / w variable blocks."""
+    """Bijection between the full LP's columns and the z / w blocks."""
 
     def __init__(self, space: FiniteTypeSpace):
         self.space = space
@@ -100,36 +109,54 @@ class JointVariableIndex:
         return (self.n_z + self._pi[(t, tp)] * len(self.space.scores)
                 + self._ai[a])
 
-    def blocks(self):
+    def blocks(self, keep=None):
         """Column arrays z[t, a, x] and w[pair, a], then the positions of
-        each pair's t and t' (np.nonzero is row-major, like ``pairs``)."""
+        each pair's t and t' (np.nonzero is row-major, like ``pairs``).
+
+        ``keep``, a boolean mask over ``pairs``, drops the other pairs;
+        the kept pairs' w columns are then numbered contiguously after z.
+        """
         n_t, n_a = len(self.space.types), len(self.space.scores)
         z = np.arange(self.n_z).reshape(n_t, n_a, -1)
-        w = np.arange(self.n_z, self.n_vars).reshape(-1, n_a)
-        return (z, w) + np.nonzero(~np.eye(n_t, dtype=bool))
+        pt, ptp = np.nonzero(~np.eye(n_t, dtype=bool))
+        if keep is not None:
+            pt, ptp = pt[keep], ptp[keep]
+        w = np.arange(self.n_z, self.n_z + len(pt) * n_a).reshape(-1, n_a)
+        return z, w, pt, ptp
 
 
 def build_drm_lp(space: FiniteTypeSpace, costs: CostModel,
                  agent: AgentPayoff, designer: DesignerPayoff,
-                 outside_option: Mapping[AgentType, object] | None = None
-                 ) -> LinearProgram:
+                 outside_option: Mapping[AgentType, object] | None = None,
+                 keep=None) -> LinearProgram:
     """LP over z(x,a|t) >= 0 whose optimum is the designer's best DRM value.
 
     Rows: unit mass per t; participation per (t, a); per pair (t, t') the
     truth-telling row, then per score the w row and, if outside(t) != 0,
     the outside-option row.  Coefficients are computed per (t, a, x) in
     the caller's numbers (Fractions stay exact) and gathered over pairs.
+
+    ``keep``, a boolean mask over ``JointVariableIndex(space).pairs``,
+    builds the restricted LP of ``solve_drm``: only the kept pairs' rows
+    and w columns, the w columns numbered contiguously after z.
     """
+    return _drm_lp(JointVariableIndex(space),
+                   _drm_tables(space, costs, agent, designer,
+                               outside_option), keep)
+
+
+def _drm_tables(space, costs, agent, designer, outside_option):
+    """Per-(t, a, x) objective, participation and deviation-gain tables and
+    the outside option per t, in one dtype (see ``entry_dtype``)."""
     if costs.kind != "tabulated":
         raise ModelError("the DRM solver needs a finite (tabulated) cost model")
-    zcol, wcol, pt, ptp = JointVariableIndex(space).blocks()
-    n_t, n_a, n_x = zcol.shape
     outside = outside_option or {}
 
     def table(f):  # f(t, a, x) for every type, score and outcome
         return np.array([[f(t, a, x) for a in space.scores
                           for x in space.outcomes] for t in space.types],
-                        dtype=object).reshape(zcol.shape)
+                        dtype=object).reshape(len(space.types),
+                                              len(space.scores), -1)
 
     numbers = (
         table(lambda t, a, x: space.mass(t) * (
@@ -139,7 +166,15 @@ def build_drm_lp(space: FiniteTypeSpace, costs: CostModel,
         table(lambda t, a, x: agent.v(x, t) - costs.cost(a, t)),
         np.array([outside.get(t, 0) for t in space.types], dtype=object))
     dtype = entry_dtype(*(a.ravel() for a in numbers))
-    objective, participation, gain, ubar = (a.astype(dtype) for a in numbers)
+    return tuple(a.astype(dtype) for a in numbers)
+
+
+def _drm_lp(idx: JointVariableIndex, tables, keep=None) -> LinearProgram:
+    """The DRM LP, or with ``keep`` its restricted LP, from the tables."""
+    zcol, wcol, pt, ptp = idx.blocks(keep)
+    n_t, n_a, n_x = zcol.shape
+    objective, participation, gain, ubar = tables
+    dtype = gain.dtype
     one = np.ones((), dtype)
 
     has = (ubar != 0)[pt]
@@ -224,19 +259,75 @@ def evaluate_mechanism(space: FiniteTypeSpace, costs: CostModel,
     return value, utilities, exp_costs
 
 
-def solve_drm(inst: Instance, mode: str = "exact"):
-    """Validate, build, solve, certify and extract in one call.
+# Float-mode separation: an omitted truth-telling row counts as violated
+# when the deviation payoff exceeds truth-telling by more than this.
+FLOAT_TT_TOL = 1e-9
 
-    Returns (lp solution, mechanism), the solution a certified optimum.
-    Raises ModelError for an invalid instance, and SolveError, carrying
-    the LP status, when the LP has no certified optimum.
+
+def solve_drm(inst: Instance, mode: str = "exact"):
+    """Validate, solve by truth-telling row generation, certify, extract.
+
+    The restricted LP keeps the truth-telling pairs (t, t') found so far:
+    the adjacent ones (|i - j| = 1 in ``space.types`` order) to start.
+    After each solve, every omitted pair whose constraint the z block
+    violates joins, and the restricted LP is solved again; each round adds
+    a pair, so the loop ends.  A pair is violated when
+
+        sum_a max(sum_x gain[t,a,x] z[t',a,x], outside(t) r[a|t'], 0)
+
+    exceeds sum_{a,x} gain[t,a,x] z[t,a,x], with gain = v(x, t) - c(a, t)
+    and r[a|t'] = sum_x z[t',a,x]: exactly in exact mode, by more than
+    ``FLOAT_TT_TOL`` = 1e-9 (absolute) in float mode.
+
+    The restricted LP's certificate proves the full LP's optimum.  Every
+    omitted row has rhs 0, and every omitted w column has cost 0 and
+    enters omitted rows only; so the restricted dual, padded with zeros,
+    prices every z column and the bound y . b as before, and prices each
+    omitted w column at 0 = its cost: it is a dual certificate of the full
+    LP.  When no omitted pair is violated, the z block with minimal w is
+    feasible in the full LP (in float mode, to within the tolerance) with
+    the same value, so both are optimal.  A restricted LP that is
+    infeasible makes the full LP infeasible.
+
+    Returns (lp solution, mechanism), the solution a certified optimum of
+    the final restricted LP: ``assignment`` holds z in full-LP order, then
+    the kept pairs' w; ``dual`` has one multiplier per restricted row;
+    ``iterations`` is summed over rounds.  Raises ModelError for an
+    invalid instance, and SolveError, carrying the LP status, when the LP
+    has no certified optimum.
     """
     problems = validate(inst.space, inst.costs, inst.designer, inst.agent)
     if problems:
         raise ModelError("invalid instance: " + "; ".join(problems))
-    lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer,
-                      inst.outside_option)
-    sol = solve_lp(lp, mode=mode)
+    idx = JointVariableIndex(inst.space)
+    tables = _drm_tables(inst.space, inst.costs, inst.agent, inst.designer,
+                         inst.outside_option)
+    _, _, pt, ptp = idx.blocks()
+    keep = abs(pt - ptp) == 1
+    _, _, gain, ubar = tables
+    if mode == "exact":  # floats as their exact binary Fractions
+        gain, ubar = (np.frompyfunc(Fraction, 1, 1)(a) for a in (gain, ubar))
+        tol = 0
+    else:
+        gain, ubar = gain.astype(float), ubar.astype(float)
+        tol = FLOAT_TT_TOL
+    spent = 0
+    while True:
+        sol = solve_lp(_drm_lp(idx, tables, keep), mode=mode)
+        if not sol.certified:
+            break
+        z = np.array(sol.assignment[:idx.n_z], gain.dtype).reshape(gain.shape)
+        own = (gain * z).sum(axis=(1, 2))
+        dev = np.maximum(np.maximum((gain[:, None] * z).sum(axis=3),
+                                    ubar[:, None, None] * z.sum(axis=2)),
+                         0).sum(axis=2)
+        new = (dev - own[:, None] > tol)[pt, ptp] & ~keep
+        if not new.any():
+            break
+        keep = keep | new
+        spent += sol.iterations
+    if sol.iterations is not None:
+        sol.iterations += spent
     if sol.status in ("infeasible", "unbounded"):
         message = f"LP is {sol.status}"
     elif sol.status == "iteration_limit":

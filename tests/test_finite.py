@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoremech import lpcore
+import numpy as np
+
+from scoremech import finite, lpcore
 from scoremech.finite import (
     JointVariableIndex,
     SolveError,
@@ -23,7 +25,7 @@ from scoremech.finite import (
     solve_drm,
     write_mechanism_table,
 )
-from scoremech.lpcore import LpSolution, solve_lp
+from scoremech.lpcore import LpSolution, dual_bound, solve_lp
 from scoremech.model import (
     AgentPayoff,
     AgentType,
@@ -37,7 +39,7 @@ from scoremech.model import (
 )
 from scoremech.audit import audit_ic, best_response_score_rule
 
-from conftest import random_instance
+from conftest import random_instance, random_rational
 
 T1, T2, T3, T4 = (AgentType("F", "sL"), AgentType("NF", "sL"),
                   AgentType("NF", "sH"), AgentType("F", "sH"))
@@ -836,6 +838,196 @@ def test_solve_drm_never_returns_an_uncertified_optimum(college2,
                        match="dual certificate failed verification") as err:
         solve_drm(college2, mode=mode)
     assert err.value.status == "optimal"
+
+
+# ---------------------------------------------------------------------------
+# truth-telling row generation: the restricted LP certifies the full LP
+# ---------------------------------------------------------------------------
+
+def _row_generation(monkeypatch, inst, mode):
+    """solve_drm, recording each round's pair mask."""
+    masks = []
+    build = finite._drm_lp
+
+    def spy(idx, tables, keep=None):
+        masks.append(keep)
+        return build(idx, tables, keep)
+
+    monkeypatch.setattr(finite, "_drm_lp", spy)
+    sol, _ = solve_drm(inst, mode=mode)
+    monkeypatch.setattr(finite, "_drm_lp", build)
+    return sol, masks
+
+
+def _padded_dual(inst, keep, dual):
+    """The restricted LP's multipliers in the full LP's row order, with
+    zeros on the omitted pairs' truth-telling, w and outside rows."""
+    space = inst.space
+    n_a = len(space.scores)
+    head = len(space.types) * (1 + n_a)
+    y, rest = list(dual[:head]), iter(dual[head:])
+    for (t, _), kept in zip(JointVariableIndex(space).pairs, keep):
+        size = 1 + n_a * (2 if inst.outside_option.get(t, 0) != 0 else 1)
+        y += [next(rest) for _ in range(size)] if kept else [0] * size
+    assert next(rest, None) is None
+    return y
+
+
+def _lifted(inst, sol):
+    """The restricted optimum's z block with the minimal w of every pair."""
+    space, costs, agent = inst.space, inst.costs, inst.agent
+    idx = JointVariableIndex(space)
+    x = list(sol.assignment[:idx.n_z]) + [0] * (idx.n_vars - idx.n_z)
+    for t, tp in idx.pairs:
+        ubar = inst.outside_option.get(t, 0)
+        for a in space.scores:
+            zs = [x[idx.z(xo, a, tp)] for xo in space.outcomes]
+            gain = sum(z * (agent.v(xo, t) - costs.cost(a, t))
+                       for z, xo in zip(zs, space.outcomes))
+            x[idx.w(a, t, tp)] = max(gain, ubar * sum(zs), 0)
+    return x
+
+
+def _check_row_generation(monkeypatch, inst):
+    """Exact solve_drm: the full LP's optimal value, certified by the
+    padded restricted dual and attained by the lifted restricted primal."""
+    sol, masks = _row_generation(monkeypatch, inst, "exact")
+    full = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer,
+                        inst.outside_option)
+    restricted = build_drm_lp(inst.space, inst.costs, inst.agent,
+                              inst.designer, inst.outside_option, masks[-1])
+    assert sol.certified
+    assert (len(sol.assignment), len(sol.dual)) == (restricted.n_vars,
+                                                    restricted.n_rows)
+    assert dual_bound(restricted, sol.dual) == sol.value
+    assert sol.value == solve_lp(full, mode="exact").value
+    for before, after in zip(masks, masks[1:]):  # each round adds pairs
+        assert (after >= before).all() and after.sum() > before.sum()
+    assert dual_bound(full, _padded_dual(inst, masks[-1], sol.dual)) \
+        == sol.value
+    x = np.array(_lifted(inst, sol), dtype=object)
+    lhs = np.zeros(full.n_rows, dtype=object)
+    np.add.at(lhs, full.row, full.val * x[full.col])
+    assert (np.where(full.relations == "=", lhs == full.rhs,
+                     lhs >= full.rhs)).all()
+    assert (full.objective * x).sum() == sol.value
+
+
+def _with_outside(inst, outside):
+    return Instance(space=inst.space, costs=inst.costs, agent=inst.agent,
+                    designer=inst.designer, outside_option=outside)
+
+
+@pytest.mark.parametrize("name", ["college1", "college2", "outside+1/2 on T2",
+                                  "outside-1/2 on T1"])
+def test_row_generation_certifies_the_college_optimum(monkeypatch, college1,
+                                                      college2, name):
+    inst = {"college1": college1, "college2": college2,
+            "outside+1/2 on T2": _with_outside(college2,
+                                                       {T2: F(1, 2)}),
+            "outside-1/2 on T1": _with_outside(college2,
+                                                       {T1: F(-1, 2)})}[name]
+    _check_row_generation(monkeypatch, inst)
+    if name == "outside-1/2 on T1":  # a negative outside option never binds
+        assert solve_drm(inst)[0].value == F(53, 24)
+
+
+def test_row_generation_keeps_the_zero_floor_on_negative_outside_options(
+        monkeypatch):
+    """w >= 0 holds in the LP, so a pair's deviation term per score is
+    max(gain, outside * r, 0) even when outside < 0.  Here the restricted
+    optimum leaves (t0, t2) violated only through that floor: without it
+    separation stops early at 65/54, above the full optimum 605/504."""
+    t0, t1, t2 = (AgentType("t0", "a2"), AgentType("t1", "a1"),
+                  AgentType("t2", "a1"))
+    space = FiniteTypeSpace(types=(t0, t1, t2), scores=("a0", "a1", "a2"),
+                            outcomes=("no", "yes"),
+                            prior={t: F(1, 3) for t in (t0, t1, t2)})
+    costs = CostModel.tabulated({
+        ("a0", t0): F(3, 2), ("a1", t0): F(1, 4), ("a2", t0): F(0),
+        ("a0", t1): F(3, 2), ("a1", t1): F(0), ("a2", t1): F(0),
+        ("a0", t2): F(5, 4), ("a1", t2): F(0), ("a2", t2): F(1)})
+    designer = DesignerPayoff(decision_value={
+        ("yes", t0): F(5, 2), ("yes", t1): F(-1, 4), ("yes", t2): F(5, 4),
+        ("no", t0): F(0), ("no", t1): F(0), ("no", t2): F(0)})
+    inst = Instance(space=space, costs=costs,
+                    agent=AgentPayoff.unit_approval(space, "yes"),
+                    designer=designer,
+                    outside_option={t0: F(-1), t2: F(-1, 4)})
+    _check_row_generation(monkeypatch, inst)
+    assert solve_drm(inst)[0].value == F(605, 504)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("cost", ["linear", "quadratic"])
+@pytest.mark.parametrize("prior", ["uniform", "texp"])
+def test_row_generation_certifies_the_ladder_optimum(monkeypatch, prior,
+                                                     cost, n):
+    """The instances of ``test_exact_ladder_pins_the_optimum...``."""
+    from scoremech.continuous import TruncatedExponential, Uniform, discretize
+
+    dist = {"uniform": Uniform(-2.0, 1.0),
+            "texp": TruncatedExponential(-2.0, 1.0, 1.0)}[prior]
+    costs = CostModel(cost, gamma=4.0, domain=(-2.0, 1.0))
+    _check_row_generation(monkeypatch,
+                          _to_fractions(discretize(dist, costs, n)))
+
+
+def test_row_generation_certifies_random_optima(monkeypatch):
+    rng = random.Random(60901)
+    for _ in range(50):
+        _check_row_generation(monkeypatch, random_instance(rng, max_types=3,
+                                                           n_scores=2))
+
+
+def test_row_generation_certifies_random_optima_with_outside_options(
+        monkeypatch):
+    """Five types and three scores leave non-adjacent pairs to separate;
+    outside options in [-1, 1] exercise both the quit term and the zero
+    floor."""
+    rng = random.Random(20020801)
+    for _ in range(60):
+        inst = random_instance(rng, max_types=5, n_scores=3)
+        _check_row_generation(monkeypatch, _with_outside(inst, {
+            t: random_rational(rng, -1, 1, 8) for t in inst.space.types}))
+
+
+@pytest.mark.parametrize("cost", ["linear", "quadratic"])
+def test_float_row_generation_matches_the_full_lp(monkeypatch, cost):
+    from scoremech.continuous import Uniform, discretize
+
+    inst = discretize(Uniform(-2.0, 1.0),
+                      CostModel(cost, gamma=4.0, domain=(-2.0, 1.0)), 16)
+    sol, masks = _row_generation(monkeypatch, inst, "float")
+    full = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
+    assert sol.certified
+    assert abs(sol.value - solve_lp(full, mode="float").value) <= 1e-9
+    bound = dual_bound(full, _padded_dual(inst, masks[-1], sol.dual),
+                       tol=1e-7)
+    assert abs(bound - sol.value) <= 1e-8
+
+
+def test_row_generation_solves_only_lps_smaller_than_the_full_lp(
+        monkeypatch):
+    """Exact n=6: every LP solve_drm hands to the solver is restricted,
+    and the reported iterations are summed over the rounds."""
+    from scoremech.continuous import Uniform, discretize
+
+    inst = _to_fractions(discretize(
+        Uniform(-2.0, 1.0), CostModel.linear(4.0, (-2.0, 1.0)), 6))
+    full = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
+    solved = []
+
+    def recording_solve_lp(lp, mode="exact", **kw):
+        sol = solve_lp(lp, mode=mode, **kw)
+        solved.append((lp.n_rows, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(finite, "solve_lp", recording_solve_lp)
+    sol, _ = solve_drm(inst, mode="exact")
+    assert sol.value == F(13, 192)
+    assert solved and all(rows < full.n_rows for rows, _ in solved)
+    assert sol.iterations == sum(it for _, it in solved)
 
 
 # ---------------------------------------------------------------------------
