@@ -22,10 +22,9 @@ Only a few deviation pairs (t, t') bind at an optimum, so ``solve_drm``
 never builds all of them: it solves a restricted LP holding the pairs
 found violated so far (truth-telling row generation).  Every omitted row
 has rhs 0 and every omitted w column has cost 0, so the restricted LP's
-dual certificate, padded with zeros, certifies the full LP too; its
-solution's arrays index the restricted LP (z block first, as in the full
-LP).  ``build_drm_lp`` builds the full LP, or with a pair mask a
-restricted one.
+dual certificate, padded with zeros, certifies the full LP too.  Only
+the z block of its solution (first, in the full LP's order) is meaningful
+to callers; ``build_drm_lp`` builds the full LP.
 """
 
 from __future__ import annotations
@@ -127,22 +126,18 @@ class JointVariableIndex:
 
 def build_drm_lp(space: FiniteTypeSpace, costs: CostModel,
                  agent: AgentPayoff, designer: DesignerPayoff,
-                 outside_option: Mapping[AgentType, object] | None = None,
-                 keep=None) -> LinearProgram:
+                 outside_option: Mapping[AgentType, object] | None = None
+                 ) -> LinearProgram:
     """LP over z(x,a|t) >= 0 whose optimum is the designer's best DRM value.
 
     Rows: unit mass per t; participation per (t, a); per pair (t, t') the
     truth-telling row, then per score the w row and, if outside(t) != 0,
     the outside-option row.  Coefficients are computed per (t, a, x) in
     the caller's numbers (Fractions stay exact) and gathered over pairs.
-
-    ``keep``, a boolean mask over ``JointVariableIndex(space).pairs``,
-    builds the restricted LP of ``solve_drm``: only the kept pairs' rows
-    and w columns, the w columns numbered contiguously after z.
     """
     return _drm_lp(JointVariableIndex(space),
                    _drm_tables(space, costs, agent, designer,
-                               outside_option), keep)
+                               outside_option))
 
 
 def _drm_tables(space, costs, agent, designer, outside_option):
@@ -170,7 +165,9 @@ def _drm_tables(space, costs, agent, designer, outside_option):
 
 
 def _drm_lp(idx: JointVariableIndex, tables, keep=None) -> LinearProgram:
-    """The DRM LP, or with ``keep`` its restricted LP, from the tables."""
+    """The DRM LP from the tables or, with ``keep`` (a boolean mask over
+    ``idx.pairs``), the restricted LP of ``solve_drm``: only the kept
+    pairs' rows and w columns, numbered contiguously after z."""
     zcol, wcol, pt, ptp = idx.blocks(keep)
     n_t, n_a, n_x = zcol.shape
     objective, participation, gain, ubar = tables
@@ -290,11 +287,13 @@ def solve_drm(inst: Instance, mode: str = "exact"):
     infeasible makes the full LP infeasible.
 
     Returns (lp solution, mechanism), the solution a certified optimum of
-    the final restricted LP: ``assignment`` holds z in full-LP order, then
-    the kept pairs' w; ``dual`` has one multiplier per restricted row;
-    ``iterations`` is summed over rounds.  Raises ModelError for an
-    invalid instance, and SolveError, carrying the LP status, when the LP
-    has no certified optimum.
+    the final restricted LP, with ``iterations`` summed over rounds.  Only
+    its value and z block, ``assignment[:n_z]`` in the full LP's order,
+    are meaningful to callers: the rest of ``assignment`` and all of
+    ``dual`` index the restricted LP, whose kept pairs are not returned,
+    so ``JointVariableIndex.w`` does not apply to them.  Raises
+    ModelError for an invalid instance, and SolveError, carrying the LP
+    status, when the LP has no certified optimum.
     """
     problems = validate(inst.space, inst.costs, inst.designer, inst.agent)
     if problems:

@@ -894,8 +894,10 @@ def _check_row_generation(monkeypatch, inst):
     sol, masks = _row_generation(monkeypatch, inst, "exact")
     full = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer,
                         inst.outside_option)
-    restricted = build_drm_lp(inst.space, inst.costs, inst.agent,
-                              inst.designer, inst.outside_option, masks[-1])
+    restricted = finite._drm_lp(
+        JointVariableIndex(inst.space),
+        finite._drm_tables(inst.space, inst.costs, inst.agent, inst.designer,
+                           inst.outside_option), masks[-1])
     assert sol.certified
     assert (len(sol.assignment), len(sol.dual)) == (restricted.n_vars,
                                                     restricted.n_rows)
