@@ -170,6 +170,10 @@ def cmd_solve_finite(args) -> int:
 
 def cmd_solve_continuous(args) -> int:
     _require(args, "dist", "cost", "gamma")
+    if not args.samples >= 1:  # checked here: --config values skip argparse
+        raise CliError("--samples must be at least 1", EXIT_CONFIG)
+    if not (args.grid_types == 0 or args.grid_types >= 2):
+        raise CliError("--grid-types must be 0 or at least 2", EXIT_CONFIG)
     dist = _parse_dist(args.dist)
     costs = model.CostModel(args.cost, gamma=args.gamma,
                             domain=(dist.s_min, dist.s_max))
@@ -287,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", choices=("linear", "quadratic"))
     p.add_argument("--gamma", type=float)
     p.add_argument("--samples", type=int, default=401,
-                   help="rows in the solution table")
+                   help="rows in the solution table (at least 1)")
     p.add_argument("--grid-types", type=int, default=0,
                    help="also cross-check against a discretized LP")
     common(p)

@@ -18,17 +18,21 @@ The envelope derivative C is kept in original-cost form, C(t) =
 agent's equilibrium value and reproduces the worked example's constant
 approval level.  The truth-telling monotonicity requirement lives on the
 modified-cost derivative 2 a*(t)/gamma, exposed separately as `C_ic`.
+The interior quadratic solution integrates this envelope once per solve,
+into a table of adaptive Simpson panels that every later U and Q reads.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numerics import NumericsError, bisect, simpson
+from ._numerics import NumericsError, bisect, simpson, simpson_panels
 from .model import (
     AgentPayoff,
     AgentType,
@@ -534,6 +538,9 @@ def _quadratic(dist: Distribution, gamma: float,
     t* = t0 exceeds 1, p* is clamped to 1 and t* solves U(t*) = 0 (which
     can land above the raw crossing point, in which case every approved
     type is sent straight to the top score).
+
+    The envelope is integrated once per solve, into the panel table that
+    `integral_C` reads; above t_dagger_raw its integral is in closed form.
     """
     s_max = dist.s_max
     report = check_mhr(dist)
@@ -567,13 +574,23 @@ def _quadratic(dist: Distribution, gamma: float,
             return s_max - t
         return -dist.tail_expectation(t) / (t * dist.pdf(t))
 
+    def C_raw(z):  # C above t0, before the cut at t*
+        return 2.0 * gap(z) / gamma
+
+    # U, Q and the t* root ask only about [t0, s_max]: one adaptive pass on
+    # [t0, t_dag_raw] serves them all.  above[i] = integral of C from the
+    # end of panel i to s_max; a query adds one five-point step to it.
+    panels = simpson_panels(C_raw, t0, t_dag_raw, tol=QUAD_TOL)
+    lefts = [lo for lo, _, _ in panels]
+    above = list(accumulate((value for _, _, value in panels[:0:-1]),
+                            initial=(s_max - t_dag_raw) ** 2 / gamma))[::-1]
+
     def integral_C(t):
-        """integral of C from t to s_max (original-cost envelope)."""
+        """integral of C from t >= t0 to s_max (original-cost envelope)."""
         if t >= t_dag_raw:
             return (s_max - t) ** 2 / gamma
-        head = simpson(lambda z: 2.0 * gap(z) / gamma, t, t_dag_raw,
-                       tol=QUAD_TOL)
-        return head + (s_max - t_dag_raw) ** 2 / gamma
+        i = bisect_right(lefts, t) - 1
+        return simpson(C_raw, t, panels[i][1], max_depth=0) + above[i]
 
     candidate = integral_C(t0)
     if candidate <= 1.0:

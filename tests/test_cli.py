@@ -479,6 +479,33 @@ def test_nonpositive_gamma_exits_2(capsys, tmp_path, cost, gamma):
     assert err == "error: parametric cost model requires gamma > 0\n"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--samples", "-1", "--samples must be at least 1"),
+    ("--samples", "0", "--samples must be at least 1"),
+    ("--grid-types", "1", "--grid-types must be 0 or at least 2"),
+    ("--grid-types", "-3", "--grid-types must be 0 or at least 2"),
+], ids=["samples-negative", "samples-zero", "grid-types-1",
+        "grid-types-negative"])
+def test_out_of_range_table_sizes_exit_2(capsys, tmp_path, flag, value,
+                                         message):
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "solve-continuous",
+                             "--dist", "uniform:-2,1", "--cost", "quadratic",
+                             "--gamma", "4", flag, value,
+                             "--out", str(out_dir))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (out_dir / "solution.tsv").exists()
+
+
+def test_out_of_range_samples_from_config_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"samples": 0}))
+    code, _, err = run_cli(capsys, "--config", str(cfg), "solve-continuous",
+                           "--dist", "uniform:-2,1", "--cost", "quadratic",
+                           "--gamma", "4", "--out", str(tmp_path / "o"))
+    assert (code, err) == (2, "error: --samples must be at least 1\n")
+
+
 def test_unnormalized_recommendation_exits_2(capsys, tmp_path):
     inst = college_instance(internalize_costs=True)
     cfg = tmp_path / "college.json"

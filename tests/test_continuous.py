@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from scoremech.continuous import (
     solve_continuous,
     write_solution_table,
 )
+from scoremech._numerics import simpson
 from scoremech.model import CostModel, ModelError
 from scoremech.finite import build_drm_lp
 from scoremech.lpcore import solve_lp
@@ -233,6 +235,82 @@ def test_quadratic_refuses_non_mhr_distribution():
     assert not check_mhr(bimodal).passes
     with pytest.raises(MonotonicityError, match="monotonicity unverified"):
         _solve(bimodal, 4.0, "quadratic")
+
+
+# U and Q are read off one quadrature table per solve: a partial panel is
+# closed by a single Richardson-corrected Simpson step, which these
+# closed-form and high-precision references hold to 1e-11.
+
+@pytest.mark.parametrize("gamma", [4.0, 8.0])
+def test_quadratic_uniform_envelope_matches_closed_form(gamma):
+    """Uniform(-2, 1): gap(t) = -(1 - t^2)/(2t), t_dagger = -1/3 and, for
+    t0 <= t < t_dagger, integral_t^1 C = (ln 3 + ln|t| + 1/18 - t^2/2
+    + 16/9)/gamma, so p* = (ln 3 + 4/3)/gamma."""
+    sol = _solve(UNIFORM, gamma, "quadratic")
+    assert sol.p_star == pytest.approx((math.log(3.0) + 4.0 / 3.0) / gamma,
+                                       abs=1e-11)
+    t_dag = -1.0 / 3.0
+
+    def integral_C(t):
+        if t >= t_dag:
+            return (1.0 - t) ** 2 / gamma
+        return (math.log(3.0) + math.log(abs(t)) + 1.0 / 18.0 - t * t / 2.0
+                + 16.0 / 9.0) / gamma
+
+    def gap(t):
+        return 1.0 - t if t >= t_dag else -(1.0 - t * t) / (2.0 * t)
+
+    for t in np.linspace(sol.t_star, 1.0, 401):
+        u = sol.p_star - integral_C(t)
+        assert sol.U(t) == pytest.approx(u, abs=1e-11)
+        assert sol.Q(t) == pytest.approx(u + gap(t) ** 2 / gamma, abs=1e-11)
+
+
+@pytest.mark.parametrize("gamma", [4.0, 8.0])
+@pytest.mark.parametrize("dist", [
+    TruncatedExponential(-2.0, 1.0, rate=1.0),
+    Triangular(-2.0, 1.0, mode=-0.3),
+], ids=lambda d: type(d).__name__)
+def test_quadratic_envelope_matches_fine_quadrature(dist, gamma):
+    """Non-polynomial priors; the triangular density's kink at its mode
+    lies inside (t0, t_dagger), so inside the quadrature table."""
+    sol = _solve(dist, gamma, "quadratic")
+    t_dag = sol.t_dagger
+    assert sol.t_star < t_dag
+    if isinstance(dist, Triangular):
+        assert sol.t0 < dist.mode < t_dag
+
+    def c(z):
+        return -2.0 * dist.tail_expectation(z) / (z * dist.pdf(z) * gamma)
+
+    ts = np.linspace(sol.t_star, t_dag, 201)
+    # integral of C from ts[i] to t_dagger, piece by piece from the right
+    pieces = [simpson(c, lo, hi, tol=1e-14) for lo, hi in zip(ts, ts[1:])]
+    head = np.cumsum(pieces[::-1])[::-1]
+    tail = (dist.s_max - t_dag) ** 2 / gamma
+    for t, integral in zip(ts[:-1], head):
+        assert sol.U(t) == pytest.approx(sol.p_star - integral - tail,
+                                         abs=1e-11)
+
+
+def test_quadratic_solution_integrates_the_envelope_once():
+    """Work guard: a U or Q query costs a few prior evaluations.  A fresh
+    adaptive quadrature per query would cost about 10,800 calls each."""
+    calls = []
+
+    @dataclass(frozen=True)
+    class CountingUniform(Uniform):
+        def tail_expectation(self, t):
+            calls.append(t)
+            return super().tail_expectation(t)
+
+    sol = _solve(CountingUniform(-2.0, 1.0), 4.0, "quadratic")
+    calls.clear()
+    sol.sample(np.linspace(-2.0, 1.0, 401))
+    assert len(calls) <= 2000
+    calls.clear()
+    sol.designer_value()
+    assert len(calls) <= 2000
 
 
 # ---------------------------------------------------------------------------
