@@ -164,25 +164,21 @@ def best_response_continuous(solution: ContinuousSolution,
 
     The deviator of type t mimicking report t' obeys the recommendation
     a*(t'), receiving Q(t') at cost c(a*(t'), t).  Returns
-    (max gain, (type, report)); incentive compatibility means the gain
-    stays within quadrature tolerance of zero.
+    (max gain, (type, report)), the first maximum with types outer and
+    reports inner; incentive compatibility means the gain stays within
+    quadrature tolerance of zero.
     """
-    reports = list(reports)
-    q_of = [solution.Q(r) for r in reports]
-    a_of = [solution.a_star(r) for r in reports]
-    gamma = solution.gamma
-    worst = (-float("inf"), (None, None))
-    for t in types:
-        u_truth = solution.U(t)
-        for rp, q, a in zip(reports, q_of, a_of):
-            if solution.cost_kind == "linear":
-                c = abs(a - t) / gamma
-            else:
-                c = (a - t) ** 2 / gamma
-            gain = q - c - u_truth
-            if gain > worst[0]:
-                worst = (gain, (t, rp))
-    return worst
+    types, reports = list(types), list(reports)
+    ts = np.array(types, dtype=float)[:, None]
+    u_of = np.array([solution.U(t) for t in types], dtype=float)[:, None]
+    q_of = np.array([solution.Q(r) for r in reports], dtype=float)
+    a_of = np.array([solution.a_star(r) for r in reports], dtype=float)
+    gain = q_of - solution.deviation_cost(a_of, ts) - u_of  # types x reports
+    gain[np.isnan(gain)] = -np.inf  # NaN never beats the best so far
+    if gain.size == 0 or gain.max() == -np.inf:
+        return -float("inf"), (None, None)
+    i, j = np.unravel_index(np.argmax(gain), gain.shape)
+    return float(gain[i, j]), (types[i], reports[j])
 
 
 def audit_ic(space: FiniteTypeSpace, costs: CostModel, agent: AgentPayoff,

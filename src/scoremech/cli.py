@@ -16,7 +16,8 @@ integer strings stay exact.
 
 A run config passed via ``--config`` is a JSON object whose keys mirror
 the command's flags (``dist``, ``cost``, ``gamma``, ``mode``, ``tol``,
-``out``, ``instance``, ``mechanism``, ...); explicit flags win.
+``out``, ``instance``, ``mechanism``, ...); explicit flags win.  Each
+value goes through its flag's ``type=`` and ``choices=``, as its text.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def cmd_solve_finite(args) -> int:
 
 def cmd_solve_continuous(args) -> int:
     _require(args, "dist", "cost", "gamma")
-    if not args.samples >= 1:  # checked here: --config values skip argparse
+    if not args.samples >= 1:  # argparse checks the type, not the range
         raise CliError("--samples must be at least 1", EXIT_CONFIG)
     if not (args.grid_types == 0 or args.grid_types >= 2):
         raise CliError("--grid-types must be 0 or at least 2", EXIT_CONFIG)
@@ -316,16 +317,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(parser, argv):
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     if args.config:
         overrides = _read(lambda p: json.loads(Path(p).read_text()),
                           args.config, "config")
         explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
                     for a in argv if a.startswith("--")}
+        command = next(a for a in parser._actions if a.dest == "command")
+        actions = {a.dest: a for p in (parser, command.choices[args.command])
+                   for a in p._actions if hasattr(args, a.dest)}
         for key, value in overrides.items():
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            if attr not in actions:
                 raise CliError(f"unknown config key {key!r}", EXIT_CONFIG)
+            if not isinstance(value, (str, int, float)):  # null, list, ...
+                raise CliError(f"config {key!r}: bad value {value!r}",
+                               EXIT_CONFIG)
+            try:  # the flag's own type= and choices=, applied to its text
+                value = parser._get_values(actions[attr], [str(value)])
+            except argparse.ArgumentError as exc:
+                raise CliError(f"config {key!r}: {exc.message}", EXIT_CONFIG)
             if attr not in explicit:
                 setattr(args, attr, value)
     return args

@@ -10,7 +10,7 @@ once, then classifies the regime: when falsifying from 0 to the top score
 costs at least the prize (gamma <= raw cost of s_max from 0) the
 first-best is attainable; otherwise the optimal mechanism caps approval at
 p* and screens with costly falsification.  The interior quadratic solution
-needs a nondecreasing hazard rate, which `check_mhr` verifies on a grid.
+needs a nondecreasing hazard rate, checked once per distribution (`check_mhr`).
 Distributions check their support when constructed, so a solve does not.
 
 The envelope derivative C is kept in original-cost form, C(t) =
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -116,6 +117,10 @@ class Distribution:
         lo = max(self.s_min, t - h)
         hi = min(self.s_max, t + h)
         return (self.pdf(hi) - self.pdf(lo)) / (hi - lo)
+
+    @cached_property
+    def _min_hazard_slope(self) -> float:  # a distribution never changes
+        return check_mhr(self).min_hazard_slope
 
 
 @dataclass(frozen=True)
@@ -391,19 +396,24 @@ class ContinuousSolution:
 
     def cost(self, t: float) -> float:
         """Scaled falsification cost on path: c(a*(t), t)/gamma-scaled."""
-        a = self.a_star(t)
+        return self.deviation_cost(self.a_star(t), t)
+
+    def deviation_cost(self, a, t):
+        """Scaled c(a, t) of score a for type t, elementwise.  Squares with C
+        pow, as scalar ``**`` does; array ``** 2`` can round differently."""
         if self.cost_kind == "linear":
-            return abs(a - t) / self.gamma
-        return (a - t) ** 2 / self.gamma
+            return np.abs(a - t) / self.gamma
+        return np.float_power(a - t, 2) / self.gamma
 
     def sample(self, ts: Sequence[float]) -> dict[str, np.ndarray]:
         ts = np.asarray(ts, dtype=float)
+        a = np.array([self.a_star(t) for t in ts])
         u = np.array([self.U(t) for t in ts])
-        cost = np.array([self.cost(t) for t in ts])
+        cost = self.deviation_cost(a, ts)
         q = np.where(ts < self.t_star, 0.0, u + cost)
         return {
             "t": ts,
-            "a_star": np.array([self.a_star(t) for t in ts]),
+            "a_star": a,
             "Q_star": q,
             "C": np.array([self.C(t) for t in ts]),
             "U": u,
@@ -543,11 +553,11 @@ def _quadratic(dist: Distribution, gamma: float,
     `integral_C` reads; above t_dagger_raw its integral is in closed form.
     """
     s_max = dist.s_max
-    report = check_mhr(dist)
-    if not report.passes:
+    slope = dist._min_hazard_slope
+    if not slope >= MHR_SLOPE_TOL:
         raise MonotonicityError(
             "monotonicity unverified: hazard rate decreases "
-            f"(min slope {report.min_hazard_slope:.3g}); solution refused")
+            f"(min slope {slope:.3g}); solution refused")
 
     def a_point(t):
         return t - dist.tail_expectation(t) / (t * dist.pdf(t))

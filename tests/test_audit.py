@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,7 +13,12 @@ from scoremech.audit import (
     best_response_score_rule,
     brute_force_optimum,
 )
-from scoremech.continuous import Uniform, solve_continuous
+from scoremech.continuous import (
+    Triangular,
+    TruncatedExponential,
+    Uniform,
+    solve_continuous,
+)
 from scoremech.finite import solve_drm
 from scoremech.model import (
     AgentPayoff,
@@ -347,3 +353,80 @@ def test_best_response_continuous_flags_planted_violation():
     gain, _ = best_response_continuous(
         broken, np.linspace(-2, 1, 50), np.linspace(-2, 1, 50))
     assert gain > 0.1
+
+
+def _best_response_loop(solution, types, reports):
+    """Reference: the double loop, first strict improvement wins."""
+    worst = (-float("inf"), (None, None))
+    for t in types:
+        u_truth = solution.U(t)
+        for rp in reports:
+            a = solution.a_star(rp)
+            if solution.cost_kind == "linear":
+                c = abs(a - t) / solution.gamma
+            else:
+                c = (a - t) ** 2 / solution.gamma
+            gain = solution.Q(rp) - c - u_truth
+            if gain > worst[0]:
+                worst = (gain, (t, rp))
+    return worst
+
+
+@pytest.mark.parametrize("kind, gamma", [
+    ("linear", 4.0), ("quadratic", 4.0), ("linear", 0.5),
+    ("quadratic", 0.5)],
+    ids=["linear", "quadratic", "linear-first-best",
+         "quadratic-first-best"])
+def test_best_response_continuous_matches_double_loop(kind, gamma):
+    make = CostModel.linear if kind == "linear" else CostModel.quadratic
+    for dist in (Uniform(-2.0, 1.0), TruncatedExponential(-2.0, 1.0),
+                 Triangular(-2.0, 1.0, -0.5)):
+        sol = solve_continuous(dist, make(gamma, (dist.s_min, dist.s_max)))
+        assert sol.regime == ("interior" if gamma > 1.0 else "first_best")
+        types = np.linspace(dist.s_min, dist.s_max, 37)
+        reports = np.linspace(dist.s_min, dist.s_max, 29)
+        assert (best_response_continuous(sol, types, reports)
+                == _best_response_loop(sol, types, reports))
+
+
+def _flat_solution(q_of, cost_kind="linear"):
+    """A solution with U = 0, a*(t) = t and the given Q, for planting
+    exact ties and NaNs in the gain table."""
+    sol = solve_continuous(Uniform(-2.0, 1.0),
+                           CostModel.linear(4.0, (-2.0, 1.0)))
+    return type(sol)(
+        regime=sol.regime, cost_kind=cost_kind, gamma=1.0, dist=sol.dist,
+        t0=sol.t0, t_star=sol.t_star, t_dagger=sol.t_dagger,
+        p_star=sol.p_star, a_star=lambda t: t, C=sol.C, U=lambda t: 0.0,
+        Q=q_of, C_ic=sol.C_ic)
+
+
+@pytest.mark.parametrize("cost_kind", ["linear", "quadratic"])
+def test_best_response_continuous_tie_goes_to_first_pair(cost_kind):
+    # gain(t, r) = Q(r) - c(r, t); Q is 1 at r = 0 and r = 1 only, so the
+    # pairs (0, 0) and (1, 1) tie at gain 1 and (0, 0) comes first
+    sol = _flat_solution(lambda r: 1.0 if r in (0.0, 1.0) else 0.0,
+                         cost_kind)
+    grid = [-1.0, 0.0, 1.0]
+    expected = (1.0, (0.0, 0.0))
+    assert _best_response_loop(sol, grid, grid) == expected
+    assert best_response_continuous(sol, grid, grid) == expected
+    # the same tie seen with the types in the other order
+    assert best_response_continuous(sol, grid[::-1], grid) == (1.0, (1.0, 1.0))
+
+
+def test_best_response_continuous_empty_and_nan_grids():
+    sol = solve_continuous(Uniform(-2.0, 1.0),
+                           CostModel.quadratic(4.0, (-2.0, 1.0)))
+    nothing = (-float("inf"), (None, None))
+    assert best_response_continuous(sol, [], []) == nothing
+    assert best_response_continuous(sol, [], [0.5]) == nothing
+    assert best_response_continuous(sol, np.linspace(-2, 1, 5), []) == nothing
+    assert _best_response_loop(sol, [], [0.5]) == nothing
+    nan = _flat_solution(lambda r: math.nan)
+    assert best_response_continuous(nan, [0.0, 1.0], [0.0, 1.0]) == nothing
+    # a NaN gain never wins, even ahead of the best finite one
+    some_nan = _flat_solution(lambda r: math.nan if r == 0.0 else 0.5)
+    grid = [0.0, 1.0]
+    assert best_response_continuous(some_nan, grid, grid) == (0.5, (1.0, 1.0))
+    assert _best_response_loop(some_nan, grid, grid) == (0.5, (1.0, 1.0))

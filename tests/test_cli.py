@@ -465,8 +465,10 @@ def test_nonparametric_cost_from_config_exits_2(capsys, tmp_path):
                            "--dist", "uniform:-2,1", "--gamma", "4",
                            "--out", str(tmp_path / "o"))
     assert code == 2
-    assert err == ("error: need a linear or quadratic cost model, "
-                   "got 'tabulated'\n")
+    # argparse's own wording; the list of choices is quoted only before
+    # Python 3.12.8
+    assert err.startswith("error: config 'cost': invalid choice: "
+                          "'tabulated' (choose from ")
 
 
 @pytest.mark.parametrize("cost", ["linear", "quadratic"])
@@ -504,6 +506,65 @@ def test_out_of_range_samples_from_config_exits_2(capsys, tmp_path):
                            "--dist", "uniform:-2,1", "--cost", "quadratic",
                            "--gamma", "4", "--out", str(tmp_path / "o"))
     assert (code, err) == (2, "error: --samples must be at least 1\n")
+
+
+def test_console_script_reads_config(capsys, tmp_path, monkeypatch):
+    """``main()`` without arguments, as the ``scoremech`` entry point and
+    ``python -m scoremech.cli`` call it, reads ``sys.argv``."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dist": "uniform:-2,1", "cost": "quadratic",
+                               "gamma": 4, "out": str(tmp_path / "o")}))
+    monkeypatch.setattr("sys.argv", ["scoremech", "--config", str(cfg),
+                                     "solve-continuous", "--samples", "5"])
+    assert cli.main() == 0
+    out = capsys.readouterr().out
+    assert "regime = interior" in out and "gamma = 4\n" in out
+    assert len(read_solution_table(tmp_path / "o" / "solution.tsv")["t"]) == 5
+
+
+def _run_config(capsys, tmp_path, config, *flags):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    return run_cli(capsys, "--config", str(cfg), "solve-continuous",
+                   "--out", str(tmp_path / "o"), *flags)
+
+
+@pytest.mark.parametrize("config", [
+    {"samples": "401"}, {"gamma": "4"}, {"gamma": 4}],
+    ids=["samples-string", "gamma-string", "gamma-int"])
+def test_config_values_are_read_like_flags(capsys, tmp_path, config):
+    flags = {"dist": "uniform:-2,1", "cost": "quadratic", "gamma": "4",
+             "samples": "401"}
+    argv = [x for k, v in flags.items() if k not in config
+            for x in (f"--{k}", v)]
+    code, out, err = _run_config(capsys, tmp_path, config, *argv)
+    assert (code, err) == (0, "")
+    reference = run_cli(capsys, "solve-continuous", "--out",
+                        str(tmp_path / "ref"),
+                        *[x for k, v in flags.items() for x in (f"--{k}", v)])
+    assert reference == (0, out, "")
+    assert ((tmp_path / "o" / "solution.tsv").read_bytes()
+            == (tmp_path / "ref" / "solution.tsv").read_bytes())
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"samples": 10.5}, "config 'samples': invalid int value: '10.5'"),
+    ({"samples": True}, "config 'samples': invalid int value: 'True'"),
+    ({"gamma": "four"}, "config 'gamma': invalid float value: 'four'"),
+    ({"cost": "cubic"}, "config 'cost': invalid choice: 'cubic' "),
+    ({"mode": "fast"}, "config 'mode': invalid choice: 'fast' "),
+    ({"out": None}, "config 'out': bad value None"),
+    ({"dist": ["uniform", -2, 1]}, "config 'dist': bad value ['uniform', "
+                                   "-2, 1]"),
+    ({"func": "x"}, "unknown config key 'func'"),
+], ids=["samples-float", "samples-bool", "gamma-word", "cost-choice",
+        "mode-choice", "out-null", "dist-list", "not-a-flag"])
+def test_bad_config_value_exits_2(capsys, tmp_path, config, message):
+    code, out, err = _run_config(capsys, tmp_path, config, "--dist",
+                                 "uniform:-2,1", "--gamma", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert not (tmp_path / "o").exists()
 
 
 def test_unnormalized_recommendation_exits_2(capsys, tmp_path):

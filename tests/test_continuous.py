@@ -237,6 +237,42 @@ def test_quadratic_refuses_non_mhr_distribution():
         _solve(bimodal, 4.0, "quadratic")
 
 
+def test_gamma_sweep_checks_the_hazard_rate_once():
+    calls = []
+
+    @dataclass(frozen=True)
+    class CountingUniform(Uniform):
+        def pdf_derivative(self, t):  # read by check_mhr only
+            calls.append(t)
+            return super().pdf_derivative(t)
+
+    dist = CountingUniform(-2.0, 1.0)
+    one_check = len(check_mhr(Uniform(-2.0, 1.0)).grid)
+    gammas = np.geomspace(1.1, 8.0, 23)
+    sweep = [_solve(dist, float(g), "quadratic") for g in gammas]
+    assert {sol.regime for sol in sweep} == {"interior"}
+    assert len(calls) == one_check
+    # the public check still runs in full on every call
+    assert len(check_mhr(dist).grid) == one_check
+    assert len(calls) == 2 * one_check
+    # a fresh, equal distribution checks again
+    _solve(CountingUniform(-2.0, 1.0), 4.0, "quadratic")
+    assert len(calls) == 3 * one_check
+
+
+def test_non_mhr_distribution_is_refused_on_every_solve():
+    xs = np.linspace(-2.0, 1.0, 31)
+    bimodal = Tabulated(xs, 0.5 + 0.45 * np.cos(4.0 * xs))
+    slope = check_mhr(bimodal).min_hazard_slope
+    message = (f"monotonicity unverified: hazard rate decreases "
+               f"(min slope {slope:.3g}); solution refused")
+    for gamma in (2.0, 4.0, 4.0, 8.0):
+        with pytest.raises(MonotonicityError) as err:
+            _solve(bimodal, gamma, "quadratic")
+        assert str(err.value) == message
+    assert check_mhr(bimodal) is not check_mhr(bimodal)
+
+
 # U and Q are read off one quadrature table per solve: a partial panel is
 # closed by a single Richardson-corrected Simpson step, which these
 # closed-form and high-precision references hold to 1e-11.
@@ -311,6 +347,51 @@ def test_quadratic_solution_integrates_the_envelope_once():
     calls.clear()
     sol.designer_value()
     assert len(calls) <= 2000
+
+
+def test_sample_reads_the_cost_column_off_the_a_star_column():
+    """The cost column costs no prior evaluation of its own: a per-point
+    ``cost(t)`` would repeat the a*(t) of every interior point."""
+    calls = []
+
+    @dataclass(frozen=True)
+    class CountingUniform(Uniform):
+        def tail_expectation(self, t):
+            calls.append(t)
+            return super().tail_expectation(t)
+
+    sol = _solve(CountingUniform(-2.0, 1.0), 4.0, "quadratic")
+    ts = np.linspace(-2.0, 1.0, 401)
+
+    def count(fn):
+        calls.clear()
+        fn()
+        return len(calls)
+
+    interior = sum(sol.t_star <= t < sol.t_dagger for t in ts)
+    assert interior > 50
+    assert count(lambda: [sol.cost(t) for t in ts]) == interior
+    columns = sum(count(lambda f=f: [f(t) for t in ts])
+                  for f in (sol.a_star, sol.U, sol.C))
+    assert count(lambda: sol.sample(ts)) == columns
+    table = sol.sample(ts)
+    assert np.array_equal(table["cost"], [sol.cost(t) for t in ts])
+    assert np.array_equal(table["a_star"], [sol.a_star(t) for t in ts])
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+def test_deviation_cost_on_arrays_matches_the_scalar_formula(kind):
+    """Bit for bit: an array's ``** 2`` multiplies, while the scalar
+    ``**`` calls C pow, and on some platforms the two round apart."""
+    sol = _solve(UNIFORM, 4.0, kind)
+    rng = np.random.default_rng(7)
+    a, t = rng.uniform(-2.0, 1.0, (2, 20000))
+    if kind == "linear":
+        scalar = [abs(x - y) / 4.0 for x, y in zip(a.tolist(), t.tolist())]
+    else:
+        scalar = [(x - y) ** 2 / 4.0 for x, y in zip(a.tolist(), t.tolist())]
+    assert np.array_equal(sol.deviation_cost(a, t), scalar)
+    assert sol.deviation_cost(a[0], t[0]) == scalar[0]
 
 
 # ---------------------------------------------------------------------------
