@@ -18,6 +18,16 @@ Minimal feasible w reproduces the sum of positive parts exactly, so the
 projection of the feasible set onto z is precisely the set of incentive
 compatible mechanisms.
 
+Float LPs settle about half of the (pair, score) cells in advance.  With
+gain = v(x, t) - c(a, t) and part the participation coefficients of
+(t', a), a cell with outside(t) <= 0 is dead if gain <= 0 for every x
+(w = 0 is optimal: its column and rows go) and, failing that, is
+substituted if gain >= part for every x: participation of t' then makes
+the deviation payoff nonnegative, so w is the gain term itself, which the
+truth-telling row takes in its place.  Both tests compare stored floats,
+so the projection onto z is unchanged.  Exact LPs keep every cell; the
+smaller LP makes Bland's rule pivot more.
+
 Only a few deviation pairs (t, t') bind at an optimum, so ``solve_drm``
 never builds all of them: it solves a restricted LP holding the pairs
 found violated so far (truth-telling row generation).  Every omitted row
@@ -86,7 +96,8 @@ class SolveError(ModelError):
 
 
 class JointVariableIndex:
-    """Bijection between the full LP's columns and the z / w blocks."""
+    """Bijection between the exact LP's columns and the z / w blocks;
+    the z block comes first in every DRM LP, float or restricted."""
 
     def __init__(self, space: FiniteTypeSpace):
         self.space = space
@@ -109,19 +120,15 @@ class JointVariableIndex:
                 + self._ai[a])
 
     def blocks(self, keep=None):
-        """Column arrays z[t, a, x] and w[pair, a], then the positions of
-        each pair's t and t' (np.nonzero is row-major, like ``pairs``).
-
-        ``keep``, a boolean mask over ``pairs``, drops the other pairs;
-        the kept pairs' w columns are then numbered contiguously after z.
-        """
-        n_t, n_a = len(self.space.types), len(self.space.scores)
-        z = np.arange(self.n_z).reshape(n_t, n_a, -1)
+        """Column array z[t, a, x], then the positions of each pair's t
+        and t' (np.nonzero is row-major, like ``pairs``); ``keep``, a
+        boolean mask over ``pairs``, drops the other pairs."""
+        n_t = len(self.space.types)
+        z = np.arange(self.n_z).reshape(n_t, len(self.space.scores), -1)
         pt, ptp = np.nonzero(~np.eye(n_t, dtype=bool))
         if keep is not None:
             pt, ptp = pt[keep], ptp[keep]
-        w = np.arange(self.n_z, self.n_z + len(pt) * n_a).reshape(-1, n_a)
-        return z, w, pt, ptp
+        return z, pt, ptp
 
 
 def build_drm_lp(space: FiniteTypeSpace, costs: CostModel,
@@ -132,8 +139,10 @@ def build_drm_lp(space: FiniteTypeSpace, costs: CostModel,
 
     Rows: unit mass per t; participation per (t, a); per pair (t, t') the
     truth-telling row, then per score the w row and, if outside(t) != 0,
-    the outside-option row.  Coefficients are computed per (t, a, x) in
-    the caller's numbers (Fractions stay exact) and gathered over pairs.
+    the outside-option row.  Float data drop the dead and substituted
+    scores' w columns and rows (module docstring).  Coefficients are
+    computed per (t, a, x) in the caller's numbers (Fractions stay exact)
+    and gathered over pairs.
     """
     return _drm_lp(JointVariableIndex(space),
                    _drm_tables(space, costs, agent, designer,
@@ -167,29 +176,43 @@ def _drm_tables(space, costs, agent, designer, outside_option):
 def _drm_lp(idx: JointVariableIndex, tables, keep=None) -> LinearProgram:
     """The DRM LP from the tables or, with ``keep`` (a boolean mask over
     ``idx.pairs``), the restricted LP of ``solve_drm``: only the kept
-    pairs' rows and w columns, numbered contiguously after z."""
-    zcol, wcol, pt, ptp = idx.blocks(keep)
+    pairs' rows.  Float tables drop the dead (pair, score) cells and
+    substitute the settled ones (module docstring).  The other cells' w
+    columns are numbered contiguously after z."""
+    zcol, pt, ptp = idx.blocks(keep)
     n_t, n_a, n_x = zcol.shape
     objective, participation, gain, ubar = tables
     dtype = gain.dtype
     one = np.ones((), dtype)
 
-    has = (ubar != 0)[pt]
-    per_pair = 1 + n_a * (1 + has)  # truth-telling row, 1 or 2 per score
+    g, zp = gain[pt], zcol[ptp]  # per (pair, score) cell: t's gain, z[t']
+    with_w = np.ones(g.shape[:2], bool)  # the cells that keep a w column
+    subst = ~with_w
+    if dtype != object:  # exact LPs keep every cell
+        quiet = (ubar <= 0)[pt, None]
+        dead = quiet & (g <= 0).all(axis=2)
+        subst = quiet & ~dead & (g >= participation[ptp]).all(axis=2)
+        with_w = ~dead & ~subst
+    with_o = with_w & (ubar != 0)[pt, None]  # outside-option row
+    size = with_w + with_o.astype(int)  # rows per cell
+    per_pair = 1 + size.sum(axis=1)  # the truth-telling row first
     first = n_t * (1 + n_a) + np.cumsum(per_pair) - per_pair
-    w_row = first[:, None] + 1 + (1 + has)[:, None] * np.arange(n_a)
-    o_row = w_row[has] + 1
+    w_row = first[:, None] + 1 + np.cumsum(size, axis=1) - size
+    wcol = idx.n_z - 1 + np.cumsum(with_w).reshape(with_w.shape)
+    tt_row = np.broadcast_to(first[:, None], with_w.shape)
+    u = np.broadcast_to(ubar[pt, None], with_w.shape)
     families = [  # (row, column, coefficient), broadcast per family
         (np.arange(n_t)[:, None], zcol.reshape(n_t, -1), one),
         (n_t + np.arange(n_t * n_a)[:, None], zcol.reshape(-1, n_x),
          participation.reshape(-1, n_x)),
         (first[:, None], zcol.reshape(n_t, -1)[pt],
          gain.reshape(n_t, -1)[pt]),
-        (first[:, None], wcol, -one),
-        (w_row[:, :, None], zcol[ptp], -gain[pt]),
-        (w_row, wcol, one),
-        (o_row[:, :, None], zcol[ptp[has]], -ubar[pt[has], None, None]),
-        (o_row, wcol[has], one)]
+        (tt_row[with_w], wcol[with_w], -one),
+        (tt_row[subst][:, None], zp[subst], -g[subst]),
+        (w_row[with_w][:, None], zp[with_w], -g[with_w]),
+        (w_row[with_w], wcol[with_w], one),
+        (w_row[with_o][:, None] + 1, zp[with_o], -u[with_o][:, None]),
+        (w_row[with_o] + 1, wcol[with_o], one)]
     row, col, val = (np.concatenate(parts) for parts in zip(*(
         [a.ravel() for a in np.broadcast_arrays(*f)] for f in families)))
 
@@ -197,7 +220,7 @@ def _drm_lp(idx: JointVariableIndex, tables, keep=None) -> LinearProgram:
     relations[:n_t] = EQUAL
     rhs = np.zeros(len(relations), dtype)
     rhs[:n_t] = 1
-    obj = np.concatenate((objective.ravel(), np.zeros(wcol.size, dtype)))
+    obj = np.concatenate((objective.ravel(), np.zeros(with_w.sum(), dtype)))
     return LinearProgram.from_coo(obj, row, col, val, relations, rhs)
 
 
@@ -301,7 +324,7 @@ def solve_drm(inst: Instance, mode: str = "exact"):
     idx = JointVariableIndex(inst.space)
     tables = _drm_tables(inst.space, inst.costs, inst.agent, inst.designer,
                          inst.outside_option)
-    _, _, pt, ptp = idx.blocks()
+    _, pt, ptp = idx.blocks()
     keep = abs(pt - ptp) == 1
     _, _, gain, ubar = tables
     if mode == "exact":  # floats as their exact binary Fractions

@@ -360,6 +360,13 @@ def validate(space: FiniteTypeSpace, costs: CostModel,
     return problems
 
 
+def _outside_unit(v) -> bool:
+    """v lies outside [0, 1]: by more than ``_NORM_TOL`` for a float
+    (solver round-off), by anything for an exact number."""
+    tol = _NORM_TOL if isinstance(v, float) else 0
+    return v < -tol or v > 1 + tol
+
+
 def validate_mechanism(space: FiniteTypeSpace,
                        mech: FiniteMechanism) -> list[str]:
     problems: list[str] = []
@@ -370,7 +377,7 @@ def validate_mechanism(space: FiniteTypeSpace,
                 f"recommendation for {t} sums to {float(total)}")
         for a in space.scores:
             r = mech.rho(a, t)
-            if r < 0 or r > 1:
+            if _outside_unit(r):
                 problems.append(f"rho({a}|{t}) = {r} outside [0, 1]")
             if on_support(r):
                 if not mech.has_decision(a, t):
@@ -382,7 +389,7 @@ def validate_mechanism(space: FiniteTypeSpace,
                     problems.append(
                         f"q(.|{a},{t}) sums to {float(qsum)}")
         for (x, a, tt), v in mech.decision.items():
-            if tt == t and (v < 0 or v > 1):
+            if tt == t and _outside_unit(v):
                 problems.append(f"q({x}|{a},{t}) = {v} outside [0, 1]")
     return problems
 

@@ -189,14 +189,43 @@ def test_single_type_no_binding_constraints():
 # the array builder against the constraint families written out row by row
 # ---------------------------------------------------------------------------
 
-def _reference_lp(inst):
+def _cell_class(inst, t, tp, a, presolve):
+    """How the DRM LP treats deviation pair (t, tp) at score a: "dead"
+    (gain <= 0 and outside(t) <= 0: w = 0, dropped), "substituted" (else
+    when also gain >= tp's participation coefficient everywhere: w is the
+    gain term itself) or "kept".  Only float LPs (``presolve``) drop or
+    substitute; exact LPs keep every cell."""
+    space, costs, agent = inst.space, inst.costs, inst.agent
+    ubar = inst.outside_option.get(t, 0)
+    gains = [agent.v(x, t) - costs.cost(a, t) for x in space.outcomes]
+    gate = costs.cost(a, tp) + inst.outside_option.get(tp, 0)
+    parts = [agent.v(x, tp) - gate for x in space.outcomes]
+    if not presolve or ubar > 0:
+        return "kept"
+    if all(g <= 0 for g in gains):
+        return "dead"
+    if all(g >= p for g, p in zip(gains, parts)):
+        return "substituted"
+    return "kept"
+
+
+def _reference_lp(inst, presolve=False):
     """Objective and rows of the DRM LP from a plain loop over the three
-    constraint families of the finite module docstring (zeros dropped)."""
+    constraint families of the finite module docstring (zeros dropped),
+    with the float LP's cell classes when ``presolve``."""
     space, costs, agent, designer = (inst.space, inst.costs, inst.agent,
                                      inst.designer)
     idx = JointVariableIndex(space)
     ubar = {t: inst.outside_option.get(t, 0) for t in space.types}
-    objective = [0] * idx.n_vars
+    cls = {(t, tp, a): _cell_class(inst, t, tp, a, presolve)
+           for t, tp in idx.pairs for a in space.scores}
+    w = {}  # kept cells' w columns, in order after the z block
+    for cell, c in cls.items():
+        if c == "kept":
+            w[cell] = idx.n_z + len(w)
+    assert presolve or all(j == idx.w(a, t, tp)
+                           for (t, tp, a), j in w.items())
+    objective = [0] * (idx.n_z + len(w))
     rows = []
     for t in space.types:
         for a in space.scores:
@@ -215,18 +244,25 @@ def _reference_lp(inst):
     for t, tp in idx.pairs:
         row = {}
         for a in space.scores:
+            c = costs.cost(a, t)
             for x in space.outcomes:
-                row[idx.z(x, a, t)] = agent.v(x, t) - costs.cost(a, t)
-            row[idx.w(a, t, tp)] = -1
+                row[idx.z(x, a, t)] = agent.v(x, t) - c
+            if cls[t, tp, a] == "kept":
+                row[w[t, tp, a]] = -1
+            elif cls[t, tp, a] == "substituted":
+                for x in space.outcomes:
+                    row[idx.z(x, a, tp)] = -(agent.v(x, t) - c)
         rows.append((row, ">=", 0))
         for a in space.scores:
+            if cls[t, tp, a] != "kept":
+                continue
             c = costs.cost(a, t)
-            row = {idx.w(a, t, tp): 1}
+            row = {w[t, tp, a]: 1}
             for x in space.outcomes:
                 row[idx.z(x, a, tp)] = -(agent.v(x, t) - c)
             rows.append((row, ">=", 0))
             if ubar[t] != 0:
-                row = {idx.w(a, t, tp): 1}
+                row = {w[t, tp, a]: 1}
                 for x in space.outcomes:
                     row[idx.z(x, a, tp)] = -ubar[t]
                 rows.append((row, ">=", 0))
@@ -234,19 +270,28 @@ def _reference_lp(inst):
                        for row, rel, rhs in rows]
 
 
-def _to_fractions(inst):
+def _to_fractions(inst, number=F):
+    """The same instance with every number converted by ``number``:
+    exact Fractions by default."""
     def conv(table):
-        return {k: F(v) for k, v in table.items()}
+        return {k: number(v) for k, v in table.items()}
 
     s = inst.space
+    lam = inst.designer.loss_coefficient
     space = FiniteTypeSpace(types=s.types, scores=s.scores,
                             outcomes=s.outcomes, prior=conv(s.prior))
     return Instance(space=space, costs=CostModel.tabulated(
                         conv(inst.costs.table)),
                     agent=AgentPayoff(conv(inst.agent.value)),
                     designer=DesignerPayoff(
-                        conv(inst.designer.decision_value)),
+                        conv(inst.designer.decision_value),
+                        None if lam is None else number(lam)),
                     outside_option=conv(inst.outside_option))
+
+
+def _with_outside(inst, outside):
+    return Instance(space=inst.space, costs=inst.costs, agent=inst.agent,
+                    designer=inst.designer, outside_option=outside)
 
 
 def _builder_instances():
@@ -261,6 +306,11 @@ def _builder_instances():
     d4_out = Instance(space=d4.space, costs=d4.costs, agent=d4.agent,
                       designer=d4.designer,
                       outside_option={d4.space.types[1]: 0.1})
+    # a negative outside option keeps the substitution, a positive one not
+    t0, _, t2, t3 = d4.space.types
+    d4_mixed = Instance(space=d4.space, costs=d4.costs, agent=d4.agent,
+                        designer=d4.designer,
+                        outside_option={t0: -0.3, t2: 0.1, t3: -0.1})
     return {
         "college1": college_instance(internalize_costs=False),
         "college2": c2,
@@ -271,6 +321,8 @@ def _builder_instances():
         "n4-float": d4, "n4-fraction": _to_fractions(d4),
         "n4-float-outside": d4_out,
         "n4-fraction-outside": _to_fractions(d4_out),
+        "n4-float-mixed-outside": d4_mixed,
+        "n4-fraction-mixed-outside": _to_fractions(d4_mixed),
     }
 
 
@@ -279,10 +331,11 @@ def test_array_builder_matches_row_by_row_families(name):
     inst = _builder_instances()[name]
     lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer,
                       inst.outside_option)
-    objective, rows = _reference_lp(inst)
+    exact = "float" not in name
+    objective, rows = _reference_lp(inst, presolve=not exact)
     built = lp.constraints
     assert len(built) == len(rows) == lp.n_rows
-    exact = "float" not in name
+    assert len(objective) == lp.n_vars
 
     def same(got, want):
         # exact instances keep the caller's number types (Fractions stay
@@ -302,8 +355,95 @@ def test_array_builder_matches_row_by_row_families(name):
         bare = build_drm_lp(inst.space, inst.costs, inst.agent,
                             inst.designer)
         n_out = sum(u != 0 for u in inst.outside_option.values())
-        assert lp.n_rows - bare.n_rows == (
-            n_out * (len(inst.space.types) - 1) * len(inst.space.scores))
+        if exact:
+            assert lp.n_rows - bare.n_rows == (n_out * (
+                len(inst.space.types) - 1) * len(inst.space.scores))
+        else:  # one per kept cell; the option also moves cells' classes
+            bare_inst = _with_outside(inst, {})
+            assert lp.n_rows - bare.n_rows == len(rows) - len(
+                _reference_lp(bare_inst, presolve=True)[1])
+
+
+# ---------------------------------------------------------------------------
+# the float LP's cell classes: the same optimum as the exact full LP
+# ---------------------------------------------------------------------------
+
+def _equivalence_instances():
+    """The float builder instances and a seeded random set with outside
+    options of both signs, all data in floats."""
+    cases = {name: inst for name, inst in _builder_instances().items()
+             if "float" in name}
+    rng = random.Random(140101)
+    for i in range(30):
+        inst = random_instance(rng, max_types=5, n_scores=3)
+        cases[f"random{i}"] = _to_fractions(_with_outside(inst, {
+            t: random_rational(rng, -1, 1, 8) for t in inst.space.types}),
+            number=float)
+    return cases
+
+
+def _check_float_optimum(inst, exact_value):
+    """The float LP and float solve_drm reach the exact optimum within
+    1e-9, certified, with mechanisms that pass the audit."""
+    lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer,
+                      inst.outside_option)
+    sol = solve_lp(lp, mode="float")
+    drm, mech = solve_drm(inst, mode="float")
+    for s, m in ((sol, extract_mechanism(inst.space, sol)), (drm, mech)):
+        assert s.certified and abs(s.value - exact_value) <= 1e-9
+        assert audit_ic(inst.space, inst.costs, inst.agent, m,
+                        outside_option=inst.outside_option).passes
+
+
+@pytest.mark.parametrize("name", sorted(_equivalence_instances()))
+def test_float_lp_matches_the_exact_optimum(name):
+    inst = _equivalence_instances()[name]
+    exact, _ = solve_drm(_to_fractions(inst), mode="exact")
+    _check_float_optimum(inst, exact.value)
+
+
+@pytest.mark.parametrize("cost,value", [
+    ("linear", F(4545, 65536)),
+    ("quadratic", F(176193, 2097152)),
+])
+def test_float_lp_matches_the_exact_optimum_at_n16(cost, value):
+    """The exact optimum of the Fraction-converted instance, from exact
+    solve_drm with every cell kept, pinned: that solve takes about 5 s
+    (quadratic) and 10 min (linear)."""
+    from scoremech.continuous import Uniform, discretize
+
+    _check_float_optimum(discretize(
+        Uniform(-2.0, 1.0), CostModel(cost, gamma=4.0, domain=(-2.0, 1.0)),
+        16), value)
+
+
+@pytest.mark.parametrize("cost,counts,both", [
+    ("linear", {"dead": 0, "substituted": 2096, "kept": 1984}, 0),
+    ("quadratic", {"dead": 525, "substituted": 2046, "kept": 1509}, 50),
+])
+def test_float_lp_cell_classes_at_n16(cost, counts, both):
+    """Counts per class; ``both`` cells are dead and substitutable, and
+    count as dead.  Each kept cell has one w column and one w row."""
+    from scoremech.continuous import Uniform, discretize
+
+    inst = discretize(Uniform(-2.0, 1.0),
+                      CostModel(cost, gamma=4.0, domain=(-2.0, 1.0)), 16)
+    space, idx = inst.space, JointVariableIndex(inst.space)
+    cells = [(t, tp, a) for t, tp in idx.pairs for a in space.scores]
+    classes = [_cell_class(inst, *cell, presolve=True) for cell in cells]
+    assert {c: classes.count(c) for c in counts} == counts
+
+    def substitutable(t, tp, a):  # no outside options here
+        v, c = inst.agent.v, inst.costs.cost
+        return all(v(x, t) - c(a, t) >= v(x, tp) - c(a, tp)
+                   for x in space.outcomes)
+
+    assert sum(c == "dead" and substitutable(*cell)
+               for c, cell in zip(classes, cells)) == both
+    lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
+    assert lp.n_vars == idx.n_z + counts["kept"]
+    assert lp.n_rows == (len(space.types) * (1 + len(space.scores))
+                         + len(idx.pairs) + counts["kept"])
 
 
 # ---------------------------------------------------------------------------
@@ -859,15 +999,18 @@ def _row_generation(monkeypatch, inst, mode):
     return sol, masks
 
 
-def _padded_dual(inst, keep, dual):
+def _padded_dual(inst, keep, dual, presolve=False):
     """The restricted LP's multipliers in the full LP's row order, with
-    zeros on the omitted pairs' truth-telling, w and outside rows."""
+    zeros on the omitted pairs' truth-telling, w and outside rows (a float
+    LP, ``presolve``, has w and outside rows for its kept cells only)."""
     space = inst.space
     n_a = len(space.scores)
     head = len(space.types) * (1 + n_a)
     y, rest = list(dual[:head]), iter(dual[head:])
-    for (t, _), kept in zip(JointVariableIndex(space).pairs, keep):
-        size = 1 + n_a * (2 if inst.outside_option.get(t, 0) != 0 else 1)
+    for (t, tp), kept in zip(JointVariableIndex(space).pairs, keep):
+        cells = sum(_cell_class(inst, t, tp, a, presolve) == "kept"
+                    for a in space.scores)
+        size = 1 + cells * (2 if inst.outside_option.get(t, 0) != 0 else 1)
         y += [next(rest) for _ in range(size)] if kept else [0] * size
     assert next(rest, None) is None
     return y
@@ -913,11 +1056,6 @@ def _check_row_generation(monkeypatch, inst):
     assert (np.where(full.relations == "=", lhs == full.rhs,
                      lhs >= full.rhs)).all()
     assert (full.objective * x).sum() == sol.value
-
-
-def _with_outside(inst, outside):
-    return Instance(space=inst.space, costs=inst.costs, agent=inst.agent,
-                    designer=inst.designer, outside_option=outside)
 
 
 @pytest.mark.parametrize("name", ["college1", "college2", "outside+1/2 on T2",
@@ -1004,8 +1142,8 @@ def test_float_row_generation_matches_the_full_lp(monkeypatch, cost):
     full = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
     assert sol.certified
     assert abs(sol.value - solve_lp(full, mode="float").value) <= 1e-9
-    bound = dual_bound(full, _padded_dual(inst, masks[-1], sol.dual),
-                       tol=1e-7)
+    bound = dual_bound(full, _padded_dual(inst, masks[-1], sol.dual,
+                                          presolve=True), tol=1e-7)
     assert abs(bound - sol.value) <= 1e-8
 
 

@@ -225,6 +225,27 @@ def test_validate_mechanism_support_rule(college2, menu_mechanism, tiny,
                               FiniteMechanism(dec, rec)) == expected
 
 
+@pytest.mark.parametrize("eps,flagged", [(2.0**-52, False), (1e-9, True),
+                                         (F(1, 10**13), True)])
+def test_validate_mechanism_unit_range(college2, menu_mechanism, eps,
+                                       flagged):
+    """A float rho or q may leave [0, 1] by solver round-off (up to the
+    normalization tolerance); an exact one may not leave it at all."""
+    from scoremech.model import FiniteMechanism
+    t3 = AgentType("NF", "sH")
+    one = 1.0 if isinstance(eps, float) else F(1)
+    rec = dict(menu_mechanism.recommendation)
+    rec[("sL", t3)], rec[("sH", t3)] = -eps, one + eps
+    dec = dict(menu_mechanism.decision)
+    dec[("admit", "sH", t3)], dec[("reject", "sH", t3)] = one + eps, -eps
+    expected = [f"rho(sL|{t3}) = {-eps} outside [0, 1]",
+                f"rho(sH|{t3}) = {one + eps} outside [0, 1]",
+                f"q(admit|sH,{t3}) = {one + eps} outside [0, 1]",
+                f"q(reject|sH,{t3}) = {-eps} outside [0, 1]"]
+    assert sorted(validate_mechanism(college2.space, FiniteMechanism(
+        dec, rec))) == (sorted(expected) if flagged else [])
+
+
 def test_validate_mechanism_flags_bad_rows(college2, menu_mechanism):
     assert validate_mechanism(college2.space, menu_mechanism) == []
     t1 = AgentType("F", "sL")
