@@ -28,6 +28,9 @@ from .model import (
     ModelError,
     ScoreBasedRule,
     on_support,
+    require_valid,
+    validate,
+    validate_mechanism,
 )
 from .finite import evaluate_mechanism
 
@@ -185,7 +188,10 @@ def audit_ic(space: FiniteTypeSpace, costs: CostModel, agent: AgentPayoff,
              mech: FiniteMechanism,
              outside_option: Mapping | None = None,
              tolerance: float = 1e-9) -> AuditReport:
-    """Certify truth-telling and ex-post participation of a mechanism."""
+    """Certify truth-telling and ex-post participation of a mechanism;
+    raises ModelError if the space, costs, agent or mechanism is invalid."""
+    require_valid("instance", validate(space, costs, None, agent))
+    require_valid("mechanism", validate_mechanism(space, mech))
     outside = outside_option or {}
     max_tt = 0
     max_pc = 0

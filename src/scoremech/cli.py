@@ -14,10 +14,11 @@ The instance config schema is documented at
 as "0.5" is read as a float (earlier versions rejected it), and "p/q" and
 integer strings stay exact.
 
-A run config passed via ``--config`` is a JSON object whose keys mirror
-the command's flags (``dist``, ``cost``, ``gamma``, ``mode``, ``tol``,
-``out``, ``instance``, ``mechanism``, ...); explicit flags win.  Each
-value goes through its flag's ``type=`` and ``choices=``, as its text.
+A run config passed via ``--config`` is a JSON object whose keys are the
+command's own flags (``--help`` lists them); explicit flags win and other
+keys are errors: ``mode`` only for ``example`` and ``solve-finite``, ``tol``
+only for ``solve-finite``, ``audit`` and ``canonicalize``.  Each value goes
+through its flag's ``type=`` and ``choices=``, as its text.
 """
 
 from __future__ import annotations
@@ -79,16 +80,6 @@ def _read(reader, path: str, what: str):
         return reader(path)
     except (OSError, KeyError, ValueError) as exc:
         raise CliError(f"cannot read {what} {path}: {exc}", EXIT_CONFIG)
-
-
-def _load_instance(path: str) -> model.Instance:
-    inst = _read(model.load_instance, path, "instance config")
-    problems = model.validate(inst.space, inst.costs, inst.designer,
-                              inst.agent)
-    if problems:
-        raise CliError("invalid instance: " + "; ".join(problems),
-                       EXIT_CONFIG)
-    return inst
 
 
 # parametric --dist kinds: constructor, least and most number of fields
@@ -206,13 +197,9 @@ def cmd_solve_continuous(args) -> int:
 
 def cmd_audit(args) -> int:
     _require(args, "instance", "mechanism")
-    inst = _load_instance(args.instance)
+    inst = _read(model.load_instance, args.instance, "instance config")
     mech = _read(finite.read_mechanism_table, args.mechanism,
                  "mechanism table")
-    problems = model.validate_mechanism(inst.space, mech)
-    if problems:
-        raise CliError("invalid mechanism: " + "; ".join(problems),
-                       EXIT_CONFIG)
     report = audit_mod.audit_ic(inst.space, inst.costs, inst.agent, mech,
                                 inst.outside_option, tolerance=args.tol)
     out = _out_dir(args)
@@ -225,11 +212,12 @@ def cmd_audit(args) -> int:
 
 def cmd_canonicalize(args) -> int:
     _require(args, "op", "instance")
-    inst = _load_instance(args.instance)
-    out = _out_dir(args)
+    inst = _read(model.load_instance, args.instance, "instance config")
     if args.op == "derandomize":
         if not args.mixture:
             raise CliError("--op derandomize needs --mixture", EXIT_CONFIG)
+        model.require_valid("instance", model.validate(
+            inst.space, inst.costs, inst.designer, inst.agent))
         mech = finite.derandomize_decision_rules(_read(
             finite.read_mixture_table, args.mixture, "mixture table"))
     else:
@@ -241,16 +229,15 @@ def cmd_canonicalize(args) -> int:
             rule, falsification = finite.reduce_to_score_based(
                 inst.space, inst.costs, inst.agent, inst.designer, mech,
                 tol=args.tol)
+            out = _out_dir(args)
             finite.write_score_rule_table(inst.space, rule,
                                           out / "scorerule.tsv")
             finite.write_falsification_table(inst.space, falsification,
                                              out / "falsification.tsv")
             print("wrote scorerule.tsv, falsification.tsv")
             return EXIT_OK
-        if args.op != "rebalance":
-            raise CliError(f"unknown canonicalize op {args.op!r}",
-                           EXIT_CONFIG)
         mech = finite.rebalance_mechanism(inst, mech)
+    out = _out_dir(args)
     finite.write_mechanism_table(inst.space, mech, out / "mechanism.tsv")
     print("wrote mechanism.tsv")
     return EXIT_OK
@@ -269,19 +256,22 @@ def build_parser() -> argparse.ArgumentParser:
                                          "flags; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    flags = {"mode": dict(choices=("exact", "float"), default="exact"),
+             "tol": dict(type=float, default=1e-9)}
+
+    def common(p, *names):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--mode", choices=("exact", "float"), default="exact")
-        p.add_argument("--tol", type=float, default=1e-9)
+        for name in names:
+            p.add_argument("--" + name, **flags[name])
 
     p = sub.add_parser("example", help="run a built-in instance")
     p.add_argument("name", nargs="?", default="college")
-    common(p)
+    common(p, "mode")
     p.set_defaults(func=cmd_example, out=None)
 
     p = sub.add_parser("solve-finite", help="solve a finite instance by LP")
     p.add_argument("--instance")
-    common(p)
+    common(p, "mode", "tol")
     p.set_defaults(func=cmd_solve_finite)
 
     p = sub.add_parser("solve-continuous",
@@ -301,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="audit a mechanism table")
     p.add_argument("--instance")
     p.add_argument("--mechanism")
-    common(p)
+    common(p, "tol")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("canonicalize",
@@ -311,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance")
     p.add_argument("--mechanism")
     p.add_argument("--mixture")
-    common(p)
+    common(p, "tol")
     p.set_defaults(func=cmd_canonicalize)
     return parser
 

@@ -49,6 +49,7 @@ from .lpcore import (EQUAL, GREATER, LinearProgram, LpSolution, entry_dtype,
                      solve_lp)
 from .model import (
     SUPPORT_TOL,
+    _NORM_TOL,
     AgentPayoff,
     AgentType,
     CostModel,
@@ -61,6 +62,7 @@ from .model import (
     format_number,
     on_support,
     parse_number,
+    require_valid,
     validate,
 )
 
@@ -234,16 +236,16 @@ def extract_mechanism(space: FiniteTypeSpace,
     decision = {}
     recommendation = {}
     for t in space.types:
-        total = 0
-        for a in space.scores:
-            r = sum(z[idx.z(x, a, t)] for x in space.outcomes)
-            recommendation[(a, t)] = r
-            total += r
-            if on_support(r):
-                for x in space.outcomes:
-                    decision[(x, a, t)] = z[idx.z(x, a, t)] / r
+        mass = {a: sum(z[idx.z(x, a, t)] for x in space.outcomes)
+                for a in space.scores}
+        total = sum(mass.values())  # exactly 1 but for float round-off
         if not on_support(total):
             raise ModelError(f"degenerate all-zero joint row for {t}")
+        for a, m in mass.items():
+            recommendation[(a, t)] = r = m / total
+            if on_support(r):
+                for x in space.outcomes:
+                    decision[(x, a, t)] = z[idx.z(x, a, t)] / m
     return FiniteMechanism(decision=decision, recommendation=recommendation)
 
 
@@ -318,9 +320,8 @@ def solve_drm(inst: Instance, mode: str = "exact"):
     ModelError for an invalid instance, and SolveError, carrying the LP
     status, when the LP has no certified optimum.
     """
-    problems = validate(inst.space, inst.costs, inst.designer, inst.agent)
-    if problems:
-        raise ModelError("invalid instance: " + "; ".join(problems))
+    require_valid("instance", validate(inst.space, inst.costs,
+                                       inst.designer, inst.agent))
     idx = JointVariableIndex(inst.space)
     tables = _drm_tables(inst.space, inst.costs, inst.agent, inst.designer,
                          inst.outside_option)
@@ -384,7 +385,7 @@ def derandomize_decision_rules(
     for t, mixture in randomized.items():
         t = AgentType(*t)
         total = sum(w for w, _, _ in mixture)
-        if abs(float(total) - 1.0) > 1e-12:
+        if abs(float(total) - 1.0) > _NORM_TOL:
             raise ModelError(f"mixture for {t} has total mass {total}")
         by_score: dict[str, list[tuple]] = {}
         for w, rule, a in mixture:
@@ -506,6 +507,7 @@ def reduce_to_score_based(space: FiniteTypeSpace, costs: CostModel,
     row (all mass on the agent-worst outcome), which preserves incentive
     compatibility.  Returns (rule, {type: submitted score}).
     """
+    require_valid("instance", validate(space, costs, designer, agent))
     null_outcome, top_outcome = _binary_outcomes(space, agent,
                                                  "score-based reduction")
     assignment: dict[AgentType, str] = {}
@@ -564,7 +566,7 @@ def monotone_rebalance(scores: Sequence[float], rho: Sequence,
         raise ModelError("scores must be strictly increasing")
     if any(r <= 0 for r in rho):
         raise ModelError("support weights must be positive")
-    if abs(float(sum(rho)) - 1.0) > 1e-12:
+    if abs(float(sum(rho)) - 1.0) > _NORM_TOL:
         raise ModelError("support weights must sum to 1")
     if any(cost[i] > cost[i + 1] for i in range(n - 1)):
         raise ModelError("costs must be nondecreasing in score")
@@ -602,6 +604,8 @@ def rebalance_mechanism(inst: Instance,
     prior-preferred outcome of the agent payoff.
     """
     space = inst.space
+    require_valid("instance", validate(space, inst.costs, inst.designer,
+                                       inst.agent))
     x0, x1 = _binary_outcomes(space, inst.agent, "rebalance")
     decision = dict(mech.decision)
     for t in space.types:

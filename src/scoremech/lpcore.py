@@ -268,10 +268,11 @@ def _solve_float(lp: LinearProgram, iteration_cap: int) -> LpSolution:
     dual[eq], dual[ub] = res.eqlin.marginals, res.ineqlin.marginals
     dual *= -sign
     # Clean round-off that would wreck the sign conditions.
+    x = np.maximum(res.x, 0.0)
     dual[(rel == LESS) & (-1e-7 < dual) & (dual < 0)] = 0.0
     dual[(rel == GREATER) & (0 < dual) & (dual < 1e-7)] = 0.0
     return LpSolution(status="optimal", value=-float(res.fun),
-                      assignment=res.x.tolist(), dual=dual.tolist(),
+                      assignment=x.tolist(), dual=dual.tolist(),
                       solver_code=res.status, iterations=res.nit)
 
 

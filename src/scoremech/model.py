@@ -287,10 +287,17 @@ class Instance:
 # validation
 # ---------------------------------------------------------------------------
 
+def require_valid(what: str, problems: list[str]) -> None:
+    """Raise ``ModelError("invalid <what>: p1; p2")`` if there are problems."""
+    if problems:
+        raise ModelError(f"invalid {what}: " + "; ".join(problems))
+
+
 def validate(space: FiniteTypeSpace, costs: CostModel,
-             payoff: DesignerPayoff,
+             payoff: DesignerPayoff | None,
              agent: AgentPayoff | None = None) -> list[str]:
-    """Check every type invariant; returns a list of violations (empty = valid)."""
+    """Check every type invariant; returns a list of violations (empty =
+    valid).  A payoff passed as None is not checked."""
     problems: list[str] = []
 
     if len(set(space.types)) != len(space.types):
@@ -344,12 +351,13 @@ def validate(space: FiniteTypeSpace, costs: CostModel,
                 problems.append(
                     f"domain [{s_min}, {s_max}] must straddle 0")
 
-    for t in space.types:
-        for x in space.outcomes:
-            if (x, t) not in payoff.decision_value:
-                problems.append(f"missing decision value ({x}, {t})")
-    if payoff.loss_coefficient is not None and payoff.loss_coefficient < 0:
-        problems.append("loss coefficient must be nonnegative")
+    if payoff is not None:
+        for t in space.types:
+            for x in space.outcomes:
+                if (x, t) not in payoff.decision_value:
+                    problems.append(f"missing decision value ({x}, {t})")
+        if (payoff.loss_coefficient or 0) < 0:  # None: not internalized
+            problems.append("loss coefficient must be nonnegative")
 
     if agent is not None:
         for t in space.types:

@@ -422,7 +422,9 @@ def test_distribution_spec_with_wrong_field_count_exits_2(capsys, tmp_path,
 @pytest.mark.parametrize("command", [
     ["solve-finite"],
     ["audit", "--mechanism", "menu.tsv"],
-    ["canonicalize", "--op", "rebalance", "--mechanism", "menu.tsv"]])
+    ["canonicalize", "--op", "rebalance", "--mechanism", "menu.tsv"],
+    ["canonicalize", "--op", "score-based", "--mechanism", "menu.tsv"],
+    ["canonicalize", "--op", "derandomize", "--mixture", "mix.tsv"]])
 def test_unnormalized_prior_exits_2(capsys, tmp_path, monkeypatch, command):
     inst = college_instance(internalize_costs=True)
     cfg = tmp_path / "college.json"
@@ -433,12 +435,36 @@ def test_unnormalized_prior_exits_2(capsys, tmp_path, monkeypatch, command):
     from scoremech.model import college_menu_mechanism
     write_mechanism_table(inst.space, college_menu_mechanism(),
                           tmp_path / "menu.tsv")
+    rule = ScoreBasedRule(decision={("admit", "sL"): F(1),
+                                    ("reject", "sL"): F(0)})
+    write_mixture_table({AgentType("F", "sL"): [(F(1), rule, "sL")]},
+                        tmp_path / "mix.tsv")
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, *command, "--instance", str(cfg),
                            "--out", "o")
     assert code == 2
     assert err == ("error: invalid instance: prior not normalized "
                    "(sums to 0.75)\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["example"], "--tol"),
+    (["solve-continuous", "--dist", "uniform:-2,1", "--cost", "linear",
+      "--gamma", "4"], "--mode"),
+    (["solve-continuous", "--dist", "uniform:-2,1", "--cost", "linear",
+      "--gamma", "4"], "--tol"),
+    (["audit", "--instance", "i.json", "--mechanism", "m.tsv"], "--mode"),
+    (["canonicalize", "--op", "rebalance", "--instance", "i.json",
+      "--mechanism", "m.tsv"], "--mode"),
+], ids=["example-tol", "solve-continuous-mode", "solve-continuous-tol",
+        "audit-mode", "canonicalize-mode"])
+def test_unread_flags_are_rejected(capsys, command, flag):
+    value = "1e-6" if flag == "--tol" else "float"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_invalid_distribution_exits_2(capsys, tmp_path):
@@ -552,7 +578,7 @@ def test_config_values_are_read_like_flags(capsys, tmp_path, config):
     ({"samples": True}, "config 'samples': invalid int value: 'True'"),
     ({"gamma": "four"}, "config 'gamma': invalid float value: 'four'"),
     ({"cost": "cubic"}, "config 'cost': invalid choice: 'cubic' "),
-    ({"mode": "fast"}, "config 'mode': invalid choice: 'fast' "),
+    ({"mode": "fast"}, "unknown config key 'mode'"),
     ({"out": None}, "config 'out': bad value None"),
     ({"dist": ["uniform", -2, 1]}, "config 'dist': bad value ['uniform', "
                                    "-2, 1]"),

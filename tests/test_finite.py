@@ -36,6 +36,7 @@ from scoremech.model import (
     Instance,
     ModelError,
     ScoreBasedRule,
+    validate_mechanism,
 )
 from scoremech.audit import audit_ic, best_response_score_rule
 
@@ -959,6 +960,50 @@ def test_solve_drm_validates_the_instance(college2):
                        match=r"invalid instance: missing agent value "
                              r"\(admit, NF:sH\)"):
         solve_drm(broken)
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst, mech: audit_ic(inst.space, inst.costs, inst.agent, mech),
+    lambda inst, mech: reduce_to_score_based(
+        inst.space, inst.costs, inst.agent, inst.designer, mech),
+    lambda inst, mech: rebalance_mechanism(inst, mech),
+], ids=["audit_ic", "reduce_to_score_based", "rebalance_mechanism"])
+def test_library_entry_points_validate_the_instance(college2,
+                                                    menu_mechanism, call):
+    agent = dict(college2.agent.value)
+    del agent[("admit", T3)]
+    broken = Instance(college2.space, college2.costs, AgentPayoff(agent),
+                      college2.designer)
+    with pytest.raises(ModelError,
+                       match=r"invalid instance: missing agent value "
+                             r"\(admit, NF:sH\)"):
+        call(broken, menu_mechanism)
+
+
+def test_audit_ic_validates_the_mechanism(college2, menu_mechanism):
+    half = FiniteMechanism(decision=menu_mechanism.decision,
+                           recommendation={**menu_mechanism.recommendation,
+                                           ("sH", T3): F(1, 2)})
+    with pytest.raises(ModelError, match=r"invalid mechanism: recommendation "
+                                         r"for NF:sH sums to 0\.5"):
+        audit_ic(college2.space, college2.costs, college2.agent, half)
+
+
+def test_float_extraction_drops_solver_round_off():
+    """HiGHS leaves z slightly below 0 on this LP (perfbench finite_float
+    seed 4); the extracted mechanism stays inside [0, 1] and normalized."""
+    from scoremech.continuous import Uniform, discretize
+    dist = Uniform(-1.974604879517374, 1.0231894708878717)
+    inst = discretize(dist, CostModel.quadratic(
+        3.2127890147948084, (dist.s_min, dist.s_max)), 24)
+    lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
+    sol = solve_lp(lp, "float")
+    mech = extract_mechanism(inst.space, sol)
+    assert validate_mechanism(inst.space, mech) == []
+    assert audit_ic(inst.space, inst.costs, inst.agent, mech).passes
+    value, _, _ = evaluate_mechanism(inst.space, inst.costs, inst.agent,
+                                     inst.designer, mech)
+    assert abs(value - sol.value) <= 1e-9
 
 
 def test_solve_drm_reports_an_infeasible_lp(college2):
