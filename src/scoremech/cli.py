@@ -220,6 +220,8 @@ def cmd_canonicalize(args) -> int:
             inst.space, inst.costs, inst.designer, inst.agent))
         mech = finite.derandomize_decision_rules(_read(
             finite.read_mixture_table, args.mixture, "mixture table"))
+        model.require_valid("mechanism",
+                            model.validate_mechanism(inst.space, mech))
     else:
         if not args.mechanism:
             raise CliError(f"--op {args.op} needs --mechanism", EXIT_CONFIG)

@@ -32,9 +32,10 @@ Only a few deviation pairs (t, t') bind at an optimum, so ``solve_drm``
 never builds all of them: it solves a restricted LP holding the pairs
 found violated so far (truth-telling row generation).  Every omitted row
 has rhs 0 and every omitted w column has cost 0, so the restricted LP's
-dual certificate, padded with zeros, certifies the full LP too.  Only
-the z block of its solution (first, in the full LP's order) is meaningful
-to callers; ``build_drm_lp`` builds the full LP.
+dual certificate, padded with zeros, certifies the full LP too;
+``build_drm_lp`` builds the full LP.  In every DRM LP, z is the first
+n_t * n_a * n_x columns in (type, score, outcome) order, and only that
+block of a solution is meaningful to callers.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .model import (
 )
 
 __all__ = [
-    "JointVariableIndex",
     "build_drm_lp",
     "extract_mechanism",
     "evaluate_mechanism",
@@ -97,42 +97,6 @@ class SolveError(ModelError):
         self.status = status
 
 
-class JointVariableIndex:
-    """Bijection between the exact LP's columns and the z / w blocks;
-    the z block comes first in every DRM LP, float or restricted."""
-
-    def __init__(self, space: FiniteTypeSpace):
-        self.space = space
-        self._ti = {t: i for i, t in enumerate(space.types)}
-        self._ai = {a: i for i, a in enumerate(space.scores)}
-        self._xi = {x: i for i, x in enumerate(space.outcomes)}
-        self.pairs = [(t, tp) for t in space.types
-                      for tp in space.types if tp != t]
-        self._pi = {p: i for i, p in enumerate(self.pairs)}
-        self.n_z = len(space.types) * len(space.scores) * len(space.outcomes)
-        self.n_vars = self.n_z + len(self.pairs) * len(space.scores)
-
-    def z(self, x: str, a: str, t: AgentType) -> int:
-        s = self.space
-        return ((self._ti[t] * len(s.scores) + self._ai[a])
-                * len(s.outcomes) + self._xi[x])
-
-    def w(self, a: str, t: AgentType, tp: AgentType) -> int:
-        return (self.n_z + self._pi[(t, tp)] * len(self.space.scores)
-                + self._ai[a])
-
-    def blocks(self, keep=None):
-        """Column array z[t, a, x], then the positions of each pair's t
-        and t' (np.nonzero is row-major, like ``pairs``); ``keep``, a
-        boolean mask over ``pairs``, drops the other pairs."""
-        n_t = len(self.space.types)
-        z = np.arange(self.n_z).reshape(n_t, len(self.space.scores), -1)
-        pt, ptp = np.nonzero(~np.eye(n_t, dtype=bool))
-        if keep is not None:
-            pt, ptp = pt[keep], ptp[keep]
-        return z, pt, ptp
-
-
 def build_drm_lp(space: FiniteTypeSpace, costs: CostModel,
                  agent: AgentPayoff, designer: DesignerPayoff,
                  outside_option: Mapping[AgentType, object] | None = None
@@ -146,9 +110,7 @@ def build_drm_lp(space: FiniteTypeSpace, costs: CostModel,
     computed per (t, a, x) in the caller's numbers (Fractions stay exact)
     and gathered over pairs.
     """
-    return _drm_lp(JointVariableIndex(space),
-                   _drm_tables(space, costs, agent, designer,
-                               outside_option))
+    return _drm_lp(_drm_tables(space, costs, agent, designer, outside_option))
 
 
 def _drm_tables(space, costs, agent, designer, outside_option):
@@ -175,15 +137,24 @@ def _drm_tables(space, costs, agent, designer, outside_option):
     return tuple(a.astype(dtype) for a in numbers)
 
 
-def _drm_lp(idx: JointVariableIndex, tables, keep=None) -> LinearProgram:
+def _pairs(n_t: int):
+    """Type indices (t, t') of the deviation pairs t' != t, row-major."""
+    return np.nonzero(~np.eye(n_t, dtype=bool))
+
+
+def _drm_lp(tables, keep=None) -> LinearProgram:
     """The DRM LP from the tables or, with ``keep`` (a boolean mask over
-    ``idx.pairs``), the restricted LP of ``solve_drm``: only the kept
-    pairs' rows.  Float tables drop the dead (pair, score) cells and
-    substitute the settled ones (module docstring).  The other cells' w
-    columns are numbered contiguously after z."""
-    zcol, pt, ptp = idx.blocks(keep)
-    n_t, n_a, n_x = zcol.shape
+    ``_pairs``), the restricted LP of ``solve_drm``: only the kept pairs'
+    rows.  Float tables drop the dead (pair, score) cells and substitute
+    the settled ones (module docstring).  The z columns come first in the
+    tables' (t, a, x) order; the other cells' w columns follow, numbered
+    contiguously."""
     objective, participation, gain, ubar = tables
+    n_t, n_a, n_x = gain.shape
+    zcol = np.arange(gain.size).reshape(gain.shape)
+    pt, ptp = _pairs(n_t)
+    if keep is not None:
+        pt, ptp = pt[keep], ptp[keep]
     dtype = gain.dtype
     one = np.ones((), dtype)
 
@@ -200,7 +171,7 @@ def _drm_lp(idx: JointVariableIndex, tables, keep=None) -> LinearProgram:
     per_pair = 1 + size.sum(axis=1)  # the truth-telling row first
     first = n_t * (1 + n_a) + np.cumsum(per_pair) - per_pair
     w_row = first[:, None] + 1 + np.cumsum(size, axis=1) - size
-    wcol = idx.n_z - 1 + np.cumsum(with_w).reshape(with_w.shape)
+    wcol = gain.size - 1 + np.cumsum(with_w).reshape(with_w.shape)
     tt_row = np.broadcast_to(first[:, None], with_w.shape)
     u = np.broadcast_to(ubar[pt, None], with_w.shape)
     families = [  # (row, column, coefficient), broadcast per family
@@ -231,21 +202,21 @@ def extract_mechanism(space: FiniteTypeSpace,
     """Recover (q, rho) from an optimal joint-variable assignment."""
     if not solution.optimal:
         raise ModelError(f"cannot extract from a {solution.status} solution")
-    idx = JointVariableIndex(space)
-    z = solution.assignment
+    shape = len(space.types), len(space.scores), len(space.outcomes)
+    z = np.array(solution.assignment[:np.prod(shape)],
+                 dtype=object).reshape(shape)
     decision = {}
     recommendation = {}
-    for t in space.types:
-        mass = {a: sum(z[idx.z(x, a, t)] for x in space.outcomes)
-                for a in space.scores}
-        total = sum(mass.values())  # exactly 1 but for float round-off
+    for t, zt in zip(space.types, z):
+        mass = [sum(za) for za in zt]
+        total = sum(mass)  # exactly 1 but for float round-off
         if not on_support(total):
             raise ModelError(f"degenerate all-zero joint row for {t}")
-        for a, m in mass.items():
+        for a, m, za in zip(space.scores, mass, zt):
             recommendation[(a, t)] = r = m / total
             if on_support(r):
-                for x in space.outcomes:
-                    decision[(x, a, t)] = z[idx.z(x, a, t)] / m
+                for x, v in zip(space.outcomes, za):
+                    decision[(x, a, t)] = v / m
     return FiniteMechanism(decision=decision, recommendation=recommendation)
 
 
@@ -313,19 +284,18 @@ def solve_drm(inst: Instance, mode: str = "exact"):
 
     Returns (lp solution, mechanism), the solution a certified optimum of
     the final restricted LP, with ``iterations`` summed over rounds.  Only
-    its value and z block, ``assignment[:n_z]`` in the full LP's order,
-    are meaningful to callers: the rest of ``assignment`` and all of
-    ``dual`` index the restricted LP, whose kept pairs are not returned,
-    so ``JointVariableIndex.w`` does not apply to them.  Raises
-    ModelError for an invalid instance, and SolveError, carrying the LP
-    status, when the LP has no certified optimum.
+    its value and z block are meaningful to callers: z is the first
+    n_t * n_a * n_x entries of ``assignment`` in (type, score, outcome)
+    order, and the rest of it and all of ``dual`` index the restricted LP,
+    whose kept pairs are not returned.  Raises ModelError for an invalid
+    instance, and SolveError, carrying the LP status, when the LP has no
+    certified optimum.
     """
     require_valid("instance", validate(inst.space, inst.costs,
                                        inst.designer, inst.agent))
-    idx = JointVariableIndex(inst.space)
     tables = _drm_tables(inst.space, inst.costs, inst.agent, inst.designer,
                          inst.outside_option)
-    _, pt, ptp = idx.blocks()
+    pt, ptp = _pairs(len(inst.space.types))
     keep = abs(pt - ptp) == 1
     _, _, gain, ubar = tables
     if mode == "exact":  # floats as their exact binary Fractions
@@ -336,10 +306,11 @@ def solve_drm(inst: Instance, mode: str = "exact"):
         tol = FLOAT_TT_TOL
     spent = 0
     while True:
-        sol = solve_lp(_drm_lp(idx, tables, keep), mode=mode)
+        sol = solve_lp(_drm_lp(tables, keep), mode=mode)
         if not sol.certified:
             break
-        z = np.array(sol.assignment[:idx.n_z], gain.dtype).reshape(gain.shape)
+        z = np.array(sol.assignment[:gain.size],
+                     gain.dtype).reshape(gain.shape)
         own = (gain * z).sum(axis=(1, 2))
         dev = np.maximum(np.maximum((gain[:, None] * z).sum(axis=3),
                                     ubar[:, None, None] * z.sum(axis=2)),

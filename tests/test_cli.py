@@ -269,7 +269,8 @@ def test_canonicalize_derandomize(capsys, tmp_path):
                                       ("reject", "sL"): F(4, 5)})
     rule_b = ScoreBasedRule(decision={("admit", "sL"): F(3, 5),
                                       ("reject", "sL"): F(2, 5)})
-    mixture = {t: [(F(1, 2), rule_a, "sL"), (F(1, 2), rule_b, "sL")]}
+    mixture = {u: [(F(1), rule_a, "sL")] for u in inst.space.types}
+    mixture[t] = [(F(1, 2), rule_a, "sL"), (F(1, 2), rule_b, "sL")]
     mix_path = tmp_path / "mixture.tsv"
     write_mixture_table(mixture, mix_path)
     out_dir = tmp_path / "derand"
@@ -279,6 +280,26 @@ def test_canonicalize_derandomize(capsys, tmp_path):
     assert code == 0
     mech = read_mechanism_table(out_dir / "mechanism.tsv")
     assert mech.q("admit", "sL", t) == F(2, 5)
+    assert mech.q("admit", "sL", AgentType("NF", "sH")) == F(1, 5)
+
+
+def test_canonicalize_derandomize_refuses_a_partial_mixture(capsys, tmp_path):
+    """A mixture that leaves types out collapses to a mechanism that audit
+    would refuse; the command refuses it first and writes nothing."""
+    cfg = tmp_path / "college.json"
+    save_instance(college_instance(internalize_costs=True), cfg)
+    rule = ScoreBasedRule(decision={("admit", "sL"): F(1),
+                                    ("reject", "sL"): F(0)})
+    write_mixture_table({AgentType("F", "sL"): [(F(1), rule, "sL")]},
+                        tmp_path / "mix.tsv")
+    code, _, err = run_cli(capsys, "canonicalize", "--op", "derandomize",
+                           "--instance", str(cfg),
+                           "--mixture", str(tmp_path / "mix.tsv"),
+                           "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err.startswith("error: invalid mechanism: recommendation for "
+                          "NF:sL sums to 0.0")
+    assert not (tmp_path / "o").exists()
 
 
 def test_canonicalize_rebalance(capsys, tmp_path):

@@ -9,7 +9,6 @@ import numpy as np
 
 from scoremech import finite, lpcore
 from scoremech.finite import (
-    JointVariableIndex,
     SolveError,
     build_drm_lp,
     derandomize_decision_rules,
@@ -65,6 +64,20 @@ def always_falsify_mechanism() -> FiniteMechanism:
     return FiniteMechanism(decision=decision, recommendation=recommendation)
 
 
+def _layout(space):
+    """The exact full DRM LP's columns, spelled out here as a reference:
+    (pairs, z, w), z[x, a, t] numbering (t, a, x) row-major, then
+    w[a, t, t'] = n_z + pair * n_a + a over the pairs (t, t' != t)."""
+    types, scores, outcomes = space.types, space.scores, space.outcomes
+    pairs = [(t, tp) for t in types for tp in types if tp != t]
+    z = {(x, a, t): (i * len(scores) + j) * len(outcomes) + k
+         for i, t in enumerate(types) for j, a in enumerate(scores)
+         for k, x in enumerate(outcomes)}
+    w = {(a, t, tp): len(z) + p * len(scores) + j
+         for p, (t, tp) in enumerate(pairs) for j, a in enumerate(scores)}
+    return pairs, z, w
+
+
 # ---------------------------------------------------------------------------
 # the college instance: golden values
 # ---------------------------------------------------------------------------
@@ -94,26 +107,26 @@ def test_menu_mechanism_is_feasible_so_lp_dominates(college2,
     """Substituting the menu mechanism into the LP certifies optimum >= 69/32."""
     lp = build_drm_lp(college2.space, college2.costs, college2.agent,
                       college2.designer)
-    idx = JointVariableIndex(college2.space)
-    x = [F(0)] * idx.n_vars
+    pairs, z, w = _layout(college2.space)
+    x = [F(0)] * (len(z) + len(w))
     for t in college2.space.types:
         for a in college2.space.scores:
             r = menu_mechanism.rho(a, t)
             for xo in college2.space.outcomes:
                 if (xo, a, t) in menu_mechanism.decision:
-                    x[idx.z(xo, a, t)] = r * menu_mechanism.q(xo, a, t)
-    for (t, tp) in idx.pairs:
+                    x[z[xo, a, t]] = r * menu_mechanism.q(xo, a, t)
+    for (t, tp) in pairs:
         for a in college2.space.scores:
-            mass = sum(x[idx.z(xo, a, tp)]
+            mass = sum(x[z[xo, a, tp]]
                        for xo in college2.space.outcomes)
-            gain = sum(x[idx.z(xo, a, tp)] * college2.agent.v(xo, t)
+            gain = sum(x[z[xo, a, tp]] * college2.agent.v(xo, t)
                        for xo in college2.space.outcomes)
-            x[idx.w(a, t, tp)] = max(gain - college2.costs.cost(a, t) * mass,
-                                     F(0))
+            x[w[a, t, tp]] = max(gain - college2.costs.cost(a, t) * mass,
+                                 F(0))
     for row, rel, rhs in lp.constraints:
         lhs = sum(a * x[j] for j, a in lp.row_items(row))
         assert (lhs == rhs) if rel == "=" else (lhs >= rhs)
-    feasible_value = sum(lp.objective[j] * x[j] for j in range(idx.n_vars))
+    feasible_value = sum(lp.objective[j] * x[j] for j in range(len(x)))
     assert feasible_value == F(69, 32)
 
     sol = solve_lp(lp, mode="exact")
@@ -216,43 +229,41 @@ def _reference_lp(inst, presolve=False):
     with the float LP's cell classes when ``presolve``."""
     space, costs, agent, designer = (inst.space, inst.costs, inst.agent,
                                      inst.designer)
-    idx = JointVariableIndex(space)
+    pairs, z, _ = _layout(space)
     ubar = {t: inst.outside_option.get(t, 0) for t in space.types}
     cls = {(t, tp, a): _cell_class(inst, t, tp, a, presolve)
-           for t, tp in idx.pairs for a in space.scores}
+           for t, tp in pairs for a in space.scores}
     w = {}  # kept cells' w columns, in order after the z block
     for cell, c in cls.items():
         if c == "kept":
-            w[cell] = idx.n_z + len(w)
-    assert presolve or all(j == idx.w(a, t, tp)
-                           for (t, tp, a), j in w.items())
-    objective = [0] * (idx.n_z + len(w))
+            w[cell] = len(z) + len(w)
+    objective = [0] * (len(z) + len(w))
     rows = []
     for t in space.types:
         for a in space.scores:
             loss = designer.loss(costs.cost(a, t))
             for x in space.outcomes:
-                objective[idx.z(x, a, t)] = space.mass(t) * (
+                objective[z[x, a, t]] = space.mass(t) * (
                     designer.dv(x, t) - loss)
     for t in space.types:
-        rows.append(({idx.z(x, a, t): 1 for a in space.scores
+        rows.append(({z[x, a, t]: 1 for a in space.scores
                       for x in space.outcomes}, "=", 1))
     for t in space.types:
         for a in space.scores:
             gate = costs.cost(a, t) + ubar[t]
-            rows.append(({idx.z(x, a, t): agent.v(x, t) - gate
+            rows.append(({z[x, a, t]: agent.v(x, t) - gate
                           for x in space.outcomes}, ">=", 0))
-    for t, tp in idx.pairs:
+    for t, tp in pairs:
         row = {}
         for a in space.scores:
             c = costs.cost(a, t)
             for x in space.outcomes:
-                row[idx.z(x, a, t)] = agent.v(x, t) - c
+                row[z[x, a, t]] = agent.v(x, t) - c
             if cls[t, tp, a] == "kept":
                 row[w[t, tp, a]] = -1
             elif cls[t, tp, a] == "substituted":
                 for x in space.outcomes:
-                    row[idx.z(x, a, tp)] = -(agent.v(x, t) - c)
+                    row[z[x, a, tp]] = -(agent.v(x, t) - c)
         rows.append((row, ">=", 0))
         for a in space.scores:
             if cls[t, tp, a] != "kept":
@@ -260,12 +271,12 @@ def _reference_lp(inst, presolve=False):
             c = costs.cost(a, t)
             row = {w[t, tp, a]: 1}
             for x in space.outcomes:
-                row[idx.z(x, a, tp)] = -(agent.v(x, t) - c)
+                row[z[x, a, tp]] = -(agent.v(x, t) - c)
             rows.append((row, ">=", 0))
             if ubar[t] != 0:
                 row = {w[t, tp, a]: 1}
                 for x in space.outcomes:
-                    row[idx.z(x, a, tp)] = -ubar[t]
+                    row[z[x, a, tp]] = -ubar[t]
                 rows.append((row, ">=", 0))
     return objective, [({j: v for j, v in row.items() if v != 0}, rel, rhs)
                        for row, rel, rhs in rows]
@@ -429,8 +440,9 @@ def test_float_lp_cell_classes_at_n16(cost, counts, both):
 
     inst = discretize(Uniform(-2.0, 1.0),
                       CostModel(cost, gamma=4.0, domain=(-2.0, 1.0)), 16)
-    space, idx = inst.space, JointVariableIndex(inst.space)
-    cells = [(t, tp, a) for t, tp in idx.pairs for a in space.scores]
+    space = inst.space
+    pairs, z, _ = _layout(space)
+    cells = [(t, tp, a) for t, tp in pairs for a in space.scores]
     classes = [_cell_class(inst, *cell, presolve=True) for cell in cells]
     assert {c: classes.count(c) for c in counts} == counts
 
@@ -442,9 +454,9 @@ def test_float_lp_cell_classes_at_n16(cost, counts, both):
     assert sum(c == "dead" and substitutable(*cell)
                for c, cell in zip(classes, cells)) == both
     lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
-    assert lp.n_vars == idx.n_z + counts["kept"]
+    assert lp.n_vars == len(z) + counts["kept"]
     assert lp.n_rows == (len(space.types) * (1 + len(space.scores))
-                         + len(idx.pairs) + counts["kept"])
+                         + len(pairs) + counts["kept"])
 
 
 # ---------------------------------------------------------------------------
@@ -457,25 +469,35 @@ def _one_type_space():
                               outcomes=("reject", "admit"), prior={t: F(1)})
 
 
+def _simple_assignment(tail=()):
+    t, space = _one_type_space()
+    _, z, _ = _layout(space)
+    x = [F(0)] * len(z) + list(tail)
+    x[z["admit", "sH", t]] = F(3, 4)
+    x[z["admit", "sL", t]] = F(1, 4)
+    return LpSolution(status="optimal", value=F(0), assignment=x)
+
+
 def test_extract_simple_arithmetic():
     t, space = _one_type_space()
-    idx = JointVariableIndex(space)
-    z = [F(0)] * idx.n_vars
-    z[idx.z("admit", "sH", t)] = F(3, 4)
-    z[idx.z("admit", "sL", t)] = F(1, 4)
-    sol = LpSolution(status="optimal", value=F(0), assignment=z)
-    mech = extract_mechanism(space, sol)
+    mech = extract_mechanism(space, _simple_assignment())
     assert mech.rho("sH", t) == F(3, 4)
     assert mech.q("admit", "sH", t) == F(1)
     assert mech.q("admit", "sL", t) == F(1)
 
 
+def test_extract_reads_only_the_z_block():
+    """A restricted solve_drm solution carries w values after z."""
+    _, space = _one_type_space()
+    padded = _simple_assignment([F(5), F(-2), 0.5])
+    assert (extract_mechanism(space, padded)
+            == extract_mechanism(space, _simple_assignment()))
+
+
 def test_extract_uniform_assignment():
     t, space = _one_type_space()
-    idx = JointVariableIndex(space)
-    z = [F(1, 4)] * idx.n_z
-    mech = extract_mechanism(
-        space, LpSolution(status="optimal", value=F(0), assignment=z))
+    mech = extract_mechanism(space, LpSolution(
+        status="optimal", value=F(0), assignment=[F(1, 4)] * 4))
     for a in space.scores:
         for x in space.outcomes:
             assert mech.q(x, a, t) == F(1, 2)  # 1/|X|
@@ -483,11 +505,9 @@ def test_extract_uniform_assignment():
 
 def test_extract_degenerate_row_raises():
     t, space = _one_type_space()
-    idx = JointVariableIndex(space)
-    z = [F(0)] * idx.n_vars
     with pytest.raises(ModelError):
-        extract_mechanism(
-            space, LpSolution(status="optimal", value=F(0), assignment=z))
+        extract_mechanism(space, LpSolution(
+            status="optimal", value=F(0), assignment=[F(0)] * 4))
     with pytest.raises(ModelError):
         extract_mechanism(space, LpSolution(status="infeasible"))
 
@@ -813,6 +833,45 @@ def test_reduction_preserves_payoffs_on_random_ic_instances():
     assert kept >= 30  # the generator mostly yields reducible instances
 
 
+@pytest.mark.parametrize("mode,n", [("exact", n) for n in range(3, 7)]
+                         + [("float", 16), ("float", 32)])
+@pytest.mark.parametrize("cost", ["linear", "quadratic"])
+def test_optimal_drm_is_score_based(cost, mode, n):
+    """The paper's structural result on discretize(Uniform(-2, 1)): each
+    type is recommended one score, under linear cost its natural score or
+    the top score (costly screening), and the score-based rule that
+    collapses the optimum attains the LP value and is incentive
+    compatible."""
+    from scoremech.continuous import Uniform, discretize
+
+    inst = discretize(Uniform(-2.0, 1.0),
+                      CostModel(cost, gamma=4.0, domain=(-2.0, 1.0)), n)
+    if mode == "exact":
+        inst = _to_fractions(inst)
+    space = inst.space
+    sol, mech = solve_drm(inst, mode=mode)
+    for t in space.types:
+        support = mech.support(t, space.scores)
+        assert len(support) == 1, (t, support)
+        if cost == "linear":
+            assert support[0] in (t.score, space.scores[-1]), (t, support)
+    rule, assignment = reduce_to_score_based(space, inst.costs, inst.agent,
+                                             inst.designer, mech)
+    collapsed = FiniteMechanism(
+        decision={(x, a, t): rule.q(x, a) for t in space.types
+                  for a in space.scores for x in space.outcomes},
+        recommendation={(a, t): int(a == assignment[t])
+                        for t in space.types for a in space.scores})
+    value, _, _ = evaluate_mechanism(space, inst.costs, inst.agent,
+                                     inst.designer, collapsed)
+    if mode == "exact":
+        assert value == sol.value
+    else:
+        assert abs(value - sol.value) <= 1e-9
+    assert audit_ic(space, inst.costs, inst.agent, collapsed,
+                    tolerance=0 if mode == "exact" else 1e-9).passes
+
+
 # ---------------------------------------------------------------------------
 # monotone rebalancing
 # ---------------------------------------------------------------------------
@@ -1034,9 +1093,9 @@ def _row_generation(monkeypatch, inst, mode):
     masks = []
     build = finite._drm_lp
 
-    def spy(idx, tables, keep=None):
+    def spy(tables, keep=None):
         masks.append(keep)
-        return build(idx, tables, keep)
+        return build(tables, keep)
 
     monkeypatch.setattr(finite, "_drm_lp", spy)
     sol, _ = solve_drm(inst, mode=mode)
@@ -1052,7 +1111,7 @@ def _padded_dual(inst, keep, dual, presolve=False):
     n_a = len(space.scores)
     head = len(space.types) * (1 + n_a)
     y, rest = list(dual[:head]), iter(dual[head:])
-    for (t, tp), kept in zip(JointVariableIndex(space).pairs, keep):
+    for (t, tp), kept in zip(_layout(space)[0], keep):
         cells = sum(_cell_class(inst, t, tp, a, presolve) == "kept"
                     for a in space.scores)
         size = 1 + cells * (2 if inst.outside_option.get(t, 0) != 0 else 1)
@@ -1064,15 +1123,15 @@ def _padded_dual(inst, keep, dual, presolve=False):
 def _lifted(inst, sol):
     """The restricted optimum's z block with the minimal w of every pair."""
     space, costs, agent = inst.space, inst.costs, inst.agent
-    idx = JointVariableIndex(space)
-    x = list(sol.assignment[:idx.n_z]) + [0] * (idx.n_vars - idx.n_z)
-    for t, tp in idx.pairs:
+    pairs, z, w = _layout(space)
+    x = list(sol.assignment[:len(z)]) + [0] * len(w)
+    for t, tp in pairs:
         ubar = inst.outside_option.get(t, 0)
         for a in space.scores:
-            zs = [x[idx.z(xo, a, tp)] for xo in space.outcomes]
-            gain = sum(z * (agent.v(xo, t) - costs.cost(a, t))
-                       for z, xo in zip(zs, space.outcomes))
-            x[idx.w(a, t, tp)] = max(gain, ubar * sum(zs), 0)
+            zs = [x[z[xo, a, tp]] for xo in space.outcomes]
+            gain = sum(v * (agent.v(xo, t) - costs.cost(a, t))
+                       for v, xo in zip(zs, space.outcomes))
+            x[w[a, t, tp]] = max(gain, ubar * sum(zs), 0)
     return x
 
 
@@ -1083,7 +1142,6 @@ def _check_row_generation(monkeypatch, inst):
     full = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer,
                         inst.outside_option)
     restricted = finite._drm_lp(
-        JointVariableIndex(inst.space),
         finite._drm_tables(inst.space, inst.costs, inst.agent, inst.designer,
                            inst.outside_option), masks[-1])
     assert sol.certified
