@@ -27,6 +27,7 @@ from .model import (
     FiniteTypeSpace,
     ModelError,
     ScoreBasedRule,
+    _non_finite,
     on_support,
     require_valid,
     validate,
@@ -189,10 +190,12 @@ def audit_ic(space: FiniteTypeSpace, costs: CostModel, agent: AgentPayoff,
              outside_option: Mapping | None = None,
              tolerance: float = 1e-9) -> AuditReport:
     """Certify truth-telling and ex-post participation of a mechanism;
-    raises ModelError if the space, costs, agent or mechanism is invalid."""
-    require_valid("instance", validate(space, costs, None, agent))
-    require_valid("mechanism", validate_mechanism(space, mech))
+    raises ModelError if the space, costs, agent, outside option or
+    mechanism is invalid."""
     outside = outside_option or {}
+    require_valid("instance", validate(space, costs, None, agent)
+                  + _non_finite("outside option", outside))
+    require_valid("mechanism", validate_mechanism(space, mech))
     max_tt = 0
     max_pc = 0
     best_responses = {}

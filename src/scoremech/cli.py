@@ -101,6 +101,8 @@ def _parse_dist(spec: str) -> cont.Distribution:
             return make(*fields)
         if kind == "grid":
             rows = np.loadtxt(rest, ndmin=2)
+            if rows.shape[1] < 2:
+                raise ValueError("a grid file has two columns, t and f(t)")
             return cont.Tabulated(rows[:, 0], rows[:, 1])
     except (OSError, ValueError) as exc:
         raise CliError(f"bad distribution spec {spec!r}: {exc}", EXIT_CONFIG)

@@ -261,6 +261,8 @@ class Tabulated(Distribution):
         fs = np.asarray(density, dtype=float)
         if ts.ndim != 1 or ts.shape != fs.shape or len(ts) < 2:
             raise ContinuousError("grid and density must be 1-d, same length")
+        if not (np.isfinite(ts).all() and np.isfinite(fs).all()):
+            raise ContinuousError("grid and density must be finite")
         if np.any(np.diff(ts) <= 0):
             raise ContinuousError("grid must be strictly increasing")
         if np.any(fs <= 0):

@@ -18,15 +18,17 @@ Minimal feasible w reproduces the sum of positive parts exactly, so the
 projection of the feasible set onto z is precisely the set of incentive
 compatible mechanisms.
 
-Float LPs settle about half of the (pair, score) cells in advance.  With
-gain = v(x, t) - c(a, t) and part the participation coefficients of
-(t', a), a cell with outside(t) <= 0 is dead if gain <= 0 for every x
-(w = 0 is optimal: its column and rows go) and, failing that, is
-substituted if gain >= part for every x: participation of t' then makes
-the deviation payoff nonnegative, so w is the gain term itself, which the
-truth-telling row takes in its place.  Both tests compare stored floats,
-so the projection onto z is unchanged.  Exact LPs keep every cell; the
-smaller LP makes Bland's rule pivot more.
+LPs over float data settle about half of the (pair, score) cells in
+advance.  With gain = v(x, t) - c(a, t) and part the participation
+coefficients of (t', a), a cell with outside(t) <= 0 is dead if gain <= 0
+for every x (w = 0 is optimal: its column and rows go) and, failing that,
+is substituted if gain >= part for every x: participation of t' then
+makes the deviation payoff nonnegative, so w is the gain term itself,
+which the truth-telling row takes in its place.  Both tests compare stored
+floats, so the projection onto z is unchanged.  The rule follows the
+data's dtype, not the solve mode: float data get the smaller LP in exact
+mode too, while Fraction and all-int data keep every cell (the smaller LP
+makes Bland's rule pivot more).
 
 Only a few deviation pairs (t, t') bind at an optimum, so ``solve_drm``
 never builds all of them: it solves a restricted LP holding the pairs
@@ -46,11 +48,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lpcore import (EQUAL, GREATER, LinearProgram, LpSolution, entry_dtype,
-                     solve_lp)
+from .lpcore import EQUAL, GREATER, LinearProgram, LpSolution, solve_lp
 from .model import (
     SUPPORT_TOL,
     _NORM_TOL,
+    _non_finite,
     AgentPayoff,
     AgentType,
     CostModel,
@@ -113,9 +115,19 @@ def build_drm_lp(space: FiniteTypeSpace, costs: CostModel,
     return _drm_lp(_drm_tables(space, costs, agent, designer, outside_option))
 
 
+def _entry_dtype(*values) -> type:
+    """float64 when every number is a float or an int, one at least a
+    float; object otherwise, so Fractions and all-int data stay exact."""
+    kinds = {type(v) for vs in values for v in vs}
+    if all(issubclass(k, (int, float)) for k in kinds) and any(
+            issubclass(k, float) for k in kinds):
+        return np.float64
+    return object
+
+
 def _drm_tables(space, costs, agent, designer, outside_option):
     """Per-(t, a, x) objective, participation and deviation-gain tables and
-    the outside option per t, in one dtype (see ``entry_dtype``)."""
+    the outside option per t, in one dtype (see ``_entry_dtype``)."""
     if costs.kind != "tabulated":
         raise ModelError("the DRM solver needs a finite (tabulated) cost model")
     outside = outside_option or {}
@@ -133,7 +145,7 @@ def _drm_tables(space, costs, agent, designer, outside_option):
             costs.cost(a, t) + outside.get(t, 0))),
         table(lambda t, a, x: agent.v(x, t) - costs.cost(a, t)),
         np.array([outside.get(t, 0) for t in space.types], dtype=object))
-    dtype = entry_dtype(*(a.ravel() for a in numbers))
+    dtype = _entry_dtype(*(a.ravel() for a in numbers))
     return tuple(a.astype(dtype) for a in numbers)
 
 
@@ -161,7 +173,7 @@ def _drm_lp(tables, keep=None) -> LinearProgram:
     g, zp = gain[pt], zcol[ptp]  # per (pair, score) cell: t's gain, z[t']
     with_w = np.ones(g.shape[:2], bool)  # the cells that keep a w column
     subst = ~with_w
-    if dtype != object:  # exact LPs keep every cell
+    if dtype != object:  # Fraction and all-int data keep every cell
         quiet = (ubar <= 0)[pt, None]
         dead = quiet & (g <= 0).all(axis=2)
         subst = quiet & ~dead & (g >= participation[ptp]).all(axis=2)
@@ -194,7 +206,7 @@ def _drm_lp(tables, keep=None) -> LinearProgram:
     rhs = np.zeros(len(relations), dtype)
     rhs[:n_t] = 1
     obj = np.concatenate((objective.ravel(), np.zeros(with_w.sum(), dtype)))
-    return LinearProgram.from_coo(obj, row, col, val, relations, rhs)
+    return LinearProgram(obj, row, col, val, relations, rhs)
 
 
 def extract_mechanism(space: FiniteTypeSpace,
@@ -288,11 +300,12 @@ def solve_drm(inst: Instance, mode: str = "exact"):
     n_t * n_a * n_x entries of ``assignment`` in (type, score, outcome)
     order, and the rest of it and all of ``dual`` index the restricted LP,
     whose kept pairs are not returned.  Raises ModelError for an invalid
-    instance, and SolveError, carrying the LP status, when the LP has no
-    certified optimum.
+    instance (a non-finite outside option included), and SolveError,
+    carrying the LP status, when the LP has no certified optimum.
     """
-    require_valid("instance", validate(inst.space, inst.costs,
-                                       inst.designer, inst.agent))
+    require_valid("instance", validate(
+        inst.space, inst.costs, inst.designer, inst.agent)
+        + _non_finite("outside option", inst.outside_option))
     tables = _drm_tables(inst.space, inst.costs, inst.agent, inst.designer,
                          inst.outside_option)
     pt, ptp = _pairs(len(inst.space.types))

@@ -1,13 +1,15 @@
 """Sparse linear-program solver with exact-rational and float modes.
 
 An LP -- maximize c . x subject to sparse rows and x >= 0 -- is stored
-once, as sparse arrays (see ``LinearProgram``); the finite mechanism solver
-fills them directly, from a few dozen variables for the hand-worked
-instances to tens of thousands for discretization cross-checks.  Two
-solution modes are offered:
+once, as sparse arrays, and ``LinearProgram``'s one constructor takes
+them; the finite mechanism solver fills them directly, from a few dozen
+variables for the hand-worked instances to tens of thousands for
+discretization cross-checks.  Its row view (``constraints``) is kept only
+for the benchmark's LP counts.  Two solution modes are offered:
 
 * ``exact`` -- a two-phase tableau simplex in exact rational arithmetic
-  with Bland's anti-cycling rule.  The tableau is built straight from the
+  with Bland's anti-cycling rule.  Floats are read as their binary
+  Fractions once, before the solve.  The tableau is built straight from the
   sparse arrays and stored dense, each entry a plain-int numerator and
   denominator in lowest terms; each pivot updates only the pivot row's
   nonzero columns, and the dual is read off the maintained reduced-cost
@@ -41,7 +43,9 @@ __all__ = [
 LESS, EQUAL, GREATER = "<=", "=", ">="
 _RELATIONS = (LESS, EQUAL, GREATER)
 
-DEFAULT_ITERATION_CAP = 10**6
+# Exact simplex pricing passes, or HiGHS iterations, before a solve stops
+# with "iteration_limit"; read at each call.
+ITERATION_CAP = 10**6
 
 # linprog status codes; any other (4: numerical difficulties) is "numerical"
 _HIGHS_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible",
@@ -49,61 +53,25 @@ _HIGHS_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible",
 
 
 class LpError(ValueError):
-    """Structural problem with an LP (dimension mismatch, bad relation...)."""
-
-
-def entry_dtype(*values) -> type:
-    """float64 when every number is a float or an int, one at least a
-    float; object otherwise, so Fractions and all-int data stay exact."""
-    kinds = {type(v) for vs in values for v in vs}
-    if all(issubclass(k, (int, float)) for k in kinds) and any(
-            issubclass(k, float) for k in kinds):
-        return np.float64
-    return object
+    """Structural problem with an LP (index out of range, bad relation...)."""
 
 
 class LinearProgram:
     """maximize objective . x  subject to sparse rows and x >= 0.
 
-    Read-only arrays: ``objective``; ``row``, ``col``, ``val`` (entries
-    sorted by row, no zeros); ``relations`` and ``rhs`` per row.  Float
-    data is float64, anything else (Fractions, all-int data) object, so
-    exact LPs are never rounded.  An upper bound on a variable is a row.
-
-    The constructor converts the row form once: (row, relation, rhs)
-    triples, a row being dense (as long as the objective) or a mapping
-    from variable index to coefficient.  ``from_coo`` takes the arrays.
+    The one constructor takes numpy arrays: ``objective``; the entries
+    ``row``, ``col``, ``val``, in any order; ``relations`` and ``rhs`` per
+    row.  The numbers are all float64 or all object (Fractions and ints,
+    never rounded).  Zero entries are dropped and the rest sorted by row,
+    and every array is then read-only.  An upper bound on a variable is a
+    row.
     """
 
-    def __init__(self, objective: Sequence, constraints: Sequence[tuple]):
-        self.objective, entries, error = objective, [], None
-        try:  # a bad row is reported by validate(), like any other flaw
-            entries = [(i, j, a) for i, (row, _, _) in enumerate(constraints)
-                       for j, a in self.row_items(row)]
-        except LpError as exc:
-            error = exc
-        row, col, val = list(zip(*entries)) or [(), (), ()]
-        rhs = [b for _, _, b in constraints]
-        dtype = entry_dtype(objective, val, rhs)
-        self._set(np.array(objective, dtype), np.array(row, np.intp),
-                  np.array(col, np.intp), np.array(val, dtype),
-                  np.array([rel for _, rel, _ in constraints], str),
-                  np.array(rhs, dtype), error)
-
-    @classmethod
-    def from_coo(cls, objective, row, col, val, relations,
-                 rhs) -> "LinearProgram":
-        """LP from arrays (numbers all float64 or all object), in any order."""
-        lp = cls.__new__(cls)
-        lp._set(objective, row, col, val, relations, rhs, None)
-        return lp
-
-    def _set(self, objective, row, col, val, relations, rhs, error):
+    def __init__(self, objective, row, col, val, relations, rhs):
         keep = np.flatnonzero(val != 0)
         keep = keep[np.argsort(row[keep], kind="stable")]
         self.row, self.col, self.val = row[keep], col[keep], val[keep]
         self.objective, self.relations, self.rhs = objective, relations, rhs
-        self._error = error
         for a in (objective, self.row, self.col, self.val, relations, rhs):
             a.flags.writeable = False
 
@@ -119,8 +87,8 @@ class LinearProgram:
     def constraints(self) -> list[tuple]:
         """Rows as ({column: coefficient}, relation, rhs), rebuilt per call.
 
-        No solver reads this view; it serves callers that want the row
-        form back, such as the benchmark's LP counts and the tests.
+        No solver reads this view.  It and ``row_items`` are kept only for
+        the benchmark's LP counts (``perfbench/jobs.py:_lp_counts``).
         """
         ends = np.searchsorted(self.row, np.arange(self.n_rows + 1)).tolist()
         col, val = self.col.tolist(), self.val.tolist()
@@ -128,18 +96,11 @@ class LinearProgram:
                 in zip(ends, ends[1:], self.relations.tolist(),
                        self.rhs.tolist())]
 
-    def row_items(self, row) -> list[tuple[int, object]]:
-        """Sparse (index, coefficient) view of a constraint row."""
-        if isinstance(row, Mapping):  # validate() checks the indices
-            return [(j, a) for j, a in row.items() if a != 0]
-        if len(row) != self.n_vars:
-            raise LpError(
-                f"row has {len(row)} coefficients, expected {self.n_vars}")
-        return [(j, a) for j, a in enumerate(row) if a != 0]
+    def row_items(self, row: Mapping) -> list[tuple[int, object]]:
+        """Nonzero (index, coefficient) pairs of a ``constraints`` row."""
+        return [(j, a) for j, a in row.items() if a != 0]
 
     def validate(self) -> None:
-        if self._error is not None:
-            raise self._error
         unknown = set(self.relations.tolist()) - set(_RELATIONS)
         if unknown:
             raise LpError(f"unknown relation {unknown.pop()!r}")
@@ -164,14 +125,16 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def solve_lp(lp: LinearProgram, mode: str = "exact",
-             iteration_cap: int = DEFAULT_ITERATION_CAP) -> LpSolution:
-    """Solve ``lp``, maximizing, in the requested arithmetic mode."""
+def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpSolution:
+    """Solve ``lp``, maximizing, in the requested arithmetic mode.  Exact
+    mode reads every float as its binary Fraction, once, for the solve and
+    the certificate alike."""
     lp.validate()
     if mode == "exact":
-        sol = _solve_exact(lp, iteration_cap)
+        lp = _exact_view(lp)
+        sol = _solve_exact(lp)
     elif mode == "float":
-        sol = _solve_float(lp, iteration_cap)
+        sol = _solve_float(lp)
     else:
         raise LpError(f"unknown mode {mode!r}")
     if sol.optimal:
@@ -215,8 +178,8 @@ def _exact_view(lp: LinearProgram) -> LinearProgram:
     if {type(v) for a in numbers for v in a} <= {int, Fraction}:
         return lp
     frac = np.frompyfunc(Fraction, 1, 1)
-    return LinearProgram.from_coo(frac(lp.objective), lp.row, lp.col,
-                                  frac(lp.val), lp.relations, frac(lp.rhs))
+    return LinearProgram(frac(lp.objective), lp.row, lp.col, frac(lp.val),
+                         lp.relations, frac(lp.rhs))
 
 
 def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
@@ -224,8 +187,7 @@ def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
         return False
     try:
         if exact:
-            bound = dual_bound(_exact_view(lp), sol.dual)
-            return bound == sol.value
+            return dual_bound(lp, sol.dual) == sol.value
         bound = dual_bound(lp, sol.dual, tol=1e-7)
     except LpError:
         return False
@@ -239,7 +201,7 @@ def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
 # float mode (HiGHS)
 # ---------------------------------------------------------------------------
 
-def _solve_float(lp: LinearProgram, iteration_cap: int) -> LpSolution:
+def _solve_float(lp: LinearProgram) -> LpSolution:
     import scipy.sparse as sp  # deferred: exact and continuous runs skip it
     from scipy.optimize import linprog
 
@@ -258,7 +220,7 @@ def _solve_float(lp: LinearProgram, iteration_cap: int) -> LpSolution:
         -lp.objective.astype(float),  # linprog minimizes
         A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
         bounds=(0, None),
-        method="highs", options={"maxiter": iteration_cap})
+        method="highs", options={"maxiter": ITERATION_CAP})
     status = _HIGHS_STATUS.get(res.status, "numerical")
     if status != "optimal":
         return LpSolution(status=status, solver_code=res.status)
@@ -284,10 +246,9 @@ class _IterationLimit(Exception):
     pass
 
 
-def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
+def _solve_exact(lp: LinearProgram) -> LpSolution:  # ints and Fractions
     n, m, rel = lp.n_vars, lp.n_rows, lp.relations
-    frac = Fraction
-    obj = [frac(v) for v in lp.objective]
+    frac, cap = Fraction, ITERATION_CAP
     # Flip rows to make every rhs nonnegative; also flip >= rows with zero
     # rhs so their slack can start basic (saves an artificial variable).
     flip = np.where((lp.rhs < 0) | ((lp.rhs == 0) & (rel == GREATER)), -1, 1)
@@ -312,7 +273,7 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
     v = np.concatenate([flip[lp.row] * lp.val, sense[has_slack],
                         np.ones(int(has_art.sum()), int), flip * lp.rhs])
     for i, j, a in zip(r.tolist(), c.tolist(), v.tolist()):
-        num[i][j], den[i][j] = frac(a).as_integer_ratio()
+        num[i][j], den[i][j] = a.as_integer_ratio()
     # each row's identity column: the artificial if it has one, else slack
     start = np.where(has_art, art, slack).tolist()
     basis = list(start)
@@ -360,7 +321,7 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
         basic = set(basis)
         while True:
             counter[0] += 1
-            if counter[0] > iteration_cap:
+            if counter[0] > cap:
                 raise _IterationLimit
             entering = -1
             for j in allowed:
@@ -404,7 +365,7 @@ def _solve_exact(lp: LinearProgram, iteration_cap: int) -> LpSolution:
                     # leave the artificial basic at value zero.
 
         # Phase 2.
-        load_cost(obj + [zero] * (ncols - n))
+        load_cost(lp.objective.tolist() + [zero] * (ncols - n))
         bounded = run_simplex(sorted(set(range(ncols)) - artificials))
         if not bounded:
             return LpSolution("unbounded", iterations=counter[0])

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import inf, isfinite
 from typing import Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -293,12 +294,26 @@ def require_valid(what: str, problems: list[str]) -> None:
         raise ModelError(f"invalid {what}: " + "; ".join(problems))
 
 
+def _non_finite(what: str, numbers: Mapping) -> list[str]:
+    """A problem per float NaN or infinity among ``numbers``' values, keyed
+    by a type or an (outcome or score, type) pair.  Only floats can be
+    either; no Fraction goes through float(), where a large one overflows."""
+    return [f"{what} at {k if isinstance(k, AgentType) else '(%s, %s)' % k}"
+            f" is {v}" for k, v in numbers.items()
+            if isinstance(v, float) and not isfinite(v)]
+
+
 def validate(space: FiniteTypeSpace, costs: CostModel,
              payoff: DesignerPayoff | None,
              agent: AgentPayoff | None = None) -> list[str]:
     """Check every type invariant; returns a list of violations (empty =
-    valid).  A payoff passed as None is not checked."""
-    problems: list[str] = []
+    valid).  A payoff passed as None is not checked.  A float NaN or
+    infinity in the prior, the cost table or a payoff is a violation."""
+    problems = (_non_finite("prior mass", space.prior)
+                + _non_finite("cost", costs.table or {})
+                + _non_finite("decision value",
+                              payoff.decision_value if payoff else {})
+                + _non_finite("agent value", agent.value if agent else {}))
 
     if len(set(space.types)) != len(space.types):
         problems.append("duplicate types")
@@ -356,8 +371,9 @@ def validate(space: FiniteTypeSpace, costs: CostModel,
             for x in space.outcomes:
                 if (x, t) not in payoff.decision_value:
                     problems.append(f"missing decision value ({x}, {t})")
-        if (payoff.loss_coefficient or 0) < 0:  # None: not internalized
-            problems.append("loss coefficient must be nonnegative")
+        lam = payoff.loss_coefficient or 0  # None: not internalized
+        if not 0 <= lam < inf:  # NaN fails too
+            problems.append(f"loss coefficient {lam} must be in [0, inf)")
 
     if agent is not None:
         for t in space.types:
@@ -369,10 +385,10 @@ def validate(space: FiniteTypeSpace, costs: CostModel,
 
 
 def _outside_unit(v) -> bool:
-    """v lies outside [0, 1]: by more than ``_NORM_TOL`` for a float
-    (solver round-off), by anything for an exact number."""
+    """v is NaN or lies outside [0, 1]: by more than ``_NORM_TOL`` for a
+    float (solver round-off), by anything for an exact number."""
     tol = _NORM_TOL if isinstance(v, float) else 0
-    return v < -tol or v > 1 + tol
+    return not -tol <= v <= 1 + tol
 
 
 def validate_mechanism(space: FiniteTypeSpace,

@@ -469,6 +469,55 @@ def test_unnormalized_prior_exits_2(capsys, tmp_path, monkeypatch, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, where", [
+    (["solve-finite"], "instance"),
+    (["solve-finite", "--mode", "float"], "instance"),
+    (["audit", "--mechanism", "menu.tsv"], "instance"),
+    (["audit", "--mechanism", "nan.tsv"], "mechanism")],
+    ids=["solve-finite-exact", "solve-finite-float", "audit-instance",
+         "audit-mechanism"])
+def test_non_finite_number_exits_2(capsys, tmp_path, monkeypatch, command,
+                                   where):
+    """A "nan" agent value in the instance config, or every q of the
+    mechanism table set to nan."""
+    inst = college_instance(internalize_costs=True)
+    cfg = tmp_path / "college.json"
+    save_instance(inst, cfg)
+    if where == "instance":
+        data = json.loads(cfg.read_text())
+        data["agent_value"]["admit|F|sL"] = "nan"
+        cfg.write_text(json.dumps(data))
+    from scoremech.model import college_menu_mechanism
+    write_mechanism_table(inst.space, college_menu_mechanism(),
+                          tmp_path / "menu.tsv")
+    header, *rows = (tmp_path / "menu.tsv").read_text().splitlines(
+        keepends=True)
+    (tmp_path / "nan.tsv").write_text("".join(
+        [header] + [row.rsplit("\t", 1)[0] + "\tnan\n" for row in rows]))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *command, "--instance", str(cfg),
+                             "--out", "o")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid {where}: ")
+    assert err.count("nan") == (1 if where == "instance" else len(rows))
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("-2\n0\n1\n", "a grid file has two columns, t and f(t)"),
+    ("-2 1\n0 nan\n1 1\n", "grid and density must be finite"),
+    ("-2 1\n0 inf\n1 1\n", "grid and density must be finite")],
+    ids=["one-column", "nan-density", "inf-density"])
+def test_bad_grid_file_exits_2(capsys, tmp_path, content, message):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(content)
+    code, _, err = run_cli(capsys, "solve-continuous", "--dist",
+                           f"grid:{grid}", "--cost", "linear", "--gamma", "4",
+                           "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == f"error: bad distribution spec 'grid:{grid}': {message}\n"
+
+
 @pytest.mark.parametrize("command, flag", [
     (["example"], "--tol"),
     (["solve-continuous", "--dist", "uniform:-2,1", "--cost", "linear",

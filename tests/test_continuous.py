@@ -70,9 +70,13 @@ def test_distribution_self_consistency(dist):
     lambda: TruncatedExponential(1.0, 2.0),
     lambda: Triangular(1.0, 3.0, 2.0),
     lambda: Tabulated([1.0, 1.5, 2.0], [1.0, 1.0, 1.0]),
+    lambda: Tabulated([-2.0, 0.0, 1.0], [1.0, math.nan, 1.0]),
+    lambda: Tabulated([-2.0, 0.0, 1.0], [1.0, math.inf, 1.0]),
+    lambda: Tabulated([-2.0, math.nan, 1.0], [1.0, 1.0, 1.0]),
 ], ids=["uniform-positive", "uniform-zero-top", "uniform-infinite",
         "uniform-nan", "texp-rate-0", "texp-rate-inf", "texp-positive",
-        "triangular-positive", "tabulated-positive"])
+        "triangular-positive", "tabulated-positive", "tabulated-nan",
+        "tabulated-inf", "tabulated-nan-grid"])
 def test_invalid_distributions_fail_at_construction(make):
     with pytest.raises(ContinuousError):
         make()

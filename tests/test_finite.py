@@ -123,9 +123,11 @@ def test_menu_mechanism_is_feasible_so_lp_dominates(college2,
                        for xo in college2.space.outcomes)
             x[w[a, t, tp]] = max(gain - college2.costs.cost(a, t) * mass,
                                  F(0))
-    for row, rel, rhs in lp.constraints:
-        lhs = sum(a * x[j] for j, a in lp.row_items(row))
-        assert (lhs == rhs) if rel == "=" else (lhs >= rhs)
+    lhs = [0] * lp.n_rows
+    for i, j, a in zip(lp.row.tolist(), lp.col.tolist(), lp.val.tolist()):
+        lhs[i] += a * x[j]
+    for total, rel, rhs in zip(lhs, lp.relations.tolist(), lp.rhs.tolist()):
+        assert (total == rhs) if rel == "=" else (total >= rhs)
     feasible_value = sum(lp.objective[j] * x[j] for j in range(len(x)))
     assert feasible_value == F(69, 32)
 
@@ -1046,6 +1048,29 @@ def test_audit_ic_validates_the_mechanism(college2, menu_mechanism):
     with pytest.raises(ModelError, match=r"invalid mechanism: recommendation "
                                          r"for NF:sH sums to 0\.5"):
         audit_ic(college2.space, college2.costs, college2.agent, half)
+
+
+@pytest.mark.parametrize("call, problem", [
+    (lambda inst, mech: audit_ic(
+        inst.space, inst.costs, inst.agent, FiniteMechanism(
+            {**mech.decision, ("admit", "sH", T3): float("nan")},
+            mech.recommendation)),
+     r"invalid mechanism: q\(admit\|sH,NF:sH\) = nan outside \[0, 1\]"),
+    (lambda inst, mech: audit_ic(inst.space, inst.costs, inst.agent, mech,
+                                 {T3: float("nan")}),
+     "invalid instance: outside option at NF:sH is nan"),
+    (lambda inst, mech: solve_drm(_with_outside(inst, {T3: float("inf")}),
+                                  "exact"),
+     "invalid instance: outside option at NF:sH is inf"),
+    (lambda inst, mech: solve_drm(_with_outside(inst, {T3: float("nan")}),
+                                  "float"),
+     "invalid instance: outside option at NF:sH is nan"),
+], ids=["audit_ic-mechanism", "audit_ic-outside", "solve_drm-exact",
+        "solve_drm-float"])
+def test_non_finite_input_is_refused(college2, menu_mechanism, call,
+                                     problem):
+    with pytest.raises(ModelError, match=problem):
+        call(college2, menu_mechanism)
 
 
 def test_float_extraction_drops_solver_round_off():

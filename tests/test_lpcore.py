@@ -14,8 +14,20 @@ from scoremech import lpcore
 from scoremech.lpcore import LinearProgram, LpError, dual_bound, solve_lp
 
 
+def _lp(objective, rows):
+    """LinearProgram from dense (coefficients, relation, rhs) rows: every
+    entry, zeros included, goes to the array constructor as a Python
+    number."""
+    dense = np.array([r for r, _, _ in rows], dtype=object).reshape(
+        len(rows), len(objective))
+    r, c = (i.ravel() for i in np.indices(dense.shape))
+    return LinearProgram(np.array(objective, dtype=object), r, c,
+                         dense.ravel(), np.array([rel for _, rel, _ in rows]),
+                         np.array([b for _, _, b in rows], dtype=object))
+
+
 def test_textbook_max():
-    lp = LinearProgram(objective=[1, 1], constraints=[([1, 1], "<=", 1)])
+    lp = _lp([1, 1], [([1, 1], "<=", 1)])
     for mode in ("exact", "float"):
         sol = solve_lp(lp, mode=mode)
         assert sol.status == "optimal"
@@ -25,23 +37,21 @@ def test_textbook_max():
 
 
 def test_infeasible():
-    lp = LinearProgram(objective=[1], constraints=[([1], "<=", -1)])
+    lp = _lp([1], [([1], "<=", -1)])
     for mode in ("exact", "float"):
         assert solve_lp(lp, mode=mode).status == "infeasible"
 
 
 def test_unbounded():
-    lp = LinearProgram(objective=[1], constraints=[([-1], "<=", 0)])
+    lp = _lp([1], [([-1], "<=", 0)])
     for mode in ("exact", "float"):
         assert solve_lp(lp, mode=mode).status == "unbounded"
 
 
 def test_equality_and_ge_rows():
-    lp = LinearProgram(
-        objective=[3, -1, 0],
-        constraints=[([1, 1, 1], "=", 1),
-                     ([1, 0, 0], "<=", F(3, 5)),
-                     ([0, 1, 0], ">=", F(1, 5))])
+    lp = _lp([3, -1, 0], [([1, 1, 1], "=", 1),
+                          ([1, 0, 0], "<=", F(3, 5)),
+                          ([0, 1, 0], ">=", F(1, 5))])
     sol = solve_lp(lp, mode="exact")
     assert sol.value == F(3, 5) * 3 - F(1, 5)
     assert sol.certified
@@ -51,12 +61,11 @@ def test_every_row_flip_case():
     """x0 + x1 + x2 = 5/2, x0 >= 2 x1, x1 >= 1/2, x0 + x1 >= 1: maximize
     x1 - x2.  On the equality x1 - x2 = 2 x1 + x0 - 5/2, so the optimum
     has x2 = 0 and x0 = 2 x1: x = (5/3, 5/6, 0), value 5/6."""
-    lp = LinearProgram(
-        objective=[0, 1, -1],
-        constraints=[([-1, -1, 0], "<=", -1),  # negative rhs, flips to >=
-                     ([-1, -1, -1], "=", F(-5, 2)),  # negative rhs
-                     ([0, 1, 0], ">=", F(1, 2)),  # slack and artificial
-                     ([1, -2, 0], ">=", 0)])  # zero rhs, flips to <=
+    lp = _lp([0, 1, -1],
+             [([-1, -1, 0], "<=", -1),  # negative rhs, flips to >=
+              ([-1, -1, -1], "=", F(-5, 2)),  # negative rhs
+              ([0, 1, 0], ">=", F(1, 2)),  # slack and artificial
+              ([1, -2, 0], ">=", 0)])  # zero rhs, flips to <=
     sol = solve_lp(lp, mode="exact")
     assert sol.status == "optimal" and sol.certified
     assert sol.value == F(5, 6)
@@ -67,43 +76,39 @@ def test_every_row_flip_case():
     assert np.allclose(approx.assignment, [5 / 3, 5 / 6, 0], atol=1e-9)
 
 
-def test_dimension_mismatch():
-    lp = LinearProgram(objective=[1, 1], constraints=[([1], "<=", 1)])
-    with pytest.raises(LpError):
-        solve_lp(lp)
+@pytest.mark.parametrize("row,col", [(0, 2), (0, -1), (1, 0), (-1, 0)])
+def test_entry_index_out_of_range(row, col):
+    """One <= row over two variables; the entry (row, col) lies outside."""
+    lp = LinearProgram(np.array([1, 1], dtype=object), np.array([0, row]),
+                       np.array([0, col]), np.array([1, 1], dtype=object),
+                       np.array(["<="]), np.array([1], dtype=object))
+    for mode in ("exact", "float"):
+        with pytest.raises(LpError, match="out of range"):
+            solve_lp(lp, mode)
 
 
 def test_unknown_relation():
-    lp = LinearProgram(objective=[1], constraints=[([1], "<", 1)])
+    lp = _lp([1], [([1], "<", 1)])
     with pytest.raises(LpError):
         solve_lp(lp)
 
 
-def test_iteration_limit():
-    lp = LinearProgram(
-        objective=[1, 2, 3],
-        constraints=[([1, 1, 1], "<=", 1), ([1, 2, 0], "<=", 2)])
-    assert solve_lp(lp, mode="exact", iteration_cap=1).status \
-        == "iteration_limit"
-
-
-def test_sparse_rows_match_dense():
-    dense = LinearProgram(objective=[2, 1], constraints=[([1, 3], "<=", 6)])
-    sparse = LinearProgram(objective=[2, 1], constraints=[({0: 1, 1: 3}, "<=", 6)])
-    for mode in ("exact", "float"):
-        assert abs(float(solve_lp(dense, mode).value)
-                   - float(solve_lp(sparse, mode).value)) < 1e-12
+def test_iteration_limit(monkeypatch):
+    """The cap is read at each call, so patching it takes effect."""
+    lp = _lp([1, 2, 3], [([1, 1, 1], "<=", 1), ([1, 2, 0], "<=", 2)])
+    assert solve_lp(lp, mode="exact").status == "optimal"
+    monkeypatch.setattr(lpcore, "ITERATION_CAP", 1)
+    assert solve_lp(lp, mode="exact").status == "iteration_limit"
 
 
 def test_dual_bound_rejects_bad_signs():
-    lp = LinearProgram(objective=[1], constraints=[([1], "<=", 1)])
+    lp = _lp([1], [([1], "<=", 1)])
     with pytest.raises(LpError):
         dual_bound(lp, [-1])
 
 
 def test_dual_bound_is_infinite_on_a_positive_reduced_cost():
-    lp = LinearProgram(objective=[1, 1],
-                       constraints=[([1, 0], "<=", 1), ([0, 1], "<=", 1)])
+    lp = _lp([1, 1], [([1, 0], "<=", 1), ([0, 1], "<=", 1)])
     assert dual_bound(lp, [1, 1]) == 2
     assert dual_bound(lp, [1, 0]) is None
     assert dual_bound(lp, [1, 1 - 1e-9], tol=1e-8) == pytest.approx(2)
@@ -125,22 +130,15 @@ def _random_lp(rng):
             row = [abs(a) for a in row]
             rhs = F(0)
         constraints.append((row, rel, rhs))
-    constraints += [({j: F(1)}, "<=", F(2)) for j in range(nv)]  # box
-    return LinearProgram(objective=objective, constraints=constraints)
+    constraints += [([F(int(k == j)) for k in range(nv)], "<=", F(2))
+                    for j in range(nv)]  # box
+    return _lp(objective, constraints)
 
 
 def _array_form(lp):
-    """The same LP passed to from_coo, from a dense matrix of its rows, with
-    the entries in reverse order."""
-    dense = np.array([[row.get(j, F(0)) for j in range(lp.n_vars)]
-                      for row, _, _ in lp.constraints],
-                     dtype=object).reshape(-1, lp.n_vars)
-    r, c = np.nonzero(dense)
-    r, c = r[::-1], c[::-1]
-    return LinearProgram.from_coo(
-        np.array(list(lp.objective), dtype=object), r, c, dense[r, c],
-        np.array([rel for _, rel, _ in lp.constraints]),
-        np.array([rhs for _, _, rhs in lp.constraints], dtype=object))
+    """The same LP rebuilt from its own arrays, the entries reversed."""
+    return LinearProgram(lp.objective, lp.row[::-1], lp.col[::-1],
+                         lp.val[::-1], lp.relations, lp.rhs)
 
 
 def test_exact_and_float_agree_on_random_lps():
@@ -188,18 +186,33 @@ def test_exact_certificate_is_tight():
         assert dual_bound(lp, sol.dual) == sol.value
 
 
-
 def test_exact_certificate_reads_floats_as_binary_fractions():
     """A float among Fractions is certified as its exact binary value."""
-    lp = LinearProgram(objective=[F(1, 3), 0.1],
-                       constraints=[([1, 1], "<=", 0.1)])
+    lp = _lp([F(1, 3), 0.1], [([1, 1], "<=", 0.1)])
     sol = solve_lp(lp, mode="exact")
     assert sol.value == F(1, 3) * F(0.1)
     assert sol.certified
 
 
+def test_exact_mode_converts_the_numbers_once(monkeypatch):
+    """The simplex and its certificate read one Fraction copy of a float
+    LP."""
+    seen = []
+    for name in ("_solve_exact", "dual_bound"):
+        def spy(lp, *args, real=getattr(lpcore, name)):
+            seen.append(lp)
+            return real(lp, *args)
+        monkeypatch.setattr(lpcore, name, spy)
+    lp = _lp([F(1, 3), 0.1], [([1, 1], "<=", 0.1)])
+    assert solve_lp(lp, mode="exact").certified
+    solved, certified = seen
+    assert solved is certified is not lp
+    numbers = (solved.objective, solved.val, solved.rhs)
+    assert {type(v) for a in numbers for v in a} == {F}
+
+
 def test_iterations_are_reported():
-    lp = LinearProgram(objective=[1, 1], constraints=[([1, 1], "<=", 1)])
+    lp = _lp([1, 1], [([1, 1], "<=", 1)])
     # one pivot, then the pricing pass that finds no entering column
     assert solve_lp(lp, mode="exact").iterations == 2
     nit = solve_lp(lp, mode="float").iterations
@@ -213,7 +226,7 @@ def test_highs_status_is_reported_truthfully(monkeypatch, code, status):
 
     monkeypatch.setattr(scipy.optimize, "linprog",
                         lambda *args, **kw: SimpleNamespace(status=code))
-    lp = LinearProgram(objective=[1, 1], constraints=[([1, 1], "<=", 1)])
+    lp = _lp([1, 1], [([1, 1], "<=", 1)])
     sol = solve_lp(lp, mode="float")
     assert (sol.status, sol.solver_code) == (status, code)
     assert not sol.certified

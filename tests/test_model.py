@@ -64,6 +64,37 @@ def test_negative_cost_and_missing_entry(college2):
     assert any("missing cost entry" in p for p in problems)
 
 
+@pytest.mark.parametrize("field,value,problem", [
+    ("prior", float("nan"), "prior mass at F:sL is nan"),
+    ("cost", float("inf"), "cost at (sH, F:sL) is inf"),
+    ("agent", float("-inf"), "agent value at (admit, F:sL) is -inf"),
+    ("designer", float("nan"), "decision value at (admit, F:sL) is nan"),
+    ("loss", float("inf"), "loss coefficient inf must be in [0, inf)"),
+    ("loss", float("nan"), "loss coefficient nan must be in [0, inf)")],
+    ids=["prior-nan", "cost-inf", "agent-minus-inf", "designer-nan",
+         "loss-inf", "loss-nan"])
+def test_non_finite_numbers_are_listed(college2, field, value, problem):
+    """Each comparison the other checks make is False for NaN, so NaN and
+    the infinities are listed on their own."""
+    t1 = AgentType("F", "sL")
+    space, costs = college2.space, college2.costs
+    agent, designer = college2.agent, college2.designer
+    if field == "prior":
+        space = FiniteTypeSpace(space.types, space.scores, space.outcomes,
+                                {**space.prior, t1: value})
+    elif field == "cost":
+        costs = CostModel.tabulated({**costs.table, ("sH", t1): value})
+    elif field == "agent":
+        agent = AgentPayoff({**agent.value, ("admit", t1): value})
+    elif field == "designer":
+        designer = DesignerPayoff({**designer.decision_value,
+                                   ("admit", t1): value},
+                                  designer.loss_coefficient)
+    else:
+        designer = DesignerPayoff(designer.decision_value, value)
+    assert validate(space, costs, designer, agent) == [problem]
+
+
 def test_parametric_domain_must_straddle_zero(college2):
     costs = CostModel.linear(2.0, (1.0, 3.0))
     problems = validate(college2.space, costs, college2.designer)
@@ -226,7 +257,8 @@ def test_validate_mechanism_support_rule(college2, menu_mechanism, tiny,
 
 
 @pytest.mark.parametrize("eps,flagged", [(2.0**-52, False), (1e-9, True),
-                                         (F(1, 10**13), True)])
+                                         (F(1, 10**13), True),
+                                         (float("nan"), True)])
 def test_validate_mechanism_unit_range(college2, menu_mechanism, eps,
                                        flagged):
     """A float rho or q may leave [0, 1] by solver round-off (up to the
