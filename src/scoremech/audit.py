@@ -287,7 +287,12 @@ def brute_force_optimum(space: FiniteTypeSpace, costs: CostModel,
     q and rho entries range over multiples of the step; only mechanisms
     passing the incentive audit (at ``tolerance``) count.  Branch and bound
     over per-type menus with pairwise truth-telling feasibility masks.
+    Raises ModelError for an invalid instance or outside option, or one
+    beyond the size limits.
     """
+    outside = outside_option or {}
+    require_valid("instance", validate(space, costs, designer, agent)
+                  + _non_finite("outside option", outside))
     if len(space.types) > 4 or len(space.scores) > 3:
         raise ModelError("brute force is limited to <=4 types, <=3 scores")
     if len(space.outcomes) != 2:
@@ -299,7 +304,6 @@ def brute_force_optimum(space: FiniteTypeSpace, costs: CostModel,
     if step * denom != 1:
         raise ModelError("grid step must divide 1")
     grid = [Fraction(i, denom) for i in range(denom + 1)]
-    outside = outside_option or {}
 
     types = list(space.types)
     per_type = [

@@ -4,12 +4,16 @@ An LP -- maximize c . x subject to sparse rows and x >= 0 -- is stored
 once, as sparse arrays, and ``LinearProgram``'s one constructor takes
 them; the finite mechanism solver fills them directly, from a few dozen
 variables for the hand-worked instances to tens of thousands for
-discretization cross-checks.  Its row view (``constraints``) is kept only
-for the benchmark's LP counts.  Two solution modes are offered:
+discretization cross-checks.  Its row view (``constraints``) has two
+readers, the benchmark's LP counts (``perfbench/jobs.py:_lp_counts``) and
+``test_array_builder_matches_row_by_row_families``.  Two modes are offered:
 
 * ``exact`` -- a two-phase tableau simplex in exact rational arithmetic
-  with Bland's anti-cycling rule.  Floats are read as their binary
-  Fractions once, before the solve.  The tableau is built straight from the
+  with Bland's anti-cycling rule: the first column with a negative reduced
+  cost enters.  A basic column's reduced cost is exactly 0, so it never
+  enters, and no set of basic columns is kept.  Each phase's loop returns
+  "optimal", "unbounded" or "iteration_limit".  Floats are read as their
+  binary Fractions once, before the solve.  The tableau is built from the
   sparse arrays and stored dense, each entry a plain-int numerator and
   denominator in lowest terms; each pivot updates only the pivot row's
   nonzero columns, and the dual is read off the maintained reduced-cost
@@ -85,11 +89,8 @@ class LinearProgram:
 
     @property
     def constraints(self) -> list[tuple]:
-        """Rows as ({column: coefficient}, relation, rhs), rebuilt per call.
-
-        No solver reads this view.  It and ``row_items`` are kept only for
-        the benchmark's LP counts (``perfbench/jobs.py:_lp_counts``).
-        """
+        """Rows as ({column: coefficient}, relation, rhs), rebuilt per
+        call.  No solver reads it or ``row_items``; see the module notes."""
         ends = np.searchsorted(self.row, np.arange(self.n_rows + 1)).tolist()
         col, val = self.col.tolist(), self.val.tolist()
         return [(dict(zip(col[s:e], val[s:e])), rel, b) for s, e, rel, b
@@ -242,10 +243,6 @@ def _solve_float(lp: LinearProgram) -> LpSolution:
 # exact mode (two-phase rational tableau of reduced int pairs, Bland's rule)
 # ---------------------------------------------------------------------------
 
-class _IterationLimit(Exception):
-    pass
-
-
 def _solve_exact(lp: LinearProgram) -> LpSolution:  # ints and Fractions
     n, m, rel = lp.n_vars, lp.n_rows, lp.relations
     frac, cap = Fraction, ITERATION_CAP
@@ -279,7 +276,7 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:  # ints and Fractions
     basis = list(start)
 
     artificials = set(art[has_art].tolist())
-    counter = [0]
+    passes = 0
     zero, znum = frac(0), num[m]
 
     def pivot(ti, tj):
@@ -317,19 +314,17 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:  # ints and Fractions
         znum[:], den[m][:] = zip(*[z.as_integer_ratio() for z in zrow])
 
     def run_simplex(allowed):
-        """Maximize the loaded cost over the tableau; Bland's rule."""
-        basic = set(basis)
+        """Maximize the loaded cost by Bland's rule over ``allowed``, in
+        order; a basic column has reduced cost exactly 0, so never enters.
+        Returns "optimal", "unbounded" or "iteration_limit"."""
+        nonlocal passes
         while True:
-            counter[0] += 1
-            if counter[0] > cap:
-                raise _IterationLimit
-            entering = -1
-            for j in allowed:
-                if znum[j] < 0 and j not in basic:
-                    entering = j
-                    break
+            passes += 1
+            if passes > cap:
+                return "iteration_limit"
+            entering = next((j for j in allowed if znum[j] < 0), -1)
             if entering < 0:
-                return True  # optimal
+                return "optimal"
             leaving, best = -1, (0, 1)
             for i in range(m):
                 a = num[i][entering]
@@ -340,37 +335,34 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:  # ints and Fractions
                             d == 0 and basis[i] < basis[leaving]):
                         leaving, best = i, (p, q)
             if leaving < 0:
-                return False  # unbounded
-            basic.discard(basis[leaving])
-            basic.add(entering)
+                return "unbounded"
             pivot(leaving, entering)
 
-    try:
-        # Phase 1: drive artificials to zero.
-        if artificials:
-            load_cost([frac(-1) if j in artificials else zero
-                       for j in range(ncols)])
-            bounded = run_simplex(sorted(range(ncols)))
-            assert bounded, "phase-1 objective is bounded by construction"
-            if znum[ncols] != 0:  # minus the sum of the artificials
-                return LpSolution("infeasible", iterations=counter[0])
-            # Pivot remaining (degenerate) artificials out of the basis.
-            for i in range(m):
-                if basis[i] in artificials:
-                    for j in range(ncols):
-                        if j not in artificials and num[i][j] != 0:
-                            pivot(i, j)
-                            break
-                    # A row with no eligible pivot is redundant; harmless to
-                    # leave the artificial basic at value zero.
+    # Phase 1: drive artificials to zero.
+    if artificials:
+        load_cost([frac(-1) if j in artificials else zero
+                   for j in range(ncols)])
+        status = run_simplex(range(ncols))
+        assert status != "unbounded", "phase-1 objective is bounded"
+        if status == "optimal" and znum[ncols] != 0:  # -sum of artificials
+            status = "infeasible"
+        if status != "optimal":
+            return LpSolution(status, iterations=passes)
+        # Pivot remaining (degenerate) artificials out of the basis.
+        for i in range(m):
+            if basis[i] in artificials:
+                for j in range(ncols):
+                    if j not in artificials and num[i][j] != 0:
+                        pivot(i, j)
+                        break
+                # A row with no eligible pivot is redundant; harmless to
+                # leave the artificial basic at value zero.
 
-        # Phase 2.
-        load_cost(lp.objective.tolist() + [zero] * (ncols - n))
-        bounded = run_simplex(sorted(set(range(ncols)) - artificials))
-        if not bounded:
-            return LpSolution("unbounded", iterations=counter[0])
-    except _IterationLimit:
-        return LpSolution("iteration_limit", iterations=counter[0])
+    # Phase 2.
+    load_cost(lp.objective.tolist() + [zero] * (ncols - n))
+    status = run_simplex([j for j in range(ncols) if j not in artificials])
+    if status != "optimal":
+        return LpSolution(status, iterations=passes)
 
     x = [zero] * ncols
     for i, b in enumerate(basis):
@@ -378,4 +370,4 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:  # ints and Fractions
     # Row i's multiplier (y = c_B B^-1) is the cost row at its identity column.
     dual = [f * frac(znum[j], den[m][j]) for f, j in zip(flip.tolist(), start)]
     return LpSolution("optimal", value=frac(znum[ncols], den[m][ncols]),
-                      assignment=x[:n], dual=dual, iterations=counter[0])
+                      assignment=x[:n], dual=dual, iterations=passes)

@@ -304,6 +304,18 @@ def test_brute_force_guards_instance_size(college2):
                             college2.designer, F(1, 32))
 
 
+def test_brute_force_refuses_an_unnormalized_prior(college2):
+    """Every type at 1/2 would double the optimum to 53/12."""
+    space = college2.space
+    doubled = FiniteTypeSpace(types=space.types, scores=space.scores,
+                              outcomes=space.outcomes,
+                              prior={t: F(1, 2) for t in space.types})
+    with pytest.raises(ModelError, match=r"invalid instance: prior not "
+                                         r"normalized \(sums to 2\.0\)"):
+        brute_force_optimum(doubled, college2.costs, college2.agent,
+                            college2.designer, F(1, 2))
+
+
 def test_best_response_is_monotone_in_the_mechanism():
     """Pointwise raising approval never lowers any type's best response."""
     rng = random.Random(777)

@@ -37,7 +37,11 @@ from scoremech.model import (
     ScoreBasedRule,
     validate_mechanism,
 )
-from scoremech.audit import audit_ic, best_response_score_rule
+from scoremech.audit import (
+    audit_ic,
+    best_response_score_rule,
+    brute_force_optimum,
+)
 
 from conftest import random_instance, random_rational
 
@@ -709,7 +713,11 @@ def test_derive_drm_joint_law_equality_on_random_instances():
 # score-based reduction
 # ---------------------------------------------------------------------------
 
-def _two_types_shared_score(q_shared, off_a, off_b):
+def _two_types_shared_score(q_shared, off_a, off_b, q_b=None):
+    """Types a and b both sent to sH, approved there with ``q_shared``
+    (``q_b`` for b when given); the off-path sL rows are ``off_a`` and
+    ``off_b``.  The designer values an approval of b twice as much."""
+    q_b = q_shared if q_b is None else q_b
     ta, tb = AgentType("a", "sL"), AgentType("b", "sH")
     space = FiniteTypeSpace(types=(ta, tb), scores=("sL", "sH"),
                             outcomes=("reject", "admit"),
@@ -723,7 +731,7 @@ def _two_types_shared_score(q_shared, off_a, off_b):
         ("reject", ta): F(0), ("reject", tb): F(0)})
     decision = {
         ("admit", "sH", ta): q_shared, ("reject", "sH", ta): 1 - q_shared,
-        ("admit", "sH", tb): q_shared, ("reject", "sH", tb): 1 - q_shared,
+        ("admit", "sH", tb): q_b, ("reject", "sH", tb): 1 - q_b,
         ("admit", "sL", ta): off_a, ("reject", "sL", ta): 1 - off_a,
         ("admit", "sL", tb): off_b, ("reject", "sL", tb): 1 - off_b,
     }
@@ -740,6 +748,16 @@ def test_reduction_keeps_shared_score_lottery():
                                                 designer, mech)
     assert rule.q("admit", "sH") == F(7, 10)
     assert falsification == {t: "sH" for t in space.types}
+
+
+def test_reduction_keeps_the_lottery_the_designer_prefers():
+    """a's and b's lotteries at sH differ within ``tol``; the designer
+    values b's at 2 * 7/10 = 7/5 and a's at 3/5, so b's is kept."""
+    space, costs, agent, designer, mech = _two_types_shared_score(
+        F(3, 5), F(0), F(0), q_b=F(7, 10))
+    rule, _ = reduce_to_score_based(space, costs, agent, designer, mech,
+                                    tol=F(1, 5))
+    assert rule.q("admit", "sH") == F(7, 10)
 
 
 def test_reduction_replaces_off_path_rows():
@@ -1065,8 +1083,12 @@ def test_audit_ic_validates_the_mechanism(college2, menu_mechanism):
     (lambda inst, mech: solve_drm(_with_outside(inst, {T3: float("nan")}),
                                   "float"),
      "invalid instance: outside option at NF:sH is nan"),
+    (lambda inst, mech: brute_force_optimum(
+        inst.space, inst.costs, inst.agent, inst.designer, F(1, 2),
+        {T3: float("nan")}),
+     "invalid instance: outside option at NF:sH is nan"),
 ], ids=["audit_ic-mechanism", "audit_ic-outside", "solve_drm-exact",
-        "solve_drm-float"])
+        "solve_drm-float", "brute_force_optimum-outside"])
 def test_non_finite_input_is_refused(college2, menu_mechanism, call,
                                      problem):
     with pytest.raises(ModelError, match=problem):

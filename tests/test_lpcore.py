@@ -98,7 +98,38 @@ def test_iteration_limit(monkeypatch):
     lp = _lp([1, 2, 3], [([1, 1, 1], "<=", 1), ([1, 2, 0], "<=", 2)])
     assert solve_lp(lp, mode="exact").status == "optimal"
     monkeypatch.setattr(lpcore, "ITERATION_CAP", 1)
-    assert solve_lp(lp, mode="exact").status == "iteration_limit"
+    sol = solve_lp(lp, mode="exact")
+    assert (sol.status, sol.iterations) == ("iteration_limit", 2)
+
+
+def _seeded_lp(seed):
+    """A small LP that may be infeasible or unbounded: 1-6 variables, 1-6
+    rows of integer coefficients, any relation and rhs sign."""
+    rng = random.Random(seed)
+    nv, nc = rng.randint(1, 6), rng.randint(1, 6)
+    objective = [rng.randint(-3, 3) for _ in range(nv)]
+    return _lp(objective, [([rng.randint(-3, 3) for _ in range(nv)],
+                            rng.choice(["<=", ">=", "="]), rng.randint(-4, 4))
+                           for _ in range(nc)])
+
+
+@pytest.mark.parametrize("seed,cap,status,iterations", [
+    (390, None, "infeasible", 9),  # 8 phase-1 pivots first
+    (147, None, "unbounded", 11),  # 6 phase-1 pivots, then 3 in phase 2
+    (147, 1, "iteration_limit", 2),  # stops in phase 1
+    (147, 3, "iteration_limit", 4),
+    (15, 3, "iteration_limit", 4),  # 2 phase-1 passes: stops in phase 2
+    # phase 1 ends with two artificials basic at zero and pivots them out
+    (279, None, "optimal", 4),
+])
+def test_exact_exit_paths(monkeypatch, seed, cap, status, iterations):
+    """Every way out of the exact simplex reports its status and the
+    pricing passes made by then, both phases counted."""
+    if cap is not None:
+        monkeypatch.setattr(lpcore, "ITERATION_CAP", cap)
+    sol = solve_lp(_seeded_lp(seed), mode="exact")
+    assert (sol.status, sol.iterations) == (status, iterations)
+    assert sol.certified == sol.optimal
 
 
 def test_dual_bound_rejects_bad_signs():
