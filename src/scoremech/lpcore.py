@@ -20,7 +20,9 @@ readers, the benchmark's LP counts (``perfbench/jobs.py:_lp_counts``) and
   row.  Optima are returned as ``fractions.Fraction``.  This is the mode
   the golden-value tests run in.
 * ``float`` -- the sparse matrix goes to scipy's HiGHS backend, imported on
-  first use so that exact and continuous runs never load scipy.
+  first use so that exact and continuous runs never load scipy.  DRM
+  entries are of order 1, so HiGHS solves unscaled; an answer other than a
+  certified optimum (as on badly scaled data) gets HiGHS's scaling instead.
 
 Every optimal solve also produces a dual certificate: a vector of row
 multipliers whose implied objective bound is checked against the primal
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
+from warnings import catch_warnings, filterwarnings
 
 import numpy as np
 
@@ -50,6 +53,7 @@ _RELATIONS = (LESS, EQUAL, GREATER)
 # Exact simplex pricing passes, or HiGHS iterations, before a solve stops
 # with "iteration_limit"; read at each call.
 ITERATION_CAP = 10**6
+HIGHS_SCALE_STRATEGY = 0  # unscaled; presolve stays on (measured faster)
 
 # linprog status codes; any other (4: numerical difficulties) is "numerical"
 _HIGHS_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible",
@@ -135,11 +139,13 @@ def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpSolution:
         lp = _exact_view(lp)
         sol = _solve_exact(lp)
     elif mode == "float":
-        sol = _solve_float(lp)
+        sol = _solve_float(lp, HIGHS_SCALE_STRATEGY)
     else:
         raise LpError(f"unknown mode {mode!r}")
-    if sol.optimal:
-        sol.certified = _certify(lp, sol, exact=(mode == "exact"))
+    sol.certified = sol.optimal and _certify(lp, sol, exact=(mode == "exact"))
+    if mode == "float" and not sol.certified:  # HiGHS's default scaling, 2
+        sol = _solve_float(lp, 2)
+        sol.certified = sol.optimal and _certify(lp, sol, exact=False)
     return sol
 
 
@@ -202,9 +208,9 @@ def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
 # float mode (HiGHS)
 # ---------------------------------------------------------------------------
 
-def _solve_float(lp: LinearProgram) -> LpSolution:
+def _solve_float(lp: LinearProgram, scaling: int) -> LpSolution:
     import scipy.sparse as sp  # deferred: exact and continuous runs skip it
-    from scipy.optimize import linprog
+    from scipy.optimize import OptimizeWarning, linprog
 
     rel = lp.relations
     eq, ub = rel == EQUAL, rel != EQUAL
@@ -217,11 +223,13 @@ def _solve_float(lp: LinearProgram) -> LpSolution:
     rhs = sign * lp.rhs.astype(float)
     a_ub, b_ub = (a[ub], rhs[ub]) if ub.any() else (None, None)
     a_eq, b_eq = (a[eq], rhs[eq]) if eq.any() else (None, None)
-    res = linprog(
-        -lp.objective.astype(float),  # linprog minimizes
-        A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=(0, None),
-        method="highs", options={"maxiter": ITERATION_CAP})
+    with catch_warnings():  # silence only scipy's "verbatim" option note
+        filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
+        res = linprog(-lp.objective.astype(float),  # linprog minimizes
+                      A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=(0, None), method="highs",
+                      options={"maxiter": ITERATION_CAP,
+                               "simplex_scale_strategy": scaling})
     status = _HIGHS_STATUS.get(res.status, "numerical")
     if status != "optimal":
         return LpSolution(status=status, solver_code=res.status)

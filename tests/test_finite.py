@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -171,6 +172,78 @@ def test_float_mode_matches_exact_on_college(college2):
     lp = build_drm_lp(college2.space, college2.costs, college2.agent,
                       college2.designer)
     assert abs(solve_lp(lp, "float").value - 53 / 24) < 1e-9
+
+
+def _scaled_college(college2, k, m):
+    """Scenario 2 with agent values and costs times k, decision values
+    times m and the loss coefficient times m / k^2: every designer payoff,
+    the optimum included, is m times the original, in exact Fractions."""
+    def times(table, factor):
+        return {key: v * factor for key, v in table.items()}
+
+    return Instance(
+        space=college2.space,
+        costs=CostModel.tabulated(times(college2.costs.table, k)),
+        agent=AgentPayoff(times(college2.agent.value, k)),
+        designer=DesignerPayoff(
+            times(college2.designer.decision_value, m),
+            college2.designer.loss_coefficient * m / k**2))
+
+
+@pytest.mark.parametrize("k, m", [(F(1000), F(1, 1000)),
+                                  (F(1, 1000), F(10**4)),
+                                  (F(10**5), F(1))],
+                         ids=["k1e3-m1e-3", "k1e-3-m1e4", "k1e5-m1"])
+def test_float_solve_is_invariant_to_payoff_scale(college2, k, m):
+    """The payoff-scaling relation (ROADMAP 8(b)): the optimum becomes
+    53/24 * m, exactly in exact mode.  In floats, badly scaled data still
+    give certified optima of that value, through row generation and through
+    the full LP, and an audited mechanism.  The unscaled HiGHS solve loses
+    its certificate on the first case, so float mode must solve it again
+    with HiGHS's scaling."""
+    scaled = _scaled_college(college2, k, m)
+    assert solve_drm(scaled, mode="exact")[0].value == F(53, 24) * m
+    inst = _to_fractions(scaled, float)
+    full = solve_lp(build_drm_lp(inst.space, inst.costs, inst.agent,
+                                 inst.designer), "float")
+    sol, mech = solve_drm(inst, mode="float")
+    target = 53 / 24 * float(m)
+    for s in (full, sol):
+        assert s.certified
+        assert abs(s.value - target) <= 1e-9 * target
+    assert audit_ic(inst.space, inst.costs, inst.agent, mech).passes
+
+
+def test_float_mode_rescales_only_uncertified_optima(college2, monkeypatch):
+    """Float mode solves unscaled, and again with HiGHS's default scaling
+    (strategy 2) only when the unscaled optimum fails its certificate."""
+    scalings = []
+    solve = lpcore._solve_float
+
+    def spy(lp, scaling):
+        scalings.append(scaling)
+        return solve(lp, scaling)
+
+    monkeypatch.setattr(lpcore, "_solve_float", spy)
+    for inst, expected in [(college2, [0]),
+                           (_scaled_college(college2, F(1000), F(1, 1000)),
+                            [0, 2])]:
+        scalings.clear()
+        lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
+        assert solve_lp(lp, "float").certified
+        assert scalings == expected
+
+
+def test_float_solves_leak_no_warning(college2):
+    """scipy warns when it hands HiGHS an option verbatim; float mode
+    silences that warning alone, so none reaches the caller."""
+    inst = _to_fractions(college2, float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_lp(build_drm_lp(inst.space, inst.costs, inst.agent,
+                                    inst.designer), "float")
+        assert sol.certified
+        assert solve_drm(inst, mode="float")[0].certified
 
 
 def test_positive_outside_option_respected(college2):
