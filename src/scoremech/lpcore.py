@@ -19,10 +19,10 @@ readers, the benchmark's LP counts (``perfbench/jobs.py:_lp_counts``) and
   nonzero columns, and the dual is read off the maintained reduced-cost
   row.  Optima are returned as ``fractions.Fraction``.  This is the mode
   the golden-value tests run in.
-* ``float`` -- the sparse matrix goes to scipy's HiGHS backend, imported on
-  first use so that exact and continuous runs never load scipy.  DRM
-  entries are of order 1, so HiGHS solves unscaled; an answer other than a
-  certified optimum (as on badly scaled data) gets HiGHS's scaling instead.
+* ``float`` -- the sparse matrix goes to scipy's bundled HiGHS binding,
+  imported on first use so that exact and continuous runs never load scipy.
+  HiGHS solves unscaled with Dantzig pricing, which suit DRM LPs; an answer
+  other than a certified optimum is solved again with HiGHS's defaults.
 
 Every optimal solve also produces a dual certificate: a vector of row
 multipliers whose implied objective bound is checked against the primal
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
-from warnings import catch_warnings, filterwarnings
 
 import numpy as np
 
@@ -53,11 +52,14 @@ _RELATIONS = (LESS, EQUAL, GREATER)
 # Exact simplex pricing passes, or HiGHS iterations, before a solve stops
 # with "iteration_limit"; read at each call.
 ITERATION_CAP = 10**6
-HIGHS_SCALE_STRATEGY = 0  # unscaled; presolve stays on (measured faster)
+# The first float solve's HiGHS options.  Presolve stays on: off, round-off
+# mass can land on a score its type cannot afford.
+HIGHS_OPTIONS = {"simplex_dual_edge_weight_strategy": 0,
+                 "simplex_scale_strategy": 0}
 
-# linprog status codes; any other (4: numerical difficulties) is "numerical"
-_HIGHS_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible",
-                 3: "unbounded"}
+# HiGHS model statuses; any other (kSolveError...) is "numerical"
+_HIGHS_STATUS = {"kOptimal": "optimal", "kIterationLimit": "iteration_limit",
+                 "kInfeasible": "infeasible", "kUnbounded": "unbounded"}
 
 
 class LpError(ValueError):
@@ -122,7 +124,7 @@ class LpSolution:
     assignment: list = field(default_factory=list)
     dual: list = field(default_factory=list)  # one multiplier per row
     certified: bool = False
-    solver_code: int | None = None  # HiGHS status code (float mode)
+    solver_code: str | None = None  # HiGHS model status name (float mode)
     iterations: int | None = None  # exact: Bland pricing passes; HiGHS nit
 
     @property
@@ -139,12 +141,12 @@ def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpSolution:
         lp = _exact_view(lp)
         sol = _solve_exact(lp)
     elif mode == "float":
-        sol = _solve_float(lp, HIGHS_SCALE_STRATEGY)
+        sol = _solve_float(lp, HIGHS_OPTIONS)
     else:
         raise LpError(f"unknown mode {mode!r}")
     sol.certified = sol.optimal and _certify(lp, sol, exact=(mode == "exact"))
-    if mode == "float" and not sol.certified:  # HiGHS's default scaling, 2
-        sol = _solve_float(lp, 2)
+    if mode == "float" and not sol.certified:  # HiGHS's defaults
+        sol = _solve_float(lp, {})
         sol.certified = sol.optimal and _certify(lp, sol, exact=False)
     return sol
 
@@ -208,43 +210,42 @@ def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
 # float mode (HiGHS)
 # ---------------------------------------------------------------------------
 
-def _solve_float(lp: LinearProgram, scaling: int) -> LpSolution:
+def _solve_float(lp: LinearProgram, options: Mapping) -> LpSolution:
     import scipy.sparse as sp  # deferred: exact and continuous runs skip it
-    from scipy.optimize import OptimizeWarning, linprog
+    from scipy.optimize._highspy._core import MatrixFormat, ObjSense, _Highs
 
-    rel = lp.relations
-    eq, ub = rel == EQUAL, rel != EQUAL
-    # >= rows enter HiGHS as <= rows times -1; = rows keep sign 1.  Indices
-    # are 32-bit, as scipy picks for matrices of this size.
-    sign = np.where(rel == GREATER, -1.0, 1.0)
-    a = sp.csr_array((sign[lp.row] * lp.val.astype(float),
-                      (lp.row.astype(np.int32), lp.col.astype(np.int32))),
-                     shape=(lp.n_rows, lp.n_vars))
-    rhs = sign * lp.rhs.astype(float)
-    a_ub, b_ub = (a[ub], rhs[ub]) if ub.any() else (None, None)
-    a_eq, b_eq = (a[eq], rhs[eq]) if eq.any() else (None, None)
-    with catch_warnings():  # silence only scipy's "verbatim" option note
-        filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
-        res = linprog(-lp.objective.astype(float),  # linprog minimizes
-                      A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=(0, None), method="highs",
-                      options={"maxiter": ITERATION_CAP,
-                               "simplex_scale_strategy": scaling})
-    status = _HIGHS_STATUS.get(res.status, "numerical")
+    n, rel, rhs = lp.n_vars, lp.relations, lp.rhs.astype(float)
+    cost, val = -lp.objective.astype(float), lp.val.astype(float)
+    if not all(np.isfinite(v).all() for v in (cost, val, rhs)):
+        raise LpError("an LP number is not finite")
+    a = sp.csc_array((val, (lp.row, lp.col)), shape=(lp.n_rows, n))
+    highs = _Highs()
+    for name, value in {"output_flag": False,
+                        "simplex_iteration_limit": ITERATION_CAP,
+                        **options}.items():
+        highs.setOptionValue(name, value)
+    # minimize -c . x over continuous x >= 0, rows between their bounds
+    highs.passModel(n, lp.n_rows, a.nnz, MatrixFormat.kColwise,
+                    ObjSense.kMinimize, 0.0, cost, np.zeros(n),
+                    np.full(n, np.inf), np.where(rel == LESS, -np.inf, rhs),
+                    np.where(rel == GREATER, np.inf, rhs),
+                    a.indptr, a.indices, a.data, np.zeros(n, np.int32))
+    highs.run()
+    code = highs.getModelStatus().name
+    status = _HIGHS_STATUS.get(code, "numerical")
     if status != "optimal":
-        return LpSolution(status=status, solver_code=res.status)
+        return LpSolution(status=status, solver_code=code)
 
-    # HiGHS marginals are for the minimization form of the signed rows.
-    dual = np.empty(lp.n_rows)
-    dual[eq], dual[ub] = res.eqlin.marginals, res.ineqlin.marginals
-    dual *= -sign
+    solution = highs.getSolution()
+    dual = -np.array(solution.row_dual)  # the max form's multipliers
     # Clean round-off that would wreck the sign conditions.
-    x = np.maximum(res.x, 0.0)
+    x = np.maximum(solution.col_value, 0.0)
     dual[(rel == LESS) & (-1e-7 < dual) & (dual < 0)] = 0.0
     dual[(rel == GREATER) & (0 < dual) & (dual < 1e-7)] = 0.0
-    return LpSolution(status="optimal", value=-float(res.fun),
-                      assignment=x.tolist(), dual=dual.tolist(),
-                      solver_code=res.status, iterations=res.nit)
+    info = highs.getInfo()
+    return LpSolution("optimal", -info.objective_function_value, x.tolist(),
+                      dual.tolist(), solver_code=code,
+                      iterations=info.simplex_iteration_count)
 
 
 # ---------------------------------------------------------------------------

@@ -61,3 +61,15 @@ def random_instance(rng: random.Random, max_types=3, n_scores=2) -> Instance:
     designer = DesignerPayoff(decision_value=dv, loss_coefficient=lam)
     return Instance(space=space, costs=CostModel.tabulated(table),
                     agent=agent, designer=designer)
+
+
+def stub_highs_status(monkeypatch, name: str) -> None:
+    """Make every float solve run HiGHS as usual, then report model status
+    ``name`` (e.g. "kSolveError")."""
+    from scipy.optimize._highspy import _core
+
+    class Highs(_core._Highs):
+        def getModelStatus(self):
+            return getattr(_core.HighsModelStatus, name)
+
+    monkeypatch.setattr(_core, "_Highs", Highs)

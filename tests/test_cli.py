@@ -3,7 +3,6 @@ import hashlib
 import inspect
 import json
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +23,8 @@ from scoremech.model import (
     save_instance,
     validate_mechanism,
 )
+
+from conftest import stub_highs_status
 
 
 MIXTURE_HEADER_LINE = ("type_label\ttype_score\tcomponent\tweight\t"
@@ -179,17 +180,14 @@ def test_infeasible_instance_exits_3(capsys, tmp_path):
 
 
 def test_highs_numerical_difficulties_exit_4(capsys, tmp_path, monkeypatch):
-    import scipy.optimize
-
-    monkeypatch.setattr(scipy.optimize, "linprog",
-                        lambda *args, **kw: SimpleNamespace(status=4))
+    stub_highs_status(monkeypatch, "kSolveError")
     cfg = tmp_path / "college.json"
     save_instance(college_instance(internalize_costs=True), cfg)
     code, _, err = run_cli(capsys, "solve-finite", "--mode", "float",
                            "--instance", str(cfg), "--out",
                            str(tmp_path / "o"))
     assert code == cli.EXIT_NUMERIC == 4
-    assert "numerical difficulties (HiGHS status 4)" in err
+    assert "numerical difficulties (HiGHS status kSolveError)" in err
     assert "iteration limit" not in err
 
 

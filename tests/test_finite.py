@@ -215,28 +215,28 @@ def test_float_solve_is_invariant_to_payoff_scale(college2, k, m):
 
 
 def test_float_mode_rescales_only_uncertified_optima(college2, monkeypatch):
-    """Float mode solves unscaled, and again with HiGHS's default scaling
-    (strategy 2) only when the unscaled optimum fails its certificate."""
-    scalings = []
+    """Float mode solves with Dantzig pricing, unscaled, and again with
+    HiGHS's defaults only when that optimum fails its certificate."""
+    seen = []
     solve = lpcore._solve_float
 
-    def spy(lp, scaling):
-        scalings.append(scaling)
-        return solve(lp, scaling)
+    def spy(lp, options):
+        seen.append(options)
+        return solve(lp, options)
 
     monkeypatch.setattr(lpcore, "_solve_float", spy)
-    for inst, expected in [(college2, [0]),
+    tuned = lpcore.HIGHS_OPTIONS
+    for inst, expected in [(college2, [tuned]),
                            (_scaled_college(college2, F(1000), F(1, 1000)),
-                            [0, 2])]:
-        scalings.clear()
+                            [tuned, {}])]:
+        seen.clear()
         lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
         assert solve_lp(lp, "float").certified
-        assert scalings == expected
+        assert seen == expected
 
 
 def test_float_solves_leak_no_warning(college2):
-    """scipy warns when it hands HiGHS an option verbatim; float mode
-    silences that warning alone, so none reaches the caller."""
+    """No float solve warns, whichever HiGHS options it passes."""
     inst = _to_fractions(college2, float)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -244,6 +244,25 @@ def test_float_solves_leak_no_warning(college2):
                                     inst.designer), "float")
         assert sol.certified
         assert solve_drm(inst, mode="float")[0].certified
+
+
+def test_float_lp_leaves_no_mass_on_unaffordable_scores():
+    """HiGHS solves with presolve on.  Without it, this LP's optimum puts a
+    2.9e-12 round-off mass on a score a type cannot afford, which the
+    audit reads as a 6.7e-3 ex-post participation violation."""
+    from scoremech.continuous import TruncatedExponential, discretize
+
+    dist = TruncatedExponential(-1.9263909385713407, 1.00231812103833,
+                                1.048250371240298)
+    inst = discretize(dist, CostModel.quadratic(
+        3.102846885221756, (dist.s_min, dist.s_max)), 16)
+    sol = solve_lp(build_drm_lp(inst.space, inst.costs, inst.agent,
+                                inst.designer), "float")
+    mech = extract_mechanism(inst.space, sol)
+    value, _, _ = evaluate_mechanism(inst.space, inst.costs, inst.agent,
+                                     inst.designer, mech)
+    assert sol.certified and abs(value - sol.value) <= 1e-7
+    assert audit_ic(inst.space, inst.costs, inst.agent, mech).passes
 
 
 def test_positive_outside_option_respected(college2):

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from math import gcd
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ import pytest
 import scoremech
 from scoremech import lpcore
 from scoremech.lpcore import LinearProgram, LpError, dual_bound, solve_lp
+
+from conftest import stub_highs_status
 
 
 def _lp(objective, rows):
@@ -91,6 +92,16 @@ def test_unknown_relation():
     lp = _lp([1], [([1], "<", 1)])
     with pytest.raises(LpError):
         solve_lp(lp)
+
+
+@pytest.mark.parametrize("objective,rows", [
+    ([float("nan"), 1], [([1, 1], "<=", 1)]),
+    ([1, 1], [([1, float("nan")], "<=", 1)]),
+    ([1, 1], [([1, 1], "<=", float("inf"))])], ids=["c", "A", "b"])
+def test_float_mode_refuses_non_finite_numbers(objective, rows):
+    """HiGHS itself calls the first LP optimal and the others unbounded."""
+    with pytest.raises(LpError, match="not finite"):
+        solve_lp(_lp(objective, rows), mode="float")
 
 
 def test_iteration_limit(monkeypatch):
@@ -249,15 +260,29 @@ def test_iterations_are_reported():
     nit = solve_lp(lp, mode="float").iterations
     assert isinstance(nit, int) and nit >= 0
 
-@pytest.mark.parametrize("code,status", [
-    (1, "iteration_limit"), (2, "infeasible"), (3, "unbounded"),
-    (4, "numerical"), (5, "numerical")])
-def test_highs_status_is_reported_truthfully(monkeypatch, code, status):
-    import scipy.optimize
-
-    monkeypatch.setattr(scipy.optimize, "linprog",
-                        lambda *args, **kw: SimpleNamespace(status=code))
-    lp = _lp([1, 1], [([1, 1], "<=", 1)])
+# The ids keep the numbers of scipy's linprog statuses these cases map to.
+@pytest.mark.parametrize("case,code,status", [
+    ("cap", "kIterationLimit", "iteration_limit"),
+    ("infeasible", "kInfeasible", "infeasible"),
+    ("unbounded", "kUnbounded", "unbounded"),
+    ("stub", "kSolveError", "numerical"),
+    ("stub", "kUnboundedOrInfeasible", "numerical"),
+], ids=["1-iteration_limit", "2-infeasible", "3-unbounded", "4-numerical",
+        "5-numerical"])
+def test_highs_status_is_reported_truthfully(monkeypatch, case, code,
+                                             status):
+    """Real LPs that HiGHS, presolve on, stops on by the cap, finds
+    infeasible or unbounded; a stub binding for the numerical statuses."""
+    lp = {"cap": _lp([3, 2, 4], [([1, 1, 2], "<=", 4), ([2, 0, 3], "<=", 5),
+                                 ([2, 1, 3], "<=", 7)]),
+          "infeasible": _lp([1, 1], [([1, 1], "<=", 1), ([1, 1], ">=", 2)]),
+          "unbounded": _lp([1, 1], [([1, -1], "<=", 1), ([-1, 1], "<=", 1)]),
+          "stub": _lp([1, 1], [([1, 1], "<=", 1)])}[case]
+    if case == "cap":
+        assert solve_lp(lp, mode="float").iterations > 1
+        monkeypatch.setattr(lpcore, "ITERATION_CAP", 1)
+    if case == "stub":
+        stub_highs_status(monkeypatch, code)
     sol = solve_lp(lp, mode="float")
     assert (sol.status, sol.solver_code) == (status, code)
     assert not sol.certified
