@@ -132,28 +132,24 @@ def best_response_finite(space: FiniteTypeSpace, costs: CostModel,
 
 
 def best_response_score_rule(scores: Sequence, costs: CostModel,
-                             rule, t, value=1, approve: str | None = None):
+                             rule, t, approve: str | None = None):
     """Best score against a score-based rule.
 
-    ``rule`` may be a mapping score -> approval probability, a callable, or
-    a ScoreBasedRule (then ``approve`` names the approval outcome).  The
-    payoff of score a is approval(a) * value - cost(a, t).  Ties break
-    toward the natural score, then the earlier (lower) score in ``scores``.
+    ``rule`` may be a mapping score -> approval probability or a
+    ScoreBasedRule (then ``approve`` names the approval outcome).  The
+    payoff of score a is approval(a) - cost(a, t).  Ties break toward the
+    natural score, then the earlier (lower) score in ``scores``.
     """
     if isinstance(rule, ScoreBasedRule):
         if approve is None:
             raise ModelError(
                 "pass approve=<outcome> when auditing a ScoreBasedRule")
-        approval = {a: rule.q(approve, a) for a in scores}.__getitem__
-    elif callable(rule):
-        approval = rule
-    else:
-        approval = rule.__getitem__
+        rule = {a: rule.q(approve, a) for a in scores}
 
     natural = t.score if isinstance(t, AgentType) else t
     best_a, best_u = None, None
     for a in scores:
-        u = approval(a) * value - costs.cost(a, t)
+        u = rule[a] - costs.cost(a, t)
         better = best_u is None or u > best_u
         tie = best_u is not None and u == best_u
         if better or (tie and a == natural and best_a != natural):

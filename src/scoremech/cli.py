@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: ``example``, ``solve-finite``, ``solve-continuous``, ``audit``,
-``canonicalize``.  Every artifact is plain delimiter-separated text or JSON
-with reals at 12 significant digits and rationals as "p/q", so reruns are
-byte-identical and diff-friendly.
+``canonicalize``.  Tables and summaries are plain delimiter-separated
+text with reals at 12 significant digits and rationals as "p/q"; the JSON
+artifacts (``audit.json``, an instance config) write reals as
+full-precision JSON floats.  Reruns are byte-identical and diff-friendly.
 
 Exit codes: 0 success, 2 config error, 3 infeasible LP or a refused
 continuous problem (nonnegative mean, hazard rate), 4 numerical failure.

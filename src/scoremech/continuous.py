@@ -112,12 +112,6 @@ class Distribution:
         """integral of z f(z) dz from t to s_max."""
         raise NotImplementedError
 
-    def pdf_derivative(self, t: float) -> float:
-        h = 1e-4 * (self.s_max - self.s_min)
-        lo = max(self.s_min, t - h)
-        hi = min(self.s_max, t + h)
-        return (self.pdf(hi) - self.pdf(lo)) / (hi - lo)
-
     @cached_property
     def _min_hazard_slope(self) -> float:  # a distribution never changes
         return check_mhr(self).min_hazard_slope
@@ -144,9 +138,6 @@ class Uniform(Distribution):
 
     def tail_expectation(self, t):
         return (self.s_max ** 2 - t ** 2) / (2.0 * (self.s_max - self.s_min))
-
-    def pdf_derivative(self, t):
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -183,9 +174,6 @@ class TruncatedExponential(Distribution):
             return -(z + 1.0 / lam) * math.exp(-lam * (z - self.s_min))
 
         return (antiderivative(self.s_max) - antiderivative(t)) / self._z
-
-    def pdf_derivative(self, t):
-        return -self.rate * self.pdf(t)
 
 
 @dataclass(frozen=True)
@@ -243,10 +231,6 @@ class Triangular(Distribution):
 
         return (upper_piece(self.mode)
                 + lower_antiderivative(self.mode) - lower_antiderivative(t))
-
-    def pdf_derivative(self, t):
-        n1, n2 = self._norms()
-        return 2.0 / n1 if t < self.mode else -2.0 / n2
 
 
 class Tabulated(Distribution):
@@ -337,7 +321,6 @@ class MhrReport:
     min_hazard_slope: float
     grid: np.ndarray
     hazard: np.ndarray
-    sufficient_quantity: np.ndarray  # 2 + f'(t)(1-F(t))/f(t)^2
 
 
 def check_mhr(dist: Distribution) -> MhrReport:
@@ -347,7 +330,7 @@ def check_mhr(dist: Distribution) -> MhrReport:
     Points where 1-F underflows are dropped from the top of the grid.
     """
     grid = np.linspace(dist.s_min, dist.s_max, MHR_GRID_POINTS)
-    keep, hazard, suff = [], [], []
+    keep, hazard = [], []
     for t in grid:
         t = float(t)
         surv = 1.0 - dist.cdf(t)
@@ -358,15 +341,13 @@ def check_mhr(dist: Distribution) -> MhrReport:
             continue
         keep.append(t)
         hazard.append(f / surv)
-        suff.append(2.0 + dist.pdf_derivative(t) * surv / (f * f))
     keep = np.asarray(keep)
     hazard = np.asarray(hazard)
     slopes = np.diff(hazard) / np.diff(keep)
     min_slope = float(slopes.min()) if len(slopes) else 0.0
     return MhrReport(passes=bool(min_slope >= MHR_SLOPE_TOL),
                      min_hazard_slope=min_slope,
-                     grid=keep, hazard=hazard,
-                     sufficient_quantity=np.asarray(suff))
+                     grid=keep, hazard=hazard)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +375,13 @@ class ContinuousSolution:
     C: Callable[[float], float] = field(repr=False)
     U: Callable[[float], float] = field(repr=False)
     Q: Callable[[float], float] = field(repr=False)
-    C_ic: Callable[[float], float] = field(repr=False)
+
+    def C_ic(self, t: float) -> float:
+        """Modified-cost derivative: C(t) for linear cost, 2 a*(t)/gamma
+        for quadratic cost."""
+        if self.cost_kind == "linear":
+            return self.C(t)
+        return 2.0 * self.a_star(t) / self.gamma
 
     def cost(self, t: float) -> float:
         """Scaled falsification cost on path: c(a*(t), t)/gamma-scaled."""
@@ -478,8 +465,6 @@ def _first_best(dist: Distribution, kind: str, gamma: float,
             if t < 0.0:
                 return 0.0
             return min(t, prize_score) / gamma
-
-        C_ic = C
     else:
         def C(t):
             if 0.0 <= t < prize_score:
@@ -493,13 +478,10 @@ def _first_best(dist: Distribution, kind: str, gamma: float,
                 return 1.0
             return 1.0 - (prize_score - t) ** 2 / gamma
 
-        def C_ic(t):
-            return 2.0 * a_star(t) / gamma
-
     return ContinuousSolution(
         regime="first_best", cost_kind=kind, gamma=gamma, dist=dist,
         t0=t0, t_star=0.0, t_dagger=None, p_star=1.0,
-        a_star=a_star, C=C, U=U, Q=Q, C_ic=C_ic)
+        a_star=a_star, C=C, U=U, Q=Q)
 
 
 def _linear(dist: Distribution, gamma: float,
@@ -537,7 +519,7 @@ def _linear(dist: Distribution, gamma: float,
     return ContinuousSolution(
         regime="interior", cost_kind="linear", gamma=gamma, dist=dist,
         t0=t0, t_star=t_star, t_dagger=None, p_star=p_star,
-        a_star=a_star, C=C, U=U, Q=Q, C_ic=C)
+        a_star=a_star, C=C, U=U, Q=Q)
 
 
 def _quadratic(dist: Distribution, gamma: float,
@@ -635,13 +617,10 @@ def _quadratic(dist: Distribution, gamma: float,
             return 0.0
         return p_star - integral_C(t) + gap(t) ** 2 / gamma
 
-    def C_ic(t):
-        return 2.0 * a_star(t) / gamma
-
     return ContinuousSolution(
         regime="interior", cost_kind="quadratic", gamma=gamma, dist=dist,
         t0=t0, t_star=t_star, t_dagger=t_dagger, p_star=p_star,
-        a_star=a_star, C=C, U=U, Q=Q, C_ic=C_ic)
+        a_star=a_star, C=C, U=U, Q=Q)
 
 
 # ---------------------------------------------------------------------------

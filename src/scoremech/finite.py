@@ -129,7 +129,7 @@ def _drm_tables(space, costs, agent, designer, outside_option):
     """Per-(t, a, x) objective, participation and deviation-gain tables and
     the outside option per t, in one dtype (see ``_entry_dtype``)."""
     if costs.kind != "tabulated":
-        raise ModelError("the DRM solver needs a finite (tabulated) cost model")
+        raise ModelError("a finite instance needs a cost table")
     outside = outside_option or {}
 
     def table(f):  # f(t, a, x) for every type, score and outcome

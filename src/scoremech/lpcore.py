@@ -192,8 +192,6 @@ def _exact_view(lp: LinearProgram) -> LinearProgram:
 
 
 def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
-    if len(sol.dual) != lp.n_rows:
-        return False
     try:
         if exact:
             return dual_bound(lp, sol.dual) == sol.value
@@ -218,6 +216,12 @@ def _solve_float(lp: LinearProgram, options: Mapping) -> LpSolution:
     cost, val = -lp.objective.astype(float), lp.val.astype(float)
     if not all(np.isfinite(v).all() for v in (cost, val, rhs)):
         raise LpError("an LP number is not finite")
+    lower = np.where(rel == LESS, -np.inf, rhs)
+    upper = np.where(rel == GREATER, np.inf, rhs)
+    if n == 0:  # HiGHS answers kModelEmpty; every row's activity is 0
+        if np.all((lower <= 0) & (0 <= upper)):
+            return LpSolution("optimal", 0.0, [], [0.0] * lp.n_rows)
+        return LpSolution("infeasible")
     a = sp.csc_array((val, (lp.row, lp.col)), shape=(lp.n_rows, n))
     highs = _Highs()
     for name, value in {"output_flag": False,
@@ -227,8 +231,7 @@ def _solve_float(lp: LinearProgram, options: Mapping) -> LpSolution:
     # minimize -c . x over continuous x >= 0, rows between their bounds
     highs.passModel(n, lp.n_rows, a.nnz, MatrixFormat.kColwise,
                     ObjSense.kMinimize, 0.0, cost, np.zeros(n),
-                    np.full(n, np.inf), np.where(rel == LESS, -np.inf, rhs),
-                    np.where(rel == GREATER, np.inf, rhs),
+                    np.full(n, np.inf), lower, upper,
                     a.indptr, a.indices, a.data, np.zeros(n, np.int32))
     highs.run()
     code = highs.getModelStatus().name

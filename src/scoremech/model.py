@@ -102,9 +102,9 @@ class FiniteTypeSpace:
 class CostModel:
     """Falsification cost c(a, t) >= 0 with c(natural score, t) = 0.
 
-    ``tabulated`` costs are keyed on (score identifier, type); the
-    parametric kinds are |a-t|/gamma and (a-t)^2/gamma on a numeric domain
-    [s_min, s_max] with s_min < 0 < s_max.
+    A finite instance's cost is ``tabulated``, keyed on (score identifier,
+    type).  The continuum solvers take the parametric kinds |a-t|/gamma
+    and (a-t)^2/gamma; their ``domain`` is accepted but no solver reads it.
     """
 
     kind: str  # tabulated | linear | quadratic
@@ -307,8 +307,9 @@ def validate(space: FiniteTypeSpace, costs: CostModel,
              payoff: DesignerPayoff | None,
              agent: AgentPayoff | None = None) -> list[str]:
     """Check every type invariant; returns a list of violations (empty =
-    valid).  A payoff passed as None is not checked.  A float NaN or
-    infinity in the prior, the cost table or a payoff is a violation."""
+    valid).  The cost must be a table; a payoff passed as None is not
+    checked.  A float NaN or infinity in the prior, the cost table or a
+    payoff is a violation."""
     problems = (_non_finite("prior mass", space.prior)
                 + _non_finite("cost", costs.table or {})
                 + _non_finite("decision value",
@@ -336,35 +337,22 @@ def validate(space: FiniteTypeSpace, costs: CostModel,
         if p < 0:
             problems.append(f"negative prior mass at {t}")
 
-    if costs.kind == "tabulated":
-        if costs.table is None:
-            problems.append("tabulated cost model without a table")
-        else:
-            for (a, t), c in costs.table.items():
-                if c < 0:
-                    problems.append(f"negative cost at ({a}, {t})")
-            for t in space.types:
-                own = costs.table.get((t.score, t))
-                if own is None:
-                    problems.append(f"missing own-score cost for {t}")
-                elif own != 0:
-                    problems.append(
-                        f"own-score cost nonzero for {t}: c({t.score})={own}")
-                for a in space.scores:
-                    if (a, t) not in costs.table:
-                        problems.append(f"missing cost entry ({a}, {t})")
+    if costs.kind != "tabulated" or costs.table is None:
+        problems.append("a finite instance needs a cost table")
     else:
-        try:
-            require_gamma(costs)
-        except ModelError as exc:
-            problems.append(str(exc))
-        if costs.domain is None:
-            problems.append("parametric cost model requires a domain")
-        else:
-            s_min, s_max = costs.domain
-            if not (s_min < 0 < s_max):
+        for (a, t), c in costs.table.items():
+            if c < 0:
+                problems.append(f"negative cost at ({a}, {t})")
+        for t in space.types:
+            own = costs.table.get((t.score, t))
+            if own is None:
+                problems.append(f"missing own-score cost for {t}")
+            elif own != 0:
                 problems.append(
-                    f"domain [{s_min}, {s_max}] must straddle 0")
+                    f"own-score cost nonzero for {t}: c({t.score})={own}")
+            for a in space.scores:
+                if (a, t) not in costs.table:
+                    problems.append(f"missing cost entry ({a}, {t})")
 
     if payoff is not None:
         for t in space.types:
@@ -541,6 +529,9 @@ def _pair_from_key(s: str):
 
 def instance_to_config(inst: Instance) -> dict:
     space, costs = inst.space, inst.costs
+    if costs.kind != "tabulated":
+        raise ModelError(
+            f"a finite instance needs a cost table, not a {costs.kind!r} cost")
 
     def numbers(items, key):
         return {key(k): _to_json(v) for k, v in items}
@@ -551,7 +542,8 @@ def instance_to_config(inst: Instance) -> dict:
         "outcomes": list(space.outcomes),
         "prior": numbers(((t, space.prior[t]) for t in space.types),
                          _type_key),
-        "cost": {"kind": costs.kind},
+        "cost": {"kind": "tabulated",
+                 "table": numbers(costs.table.items(), _pair_key)},
         "agent_value": numbers(inst.agent.value.items(), _pair_key),
         "decision_value": numbers(inst.designer.decision_value.items(),
                                   _pair_key),
@@ -559,11 +551,6 @@ def instance_to_config(inst: Instance) -> dict:
     }
     if space.score_values is not None:
         cfg["score_values"] = numbers(space.score_values.items(), str)
-    if costs.kind == "tabulated":
-        cfg["cost"]["table"] = numbers(costs.table.items(), _pair_key)
-    else:
-        cfg["cost"]["gamma"] = _to_json(costs.gamma)
-        cfg["cost"]["domain"] = [_to_json(v) for v in costs.domain]
     if inst.designer.loss_coefficient is not None:
         cfg["loss_coefficient"] = _to_json(inst.designer.loss_coefficient)
     return cfg
@@ -581,8 +568,8 @@ def instance_from_config(cfg: dict) -> Instance:
       prior           {"label|score": mass}
       score_values    {score: number}        optional numeric score values
       cost            {"kind": "tabulated", "table": {"score|label|tscore": c}}
-                      or {"kind": "linear"|"quadratic", "gamma": g,
-                          "domain": [s_min, s_max]}
+                      a table is the only finite cost; another kind is a
+                      ModelError
       agent_value     {"outcome|label|score": v}
       decision_value  {"outcome|label|score": v}
       loss_coefficient  lam                  optional; loss is lam * c^2
@@ -600,11 +587,10 @@ def instance_from_config(cfg: dict) -> Instance:
                       if "score_values" in cfg else None),
     )
     ck = cfg["cost"]
-    if ck["kind"] == "tabulated":
-        costs = CostModel.tabulated(numbers(ck["table"], _pair_from_key))
-    else:
-        costs = CostModel(ck["kind"], gamma=_from_json(ck["gamma"]),
-                          domain=tuple(map(_from_json, ck["domain"])))
+    if ck["kind"] != "tabulated":
+        raise ModelError(
+            f"a finite instance needs a cost table, not a {ck['kind']!r} cost")
+    costs = CostModel.tabulated(numbers(ck["table"], _pair_from_key))
     designer = DesignerPayoff(
         decision_value=numbers(cfg["decision_value"], _pair_from_key),
         loss_coefficient=_from_json(cfg["loss_coefficient"])

@@ -361,7 +361,7 @@ def test_best_response_continuous_flags_planted_violation():
         regime=sol.regime, cost_kind=sol.cost_kind, gamma=sol.gamma,
         dist=sol.dist, t0=sol.t0, t_star=sol.t_star, t_dagger=sol.t_dagger,
         p_star=sol.p_star, a_star=sol.a_star, C=sol.C,
-        U=lambda t: 0.0, Q=sol.Q, C_ic=sol.C_ic)
+        U=lambda t: 0.0, Q=sol.Q)
     gain, _ = best_response_continuous(
         broken, np.linspace(-2, 1, 50), np.linspace(-2, 1, 50))
     assert gain > 0.1
@@ -410,7 +410,7 @@ def _flat_solution(q_of, cost_kind="linear"):
         regime=sol.regime, cost_kind=cost_kind, gamma=1.0, dist=sol.dist,
         t0=sol.t0, t_star=sol.t_star, t_dagger=sol.t_dagger,
         p_star=sol.p_star, a_star=lambda t: t, C=sol.C, U=lambda t: 0.0,
-        Q=q_of, C_ic=sol.C_ic)
+        Q=q_of)
 
 
 @pytest.mark.parametrize("cost_kind", ["linear", "quadratic"])

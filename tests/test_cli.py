@@ -438,18 +438,22 @@ def test_distribution_spec_with_wrong_field_count_exits_2(capsys, tmp_path,
     assert err.startswith(f"error: bad distribution spec {spec!r}: ")
 
 
-@pytest.mark.parametrize("command", [
+FINITE_COMMANDS = [
     ["solve-finite"],
     ["audit", "--mechanism", "menu.tsv"],
     ["canonicalize", "--op", "rebalance", "--mechanism", "menu.tsv"],
     ["canonicalize", "--op", "score-based", "--mechanism", "menu.tsv"],
-    ["canonicalize", "--op", "derandomize", "--mixture", "mix.tsv"]])
-def test_unnormalized_prior_exits_2(capsys, tmp_path, monkeypatch, command):
+    ["canonicalize", "--op", "derandomize", "--mixture", "mix.tsv"]]
+
+
+def _college_inputs(tmp_path, edit):
+    """The college config, changed by ``edit`` on its JSON tree, plus a
+    menu mechanism table and a one-type mixture table beside it."""
     inst = college_instance(internalize_costs=True)
     cfg = tmp_path / "college.json"
     save_instance(inst, cfg)
     data = json.loads(cfg.read_text())
-    data["prior"]["NF|sL"] = "0/1"  # the prior now sums to 3/4
+    edit(data)
     cfg.write_text(json.dumps(data))
     from scoremech.model import college_menu_mechanism
     write_mechanism_table(inst.space, college_menu_mechanism(),
@@ -458,12 +462,56 @@ def test_unnormalized_prior_exits_2(capsys, tmp_path, monkeypatch, command):
                                     ("reject", "sL"): F(0)})
     write_mixture_table({AgentType("F", "sL"): [(F(1), rule, "sL")]},
                         tmp_path / "mix.tsv")
+    return cfg
+
+
+@pytest.mark.parametrize("command", FINITE_COMMANDS)
+def test_unnormalized_prior_exits_2(capsys, tmp_path, monkeypatch, command):
+    def unnormalize(data):
+        data["prior"]["NF|sL"] = "0/1"  # the prior now sums to 3/4
+
+    cfg = _college_inputs(tmp_path, unnormalize)
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, *command, "--instance", str(cfg),
                            "--out", "o")
     assert code == 2
     assert err == ("error: invalid instance: prior not normalized "
                    "(sums to 0.75)\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", FINITE_COMMANDS)
+def test_parametric_cost_config_exits_2(capsys, tmp_path, monkeypatch,
+                                        command):
+    def parametric(data):
+        data["cost"] = {"kind": "linear", "gamma": 4, "domain": [-2, 1]}
+
+    cfg = _college_inputs(tmp_path, parametric)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *command, "--instance", str(cfg),
+                             "--out", "o")
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read instance config {cfg}: a finite "
+                   "instance needs a cost table, not a 'linear' cost\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["solve-finite"], "--instance is required (flag or config file)"),
+    (["example", "nosuch"], "unknown example 'nosuch'"),
+    (["canonicalize", "--op", "derandomize", "--instance", "college.json"],
+     "--op derandomize needs --mixture"),
+    (["canonicalize", "--op", "rebalance", "--instance", "college.json"],
+     "--op rebalance needs --mechanism"),
+], ids=["solve-finite-no-instance", "example-unknown",
+        "derandomize-no-mixture", "rebalance-no-mechanism"])
+def test_missing_input_exits_2(capsys, tmp_path, monkeypatch, command,
+                               message):
+    save_instance(college_instance(internalize_costs=True),
+                  tmp_path / "college.json")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *command, "--out", "o")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -19,6 +19,7 @@ from scoremech.continuous import (
     solve_continuous,
     write_solution_table,
 )
+from scoremech import continuous
 from scoremech._numerics import simpson
 from scoremech.model import CostModel, ModelError
 from scoremech.finite import build_drm_lp
@@ -137,6 +138,10 @@ def test_first_best_linear_below_threshold():
     assert sol is not None and sol.regime == "first_best"
     assert sol.a_star(0.5) == pytest.approx(0.9)
     assert sol.U(0.0) == pytest.approx(0.0, abs=1e-12)
+    # C is 1/gamma on the types that falsify up to the prize score
+    ts = [-0.5, 0.0, 0.5, 0.9, 1.0]
+    assert [sol.C(t) for t in ts] == [0.0, 1 / 0.9, 1 / 0.9, 0.0, 0.0]
+    assert [sol.C_ic(t) for t in ts] == [sol.C(t) for t in ts]
 
 
 def test_first_best_none_when_gaming_is_cheap():
@@ -241,27 +246,24 @@ def test_quadratic_refuses_non_mhr_distribution():
         _solve(bimodal, 4.0, "quadratic")
 
 
-def test_gamma_sweep_checks_the_hazard_rate_once():
+def test_gamma_sweep_checks_the_hazard_rate_once(monkeypatch):
     calls = []
 
-    @dataclass(frozen=True)
-    class CountingUniform(Uniform):
-        def pdf_derivative(self, t):  # read by check_mhr only
-            calls.append(t)
-            return super().pdf_derivative(t)
+    def counting_check_mhr(dist):
+        calls.append(dist)
+        return check_mhr(dist)
 
-    dist = CountingUniform(-2.0, 1.0)
-    one_check = len(check_mhr(Uniform(-2.0, 1.0)).grid)
+    monkeypatch.setattr(continuous, "check_mhr", counting_check_mhr)
+    dist = Uniform(-2.0, 1.0)
     gammas = np.geomspace(1.1, 8.0, 23)
     sweep = [_solve(dist, float(g), "quadratic") for g in gammas]
     assert {sol.regime for sol in sweep} == {"interior"}
-    assert len(calls) == one_check
-    # the public check still runs in full on every call
-    assert len(check_mhr(dist).grid) == one_check
-    assert len(calls) == 2 * one_check
+    assert calls == [dist]
+    # the public check keeps no cache of its own
+    assert check_mhr(dist) is not check_mhr(dist)
     # a fresh, equal distribution checks again
-    _solve(CountingUniform(-2.0, 1.0), 4.0, "quadratic")
-    assert len(calls) == 3 * one_check
+    _solve(Uniform(-2.0, 1.0), 4.0, "quadratic")
+    assert len(calls) == 2
 
 
 def test_non_mhr_distribution_is_refused_on_every_solve():
@@ -409,7 +411,6 @@ def test_mhr_uniform_passes():
     i = len(report.grid) // 2
     t = report.grid[i]
     assert report.hazard[i] == pytest.approx(1.0 / (1.0 - t), rel=1e-9)
-    assert report.sufficient_quantity[i] == pytest.approx(2.0)
 
 
 def test_mhr_truncated_exponential_passes():
@@ -451,6 +452,16 @@ def test_discretize_median_split():
     values = [inst.space.score_value(t.score) for t in inst.space.types]
     assert values == pytest.approx([TEXP.quantile(0.25),
                                     TEXP.quantile(0.75)])
+
+
+def test_discretize_tabulated_reads_quantiles_off_the_cdf():
+    """Tabulated has no closed-form quantile; discretize bisects its cdf."""
+    xs = np.linspace(-2.0, 1.0, 31)
+    dist = Tabulated(xs, 1.2 - 0.3 * xs)
+    inst = discretize(dist, CostModel.linear(4.0, (-2.0, 1.0)), 4)
+    values = [inst.space.score_value(t.score) for t in inst.space.types]
+    assert [dist.cdf(v) for v in values] == pytest.approx(
+        [1 / 8, 3 / 8, 5 / 8, 7 / 8], abs=1e-12)
 
 
 def test_discretize_lp_tracks_continuous_value():

@@ -1151,6 +1151,27 @@ def test_library_entry_points_validate_the_instance(college2,
         call(broken, menu_mechanism)
 
 
+@pytest.mark.parametrize("call", [
+    lambda inst, mech: solve_drm(inst),
+    lambda inst, mech: audit_ic(inst.space, inst.costs, inst.agent, mech),
+    lambda inst, mech: brute_force_optimum(
+        inst.space, inst.costs, inst.agent, inst.designer, F(1, 2)),
+    lambda inst, mech: reduce_to_score_based(
+        inst.space, inst.costs, inst.agent, inst.designer, mech),
+    lambda inst, mech: rebalance_mechanism(inst, mech),
+    lambda inst, mech: build_drm_lp(inst.space, inst.costs, inst.agent,
+                                    inst.designer),
+], ids=["solve_drm", "audit_ic", "brute_force_optimum",
+        "reduce_to_score_based", "rebalance_mechanism", "build_drm_lp"])
+def test_finite_entry_points_refuse_a_parametric_cost(college2,
+                                                      menu_mechanism, call):
+    parametric = Instance(college2.space, CostModel.linear(4.0, (-2.0, 1.0)),
+                          college2.agent, college2.designer)
+    with pytest.raises(ModelError,
+                       match="a finite instance needs a cost table$"):
+        call(parametric, menu_mechanism)
+
+
 def test_audit_ic_validates_the_mechanism(college2, menu_mechanism):
     half = FiniteMechanism(decision=menu_mechanism.decision,
                            recommendation={**menu_mechanism.recommendation,

@@ -43,6 +43,17 @@ def test_infeasible():
         assert solve_lp(lp, mode=mode).status == "infeasible"
 
 
+@pytest.mark.parametrize("rhs, status", [(1, "optimal"), (-1, "infeasible")])
+def test_zero_column_lp_gets_one_answer_in_both_modes(rhs, status):
+    """No columns: the empty x gives the row 0, so the row alone decides."""
+    lp = _lp([], [([], "<=", rhs)])
+    for mode in ("exact", "float"):
+        sol = solve_lp(lp, mode=mode)
+        assert (sol.status, sol.certified) == (status, status == "optimal")
+        if sol.optimal:
+            assert (sol.value, sol.assignment) == (0, [])
+
+
 def test_unbounded():
     lp = _lp([1], [([-1], "<=", 0)])
     for mode in ("exact", "float"):

@@ -20,6 +20,7 @@ from scoremech.model import (
     instance_from_config,
     instance_to_config,
     parse_number,
+    require_gamma,
     validate,
     validate_mechanism,
 )
@@ -95,10 +96,24 @@ def test_non_finite_numbers_are_listed(college2, field, value, problem):
     assert validate(space, costs, designer, agent) == [problem]
 
 
-def test_parametric_domain_must_straddle_zero(college2):
-    costs = CostModel.linear(2.0, (1.0, 3.0))
-    problems = validate(college2.space, costs, college2.designer)
-    assert any("straddle" in p for p in problems)
+@pytest.mark.parametrize("costs", [
+    CostModel.linear(2.0, (-2.0, 1.0)), CostModel.quadratic(2.0, (1.0, 3.0)),
+    CostModel(kind="tabulated")], ids=["linear", "quadratic", "no-table"])
+def test_finite_instance_needs_a_cost_table(college2, costs):
+    assert validate(college2.space, costs, college2.designer) == [
+        "a finite instance needs a cost table"]
+
+
+def test_config_with_a_parametric_cost_is_refused(college2):
+    message = "a finite instance needs a cost table, not a 'linear' cost"
+    cfg = instance_to_config(college2)
+    cfg["cost"] = {"kind": "linear", "gamma": 4, "domain": [-2, 1]}
+    with pytest.raises(ModelError, match=message):
+        instance_from_config(cfg)
+    parametric = Instance(college2.space, CostModel.linear(4.0, (-2.0, 1.0)),
+                          college2.agent, college2.designer)
+    with pytest.raises(ModelError, match=message):
+        instance_to_config(parametric)
 
 
 def test_config_roundtrip_exact(college2):
@@ -227,16 +242,16 @@ def test_random_invariant_breaks_are_always_caught():
 
 
 @pytest.mark.parametrize("gamma", [0, -1.0, float("nan"), None])
-def test_parametric_gamma_must_be_positive(college2, gamma):
+def test_parametric_gamma_must_be_positive(gamma):
     costs = CostModel(kind="linear", gamma=gamma, domain=(-2.0, 1.0))
-    assert "parametric cost model requires gamma > 0" in validate(
-        college2.space, costs, college2.designer)
+    with pytest.raises(ModelError,
+                       match=r"parametric cost model requires gamma > 0"):
+        require_gamma(costs)
 
 
-def test_infinite_gamma_is_a_valid_parametric_cost(college2):
+def test_infinite_gamma_is_a_valid_parametric_cost():
     costs = CostModel.quadratic(float("inf"), (-2.0, 1.0))
-    assert not any("gamma" in p for p in validate(college2.space, costs,
-                                                  college2.designer))
+    assert require_gamma(costs) == float("inf")
 
 
 @pytest.mark.parametrize("tiny,flagged", [(F(1, 10**13), True),
