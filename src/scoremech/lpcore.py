@@ -19,8 +19,10 @@ readers, the benchmark's LP counts (``perfbench/jobs.py:_lp_counts``) and
   nonzero columns, and the dual is read off the maintained reduced-cost
   row.  Optima are returned as ``fractions.Fraction``.  This is the mode
   the golden-value tests run in.
-* ``float`` -- the sparse matrix goes to scipy's bundled HiGHS binding,
-  imported on first use so that exact and continuous runs never load scipy.
+* ``float`` -- the matrix goes, as CSC arrays built in numpy, to the
+  compiled extension of scipy's bundled HiGHS binding.  A float solve
+  loads that extension alone, on first use, without the rest of
+  ``scipy.optimize``; exact and continuous runs load no scipy at all.
   HiGHS solves unscaled with Dantzig pricing, which suit DRM LPs; an answer
   other than a certified optimum is solved again with HiGHS's defaults.
 
@@ -31,8 +33,10 @@ value (exactly in rational mode, to 1e-8 relative in float mode).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib import machinery, util
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -72,15 +76,25 @@ class LinearProgram:
     The one constructor takes numpy arrays: ``objective``; the entries
     ``row``, ``col``, ``val``, in any order; ``relations`` and ``rhs`` per
     row.  The numbers are all float64 or all object (Fractions and ints,
-    never rounded).  Zero entries are dropped and the rest sorted by row,
-    and every array is then read-only.  An upper bound on a variable is a
-    row.
+    never rounded).  Entries at one (row, column) are summed, in the order
+    given; zero sums are dropped and the rest sorted by row, then column.
+    Every array is then read-only.  An upper bound on a variable is a row.
     """
 
     def __init__(self, objective, row, col, val, relations, rhs):
-        keep = np.flatnonzero(val != 0)
-        keep = keep[np.argsort(row[keep], kind="stable")]
-        self.row, self.col, self.val = row[keep], col[keep], val[keep]
+        # (row, col) -> key is one-to-one, also on indices validate() refuses
+        lo = col.min(initial=0)
+        key = row * (col.max(initial=0) - lo + 1) + (col - lo)
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], val[order]
+        first = np.ones(len(key), bool)
+        first[1:] = key[1:] != key[:-1]
+        if not first.all():  # sum each run of repeated entries
+            order = order[first]
+            val = np.add.reduceat(val, np.flatnonzero(first))
+        keep = val != 0
+        order = order[keep]
+        self.row, self.col, self.val = row[order], col[order], val[keep]
         self.objective, self.relations, self.rhs = objective, relations, rhs
         for a in (objective, self.row, self.col, self.val, relations, rhs):
             a.flags.writeable = False
@@ -208,10 +222,31 @@ def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
 # float mode (HiGHS)
 # ---------------------------------------------------------------------------
 
-def _solve_float(lp: LinearProgram, options: Mapping) -> LpSolution:
-    import scipy.sparse as sp  # deferred: exact and continuous runs skip it
-    from scipy.optimize._highspy._core import MatrixFormat, ObjSense, _Highs
+def _highs_core():
+    """scipy's compiled HiGHS binding, loaded by itself on first use (the
+    usual import runs all of ``scipy.optimize``) under scipy's own name, so
+    ``import scipy.optimize``, before or after, finds the same module."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+    spec = machinery.FileFinder(
+        scipy.__path__[0] + "/optimize/_highspy",
+        (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+    ).find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no {name}")
+    module = sys.modules[name] = util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
 
+
+def _solve_float(lp: LinearProgram, options: Mapping) -> LpSolution:
+    core = _highs_core()
     n, rel, rhs = lp.n_vars, lp.relations, lp.rhs.astype(float)
     cost, val = -lp.objective.astype(float), lp.val.astype(float)
     if not all(np.isfinite(v).all() for v in (cost, val, rhs)):
@@ -222,17 +257,18 @@ def _solve_float(lp: LinearProgram, options: Mapping) -> LpSolution:
         if np.all((lower <= 0) & (0 <= upper)):
             return LpSolution("optimal", 0.0, [], [0.0] * lp.n_rows)
         return LpSolution("infeasible")
-    a = sp.csc_array((val, (lp.row, lp.col)), shape=(lp.n_rows, n))
-    highs = _Highs()
+    order = np.argsort(lp.col, kind="stable")  # CSC, rows ascending
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(lp.col, minlength=n))])
+    highs = core._Highs()
     for name, value in {"output_flag": False,
                         "simplex_iteration_limit": ITERATION_CAP,
                         **options}.items():
         highs.setOptionValue(name, value)
     # minimize -c . x over continuous x >= 0, rows between their bounds
-    highs.passModel(n, lp.n_rows, a.nnz, MatrixFormat.kColwise,
-                    ObjSense.kMinimize, 0.0, cost, np.zeros(n),
+    highs.passModel(n, lp.n_rows, len(val), core.MatrixFormat.kColwise,
+                    core.ObjSense.kMinimize, 0.0, cost, np.zeros(n),
                     np.full(n, np.inf), lower, upper,
-                    a.indptr, a.indices, a.data, np.zeros(n, np.int32))
+                    indptr, lp.row[order], val[order], np.zeros(n, np.int32))
     highs.run()
     code = highs.getModelStatus().name
     status = _HIGHS_STATUS.get(code, "numerical")

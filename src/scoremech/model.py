@@ -509,6 +509,12 @@ def _from_json(v):
     return parse_number(v) if isinstance(v, str) else v
 
 
+def _need(table: dict, key: str, where: str = "at the top level"):
+    if key not in table:
+        raise ModelError(f"missing key {key!r} {where}")
+    return table[key]
+
+
 def _type_key(t: AgentType) -> str:
     return f"{t.label}|{t.score}"
 
@@ -574,30 +580,35 @@ def instance_from_config(cfg: dict) -> Instance:
       decision_value  {"outcome|label|score": v}
       loss_coefficient  lam                  optional; loss is lam * c^2
       outside_option  {"label|score": u}     optional, defaults to 0
+
+    A missing key that is not optional is a ModelError naming it.
     """
     def numbers(table, key):
         return {key(k): _from_json(v) for k, v in table.items()}
 
     space = FiniteTypeSpace(
-        types=tuple(AgentType(label, score) for label, score in cfg["types"]),
-        scores=tuple(cfg["scores"]),
-        outcomes=tuple(cfg["outcomes"]),
-        prior=numbers(cfg["prior"], _type_from_key),
+        types=tuple(AgentType(label, score)
+                    for label, score in _need(cfg, "types")),
+        scores=tuple(_need(cfg, "scores")),
+        outcomes=tuple(_need(cfg, "outcomes")),
+        prior=numbers(_need(cfg, "prior"), _type_from_key),
         score_values=(numbers(cfg["score_values"], str)
                       if "score_values" in cfg else None),
     )
-    ck = cfg["cost"]
-    if ck["kind"] != "tabulated":
+    ck = _need(cfg, "cost")
+    kind = _need(ck, "kind", 'in "cost"')
+    if kind != "tabulated":
         raise ModelError(
-            f"a finite instance needs a cost table, not a {ck['kind']!r} cost")
-    costs = CostModel.tabulated(numbers(ck["table"], _pair_from_key))
+            f"a finite instance needs a cost table, not a {kind!r} cost")
+    table = _need(ck, "table", 'in "cost"')
+    costs = CostModel.tabulated(numbers(table, _pair_from_key))
     designer = DesignerPayoff(
-        decision_value=numbers(cfg["decision_value"], _pair_from_key),
+        decision_value=numbers(_need(cfg, "decision_value"), _pair_from_key),
         loss_coefficient=_from_json(cfg["loss_coefficient"])
         if "loss_coefficient" in cfg else None)
     return Instance(
         space=space, costs=costs,
-        agent=AgentPayoff(numbers(cfg["agent_value"], _pair_from_key)),
+        agent=AgentPayoff(numbers(_need(cfg, "agent_value"), _pair_from_key)),
         designer=designer,
         outside_option=numbers(cfg.get("outside_option", {}),
                                _type_from_key))

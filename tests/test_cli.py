@@ -496,6 +496,24 @@ def test_parametric_cost_config_exits_2(capsys, tmp_path, monkeypatch,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, key, where", [
+    (["solve-finite"], "table", 'in "cost"'),
+    (["audit", "--mechanism", "menu.tsv"], "decision_value",
+     "at the top level")])
+def test_missing_config_key_is_named(capsys, tmp_path, monkeypatch, command,
+                                     key, where):
+    def drop(data):
+        del (data["cost"] if key == "table" else data)[key]
+
+    cfg = _college_inputs(tmp_path, drop)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *command, "--instance", str(cfg),
+                             "--out", "o")
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read instance config {cfg}: "
+                   f"missing key {key!r} {where}\n")
+
+
 @pytest.mark.parametrize("command, message", [
     (["solve-finite"], "--instance is required (flag or config file)"),
     (["example", "nosuch"], "unknown example 'nosuch'"),

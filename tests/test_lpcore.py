@@ -10,6 +10,7 @@ import pytest
 
 import scoremech
 from scoremech import lpcore
+from scoremech.finite import build_drm_lp
 from scoremech.lpcore import LinearProgram, LpError, dual_bound, solve_lp
 
 from conftest import stub_highs_status
@@ -52,6 +53,39 @@ def test_zero_column_lp_gets_one_answer_in_both_modes(rhs, status):
         assert (sol.status, sol.certified) == (status, status == "optimal")
         if sol.optimal:
             assert (sol.value, sol.assignment) == (0, [])
+
+
+@pytest.mark.parametrize("dtype", [float, object])
+def test_repeated_entries_are_summed(dtype):
+    """max x s.t. x + x <= 2, the two x given as separate entries: every
+    reader sees 2x <= 2."""
+    lp = LinearProgram(np.array([1], dtype), np.array([0, 0]),
+                       np.array([0, 0]), np.array([1, 1], dtype),
+                       np.array(["<="]), np.array([2], dtype))
+    assert (lp.row.tolist(), lp.col.tolist(), lp.val.tolist()) == (
+        [0], [0], [2])
+    for mode in ("exact", "float"):
+        sol = solve_lp(lp, mode=mode)
+        assert (sol.status, sol.certified) == ("optimal", True)
+        assert (sol.value, sol.assignment, sol.dual) == (1, [1], [F(1, 2)])
+    assert dual_bound(lp, [0.5]) == 1
+    assert dual_bound(lp, [0.4]) is None  # reduced cost 1 - 0.8 > 0
+
+
+def test_entries_are_sorted_by_row_then_column_and_cancelled_sums_dropped():
+    lp = LinearProgram(np.array([1, 1, 1]), np.array([1, 0, 1, 0, 1]),
+                       np.array([2, 1, 0, 1, 2]), np.array([3, 4, 5, -4, 6]),
+                       np.array(["<=", "<="]), np.array([1, 1]))
+    assert (lp.row.tolist(), lp.col.tolist(), lp.val.tolist()) == (
+        [1, 1], [0, 2], [5, 9])
+    # (0, 2) lies past the last column, where row 1 starts in row-major
+    # order: it stays apart from (1, 0), for validate() to refuse
+    lp = LinearProgram(np.array([1, 1]), np.array([1, 0]), np.array([0, 2]),
+                       np.array([1, 1]), np.array(["<=", "<="]),
+                       np.array([1, 1]))
+    assert (lp.row.tolist(), lp.col.tolist()) == ([0, 1], [2, 0])
+    with pytest.raises(LpError, match="out of range"):
+        lp.validate()
 
 
 def test_unbounded():
@@ -299,9 +333,20 @@ def test_highs_status_is_reported_truthfully(monkeypatch, case, code,
     assert not sol.certified
 
 
+def _fresh_python(script: str) -> str:
+    """Standard output of ``script`` run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(scoremech.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 def test_exact_and_continuous_runs_do_not_load_scipy():
-    """Only the float LP path needs scipy, and it imports it on first use."""
-    script = (
+    """Exact and continuous runs load no scipy; a float solve then loads
+    HiGHS's compiled extension alone."""
+    out = _fresh_python(
         "import sys, scoremech\n"
         "from fractions import Fraction\n"
         "inst = scoremech.college_instance(internalize_costs=True)\n"
@@ -310,13 +355,68 @@ def test_exact_and_continuous_runs_do_not_load_scipy():
         "dist = scoremech.Uniform(-2.0, 1.0)\n"
         "costs = scoremech.CostModel.quadratic(4.0, (-2.0, 1.0))\n"
         "scoremech.solve_continuous(dist, costs).designer_value()\n"
-        "print(sorted(m for m in ('scipy.sparse', 'scipy.optimize')\n"
-        "             if m in sys.modules))\n")
-    src = os.path.dirname(os.path.dirname(scoremech.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+        "mods = ('scipy', 'scipy.sparse', 'scipy.optimize',\n"
+        "        'scipy.optimize._highspy._core')\n"
+        "print(sorted(m for m in mods if m in sys.modules))\n"
+        "sol, _ = scoremech.solve_drm(inst, mode='float')\n"
+        "assert sol.certified\n"
+        "print(sorted(m for m in mods[1:] if m in sys.modules))\n")
+    assert out.split("\n") == [
+        "[]", "['scipy.optimize._highspy._core']", ""]
+
+
+@pytest.mark.parametrize("first", ["float solve", "import scipy.optimize"])
+def test_highs_extension_is_shared_with_scipy_optimize(first):
+    """Whichever comes first, ``lpcore`` and ``scipy.optimize`` use one
+    extension module: linprog works, and a stub ``_Highs`` set on it, as
+    ``conftest.stub_highs_status`` does, reaches the float path."""
+    solve = ("sol, _ = scoremech.solve_drm(inst, mode='float')\n"
+             "assert sol.certified\n")
+    load = "from scipy.optimize import linprog\n"
+    out = _fresh_python(
+        "import scoremech\n"
+        "from scoremech import lpcore\n"
+        "inst = scoremech.college_instance(internalize_costs=True)\n"
+        + (solve + load if first == "float solve" else load + solve) +
+        "res = linprog([-1.0], A_ub=[[1.0]], b_ub=[2.0], method='highs')\n"
+        "assert res.status == 0 and res.x[0] == 2.0\n"
+        "from scipy.optimize._highspy import _core\n"
+        "assert lpcore._highs_core() is _core\n"
+        "class Stub(_core._Highs):\n"
+        "    def getModelStatus(self):\n"
+        "        return _core.HighsModelStatus.kSolveError\n"
+        "_core._Highs = Stub\n"
+        "try:\n"
+        "    scoremech.solve_drm(inst, mode='float')\n"
+        "except scoremech.SolveError as exc:\n"
+        "    print(exc.status, exc)\n")
+    assert out == ("numerical LP solver reported numerical difficulties "
+                   "(HiGHS status kSolveError)\n")
+
+
+def test_float_matrix_is_scipy_csc(monkeypatch):
+    """The CSC arrays handed to HiGHS are those of ``scipy.sparse``."""
+    import scipy.sparse as sp
+    from scipy.optimize._highspy import _core
+
+    seen = []
+
+    class Highs(_core._Highs):
+        def passModel(self, *args):
+            seen.append(args[-4:-1])  # indptr, indices, values
+            return super().passModel(*args)
+
+    monkeypatch.setattr(_core, "_Highs", Highs)
+    inst = scoremech.discretize(scoremech.Uniform(-2.0, 1.0),
+                                scoremech.CostModel.linear(4.0, (-2.0, 1.0)),
+                                16)
+    lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
+    assert solve_lp(lp, mode="float").certified
+    a = sp.csc_array((lp.val, (lp.row, lp.col)), shape=(lp.n_rows, lp.n_vars))
+    indptr, indices, values = seen[0]
+    for mine, theirs in ((indptr, a.indptr), (indices, a.indices),
+                         (values, a.data)):
+        np.testing.assert_array_equal(mine, theirs)
 
 
 def test_exact_mode_does_not_read_the_row_view(monkeypatch):
