@@ -1,10 +1,11 @@
 """Independent incentive verification and brute-force oracles.
 
 Best responses are computed by direct maximization, never through the LP,
-so they can certify solver output.  The deviator may quit after each score
-recommendation (taking the outside option), matching the positive part in
-the truth-telling constraint; disobedience maps to the null outcome, so
-richer off-path behavior never pays.
+so they can certify solver output: one array pass over the mechanism's
+support prices every report for every type.  The deviator may quit after
+each score recommendation (taking the outside option), matching the
+positive part in the truth-telling constraint; disobedience maps to the
+null outcome, so richer off-path behavior never pays.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from .model import (
     ModelError,
     ScoreBasedRule,
     _non_finite,
-    on_support,
     require_valid,
     validate,
     validate_mechanism,
 )
-from .finite import evaluate_mechanism
+from .finite import _entry_dtype, _support, evaluate_mechanism
 
 __all__ = [
     "AuditReport",
@@ -82,53 +82,60 @@ class AuditReport:
             fh.write("\n")
 
 
-def _deviation_value(space: FiniteTypeSpace, costs: CostModel,
-                     agent: AgentPayoff, mech: FiniteMechanism,
-                     t: AgentType, report: AgentType, outside):
-    """Value and per-recommendation plan for type t reporting ``report``."""
-    value = 0
-    plan = {}
-    for a in space.scores:
-        r = mech.rho(a, report)
-        if not on_support(r):
-            continue
-        cont = sum(mech.q(x, a, report) * agent.v(x, t)
-                   for x in space.outcomes) - costs.cost(a, t)
-        if cont >= outside:
-            plan[a] = "obey"
-            value += r * cont
-        else:
-            plan[a] = "quit"
-            value += r * outside
-    return value, plan
-
-
-def _deviations(space: FiniteTypeSpace, costs: CostModel,
-                agent: AgentPayoff, mech: FiniteMechanism, t: AgentType,
-                outside) -> list[tuple]:
-    """(report, plan, value) per report: truth first, then the other
-    types in declaration order."""
-    reports = [t] + [tp for tp in space.types if tp != t]
-    devs = [_deviation_value(space, costs, agent, mech, t, r, outside)
-            for r in reports]
-    return [(r, plan, value) for r, (value, plan) in zip(reports, devs)]
+def _deviation_table(space: FiniteTypeSpace, costs: CostModel,
+                     agent: AgentPayoff, mech: FiniteMechanism, outside):
+    """Every type's payoff from every report, in one array pass over the
+    support entries j = (r, a), report by report, in the data's dtype
+    (``finite._entry_dtype``).  Reads rho, q, v, c and the outside option
+    ubar from the mechanism and the instance alone.  t obeying a after
+    reporting r gets cont[t, j] = sum_x q(x|a,r) v(x,t) - c(a,t).  Returns
+    (dev, own, gaps, best): dev[t, r] sums rho(a|r) times cont, or ubar(t)
+    where t quits because cont < ubar(t), over r's support; own[t] sums
+    rho(a|t) cont over t's support; gaps are ubar(t) - cont there; best is
+    per type (report, plan, value), the first maximum of dev[t], the truth
+    first.  Sums add left to right from 0, as scalar loops do.
+    """
+    types, scores, outcomes = space.types, space.scores, space.outcomes
+    n_t = len(types)
+    rho = [mech.recommendation.get((a, r), 0) for r in types for a in scores]
+    on = _support(np.array(rho, _entry_dtype(rho))).reshape(n_t, -1)
+    r_on, a_on = np.nonzero(on)
+    support = list(zip(r_on.tolist(), a_on.tolist()))
+    q = [mech.q(x, scores[a], types[r]) for r, a in support for x in outcomes]
+    v = [agent.v(x, t) for x in outcomes for t in types]
+    c = [costs.cost(a, t) for t in types for a in scores]
+    ubar = [outside.get(t, 0) for t in types]
+    dtype = _entry_dtype(rho, q, v, c, ubar)
+    rho, q, v, c, ubar = (np.array(vs, dtype) for vs in (rho, q, v, c, ubar))
+    rho, ubar = rho[on.ravel()], ubar[:, None]
+    cont = sum(qx * vx for qx, vx in zip(q.reshape(-1, len(outcomes)).T,
+                                         v.reshape(-1, n_t, 1)))
+    cont = cont - c.reshape(n_t, -1)[:, a_on]
+    obey = cont >= ubar
+    dev, own = np.zeros((n_t, n_t), dtype), np.zeros(n_t, dtype)
+    np.add.at(dev, (slice(None), r_on), rho * np.where(obey, cont, ubar))
+    truth = cont[r_on, np.arange(len(rho))]
+    np.add.at(own, r_on, rho * truth)
+    i = np.arange(n_t)
+    top = dev.argmax(axis=1)
+    choice = np.where(dev[i, i] >= dev[i, top], i, top).tolist()
+    best = [(types[r], {scores[a]: "obey" if ok[j] else "quit"
+                        for j, (rj, a) in enumerate(support) if rj == r}, value)
+            for r, ok, value in zip(choice, obey.tolist(),
+                                    dev[i, choice].tolist())]
+    return dev, own, ubar[r_on, 0] - truth, best
 
 
 def best_response_finite(space: FiniteTypeSpace, costs: CostModel,
                          agent: AgentPayoff, mech: FiniteMechanism,
                          t: AgentType,
                          outside_option: Mapping | None = None):
-    """Exact best deviation for one type.
-
-    Maximizes over all reports (truth included) with per-recommendation
-    quitting.  Ties break toward the truthful report, then declaration
-    order (max keeps the first of equal values).  Returns (best report,
-    plan, value).
-    """
-    t = AgentType(*t)
-    outside = (outside_option or {}).get(t, 0)
-    return max(_deviations(space, costs, agent, mech, t, outside),
-               key=lambda dev: dev[2])
+    """Exact best deviation (report, plan, value) of type t of the space,
+    over every report (truth included) with per-recommendation quitting;
+    ties break toward the truth, then declaration order."""
+    _, _, _, best = _deviation_table(space, costs, agent, mech,
+                                     outside_option or {})
+    return best[space.types.index(AgentType(*t))]
 
 
 def best_response_score_rule(scores: Sequence, costs: CostModel,
@@ -192,30 +199,16 @@ def audit_ic(space: FiniteTypeSpace, costs: CostModel, agent: AgentPayoff,
     require_valid("instance", validate(space, costs, None, agent)
                   + _non_finite("outside option", outside))
     require_valid("mechanism", validate_mechanism(space, mech))
-    max_tt = 0
-    max_pc = 0
-    best_responses = {}
-    for t in space.types:
-        ubar = outside.get(t, 0)
-        # truthful payoff without the quit option
-        u_t = 0
-        for a in space.scores:
-            r = mech.rho(a, t)
-            if not on_support(r):
-                continue
-            cont = sum(mech.q(x, a, t) * agent.v(x, t)
-                       for x in space.outcomes) - costs.cost(a, t)
-            u_t += r * cont
-            gap = ubar - cont
-            if gap > max_pc:
-                max_pc = gap
-        devs = _deviations(space, costs, agent, mech, t, ubar)
-        report, plan, value = max(devs, key=lambda dev: dev[2])
-        best_responses[t] = {"report": report, "plan": plan,
-                             "value": value, "gain": value - u_t}
-        max_tt = max([max_tt] + [dev - u_t for _, _, dev in devs[1:]])
+    dev, own, gaps, best = _deviation_table(space, costs, agent, mech,
+                                            outside)
+    max_tt = max([0] + (dev - own[:, None])[~np.eye(len(own), dtype=bool)]
+                 .tolist())
+    best_responses = {t: {"report": r, "plan": plan, "value": value,
+                          "gain": value - u}
+                      for t, (r, plan, value), u in zip(space.types, best,
+                                                        own.tolist())}
     return AuditReport(max_tt_violation=float(max_tt),
-                       max_pc_violation=float(max_pc),
+                       max_pc_violation=float(max([0] + gaps.tolist())),
                        tolerance=tolerance,
                        best_responses=best_responses)
 

@@ -125,28 +125,38 @@ def _entry_dtype(*values) -> type:
     return object
 
 
+def _support(r: np.ndarray) -> np.ndarray:
+    """``on_support`` of each entry: float64 in one pass, objects one by
+    one (they may mix floats with exact numbers)."""
+    if r.dtype == object:
+        return np.frompyfunc(on_support, 1, 1)(r).astype(bool)
+    return r > SUPPORT_TOL
+
+
 def _drm_tables(space, costs, agent, designer, outside_option):
     """Per-(t, a, x) objective, participation and deviation-gain tables and
-    the outside option per t, in one dtype (see ``_entry_dtype``)."""
+    the outside option per t, in one dtype (see ``_entry_dtype``), broadcast
+    from the inputs: float data in float64, others as objects."""
     if costs.kind != "tabulated":
         raise ModelError("a finite instance needs a cost table")
     outside = outside_option or {}
-
-    def table(f):  # f(t, a, x) for every type, score and outcome
-        return np.array([[f(t, a, x) for a in space.scores
-                          for x in space.outcomes] for t in space.types],
-                        dtype=object).reshape(len(space.types),
-                                              len(space.scores), -1)
-
-    numbers = (
-        table(lambda t, a, x: space.mass(t) * (
-            designer.dv(x, t) - designer.loss(costs.cost(a, t)))),
-        table(lambda t, a, x: agent.v(x, t) - (
-            costs.cost(a, t) + outside.get(t, 0))),
-        table(lambda t, a, x: agent.v(x, t) - costs.cost(a, t)),
-        np.array([outside.get(t, 0) for t in space.types], dtype=object))
-    dtype = _entry_dtype(*(a.ravel() for a in numbers))
-    return tuple(a.astype(dtype) for a in numbers)
+    types, scores, outcomes = space.types, space.scores, space.outcomes
+    lam = designer.loss_coefficient
+    numbers = ([costs.cost(a, t) for t in types for a in scores],
+               [agent.v(x, t) for t in types for x in outcomes],
+               [designer.dv(x, t) for t in types for x in outcomes],
+               [space.mass(t) for t in types],
+               [outside.get(t, 0) for t in types])
+    dtype = _entry_dtype(*numbers, [] if lam is None else [lam])
+    c, v, dv, mass, ubar = (np.array(vs, dtype).reshape(len(types), 1, -1)
+                            for vs in numbers)
+    c = c.transpose(0, 2, 1)  # (t, a, 1) against v's (t, 1, x)
+    gain = v - c
+    tables = (np.broadcast_to(mass * (dv - designer.loss(c)), gain.shape),
+              v - (c + ubar), gain, ubar.ravel())
+    if dtype == object:  # mixed data may give float entries
+        dtype = _entry_dtype(*(a.ravel() for a in tables))
+    return tuple(a.astype(dtype, order="C") for a in tables)
 
 
 def _pairs(n_t: int):
@@ -214,21 +224,22 @@ def extract_mechanism(space: FiniteTypeSpace,
     """Recover (q, rho) from an optimal joint-variable assignment."""
     if not solution.optimal:
         raise ModelError(f"cannot extract from a {solution.status} solution")
-    shape = len(space.types), len(space.scores), len(space.outcomes)
-    z = np.array(solution.assignment[:np.prod(shape)],
-                 dtype=object).reshape(shape)
-    decision = {}
-    recommendation = {}
-    for t, zt in zip(space.types, z):
-        mass = [sum(za) for za in zt]
-        total = sum(mass)  # exactly 1 but for float round-off
-        if not on_support(total):
-            raise ModelError(f"degenerate all-zero joint row for {t}")
-        for a, m, za in zip(space.scores, mass, zt):
-            recommendation[(a, t)] = r = m / total
-            if on_support(r):
-                for x, v in zip(space.outcomes, za):
-                    decision[(x, a, t)] = v / m
+    types, scores, outcomes = space.types, space.scores, space.outcomes
+    zs = solution.assignment[:len(types) * len(scores) * len(outcomes)]
+    z = np.array(zs, _entry_dtype(zs)).reshape(len(types), len(scores), -1)
+    mass = sum(z.transpose(2, 0, 1))  # in order from 0, not pairwise
+    total = sum(mass.T)  # exactly 1 but for float round-off
+    empty = ~_support(total)
+    if empty.any():
+        raise ModelError(
+            f"degenerate all-zero joint row for {types[empty.argmax()]}")
+    rho = mass / total[:, None]
+    on = _support(rho)
+    recommendation = dict(zip(((a, t) for t in types for a in scores),
+                              rho.ravel().tolist()))
+    decision = dict(zip(((x, scores[j], types[i])
+                         for i, j in zip(*np.nonzero(on)) for x in outcomes),
+                        (z[on] / mass[on][:, None]).ravel().tolist()))
     return FiniteMechanism(decision=decision, recommendation=recommendation)
 
 
@@ -239,18 +250,11 @@ def evaluate_mechanism(space: FiniteTypeSpace, costs: CostModel,
 
     Returns (designer value, {t: U(t)}, {t: expected falsification cost}).
     """
-    value = 0
-    utilities = {}
-    exp_costs = {}
+    value, utilities, exp_costs = 0, {}, {}
     for t in space.types:
-        u = 0
-        ec = 0
-        contrib = 0
-        for a in space.scores:
-            r = mech.rho(a, t)
-            if not on_support(r):
-                continue
-            c = costs.cost(a, t)
+        u = ec = contrib = 0
+        for a in mech.support(t, space.scores):
+            r, c = mech.rho(a, t), costs.cost(a, t)
             ev_agent = sum(mech.q(x, a, t) * agent.v(x, t)
                            for x in space.outcomes)
             ev_designer = sum(mech.q(x, a, t) * designer.dv(x, t)
@@ -258,8 +262,7 @@ def evaluate_mechanism(space: FiniteTypeSpace, costs: CostModel,
             u += r * (ev_agent - c)
             ec += r * c
             contrib += r * (ev_designer - designer.loss(c))
-        utilities[t] = u
-        exp_costs[t] = ec
+        utilities[t], exp_costs[t] = u, ec
         value += space.mass(t) * contrib
     return value, utilities, exp_costs
 

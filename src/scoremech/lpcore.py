@@ -57,7 +57,7 @@ _RELATIONS = (LESS, EQUAL, GREATER)
 # with "iteration_limit"; read at each call.
 ITERATION_CAP = 10**6
 # The first float solve's HiGHS options.  Presolve stays on: off, round-off
-# mass can land on a score its type cannot afford.
+# mass can land on a reject-only lottery at a costly score (a PC violation).
 HIGHS_OPTIONS = {"simplex_dual_edge_weight_strategy": 0,
                  "simplex_scale_strategy": 0}
 

@@ -52,7 +52,7 @@ class ModelError(ValueError):
 
 def on_support(r) -> bool:
     """Exact probabilities count when above 0, floats above SUPPORT_TOL."""
-    return r > (0 if isinstance(r, (int, Fraction)) else SUPPORT_TOL)
+    return r > (SUPPORT_TOL if isinstance(r, float) else 0)
 
 
 class AgentType(NamedTuple):
@@ -382,6 +382,11 @@ def _outside_unit(v) -> bool:
 def validate_mechanism(space: FiniteTypeSpace,
                        mech: FiniteMechanism) -> list[str]:
     problems: list[str] = []
+    outside = {}  # per type, its decision entries outside [0, 1]
+    for (x, a, t), v in mech.decision.items():
+        if _outside_unit(v):
+            outside.setdefault(t, []).append(
+                f"q({x}|{a},{t}) = {v} outside [0, 1]")
     for t in space.types:
         total = sum(mech.rho(a, t) for a in space.scores)
         if abs(float(total) - 1.0) > _NORM_TOL:
@@ -400,9 +405,7 @@ def validate_mechanism(space: FiniteTypeSpace,
                 if abs(float(qsum) - 1.0) > _NORM_TOL:
                     problems.append(
                         f"q(.|{a},{t}) sums to {float(qsum)}")
-        for (x, a, tt), v in mech.decision.items():
-            if tt == t and _outside_unit(v):
-                problems.append(f"q({x}|{a},{t}) = {v} outside [0, 1]")
+        problems += outside.get(t, [])
     return problems
 
 

@@ -4,8 +4,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scoremech.audit import (
+    AuditReport,
     _grid_menus,
     audit_ic,
     best_response_continuous,
@@ -30,6 +33,7 @@ from scoremech.model import (
     Instance,
     ModelError,
     ScoreBasedRule,
+    on_support,
 )
 
 from conftest import random_instance
@@ -49,10 +53,11 @@ def test_best_response_t1_is_quarter(college2, menu_mechanism):
     assert value == F(1, 4)
     assert report == T1  # ties break toward the truth
     # mimicking t2 achieves the same value
-    from scoremech.audit import _deviation_value
-    dev, _ = _deviation_value(college2.space, college2.costs, college2.agent,
-                              menu_mechanism, T1, T2, 0)
-    assert dev == F(1, 4)
+    from scoremech.audit import _deviation_table
+    dev, _, _, _ = _deviation_table(college2.space, college2.costs,
+                                    college2.agent, menu_mechanism, {})
+    types = college2.space.types
+    assert dev[types.index(T1), types.index(T2)] == F(1, 4)
 
 
 def test_best_response_t3_truthful_maximum(college2, menu_mechanism):
@@ -212,6 +217,133 @@ def test_audit_report_serialization(tmp_path, college2, menu_mechanism):
                                           for t in college2.space.types}
     report.save(tmp_path / "audit.json")
     assert (tmp_path / "audit.json").read_text().startswith("{")
+
+
+# ---------------------------------------------------------------------------
+# the array audit against plain loops
+# ---------------------------------------------------------------------------
+
+def _loop_audit(space, costs, agent, mech, outside, tolerance=1e-9):
+    """The audit as scalar loops over (type, report, score, outcome): each
+    report's value with quitting after any recommendation worth less than
+    the outside option, the truthful value without quitting, and the best
+    report with the truth first, then declaration order, first maximum."""
+    def cont(t, report, a):
+        return sum(mech.q(x, a, report) * agent.v(x, t)
+                   for x in space.outcomes) - costs.cost(a, t)
+
+    def deviation(t, report):
+        ubar, value, plan = outside.get(t, 0), 0, {}
+        for a in space.scores:
+            if on_support(mech.rho(a, report)):
+                obey = cont(t, report, a) >= ubar
+                plan[a] = "obey" if obey else "quit"
+                value += mech.rho(a, report) * (
+                    cont(t, report, a) if obey else ubar)
+        return value, plan
+
+    max_tt = max_pc = 0
+    best_responses = {}
+    for t in space.types:
+        own = 0
+        for a in space.scores:
+            if on_support(mech.rho(a, t)):
+                own += mech.rho(a, t) * cont(t, t, a)
+                max_pc = max(max_pc, outside.get(t, 0) - cont(t, t, a))
+        reports = [t] + [r for r in space.types if r != t]
+        values = [deviation(t, r) for r in reports]
+        k = 0
+        for j, (value, _) in enumerate(values):
+            if value > values[k][0]:
+                k = j
+        best_responses[t] = {"report": reports[k], "plan": values[k][1],
+                             "value": values[k][0],
+                             "gain": values[k][0] - own}
+        for value, _ in values[1:]:
+            max_tt = max(max_tt, value - own)
+    return AuditReport(float(max_tt), float(max_pc), tolerance,
+                       best_responses)
+
+
+QUARTERS = st.integers(0, 4).map(lambda k: F(k, 4))
+
+
+@st.composite
+def audit_cases(draw):
+    """A small exact instance with outside options >= 0, and a mechanism
+    with zero-mass scores (their rho stored as 0 or absent) and q undefined
+    off the support, sometimes.  Values sit on a grid of quarters, so tied
+    deviations are common."""
+    scores = tuple(f"a{i}" for i in range(draw(st.integers(1, 3))))
+    outcomes = ("no", "yes", "maybe")[:draw(st.integers(2, 3))]
+    types = tuple(AgentType(f"t{i}", draw(st.sampled_from(scores)))
+                  for i in range(draw(st.integers(1, 4))))
+    space = FiniteTypeSpace(types=types, scores=scores, outcomes=outcomes,
+                            prior={t: F(1, len(types)) for t in types})
+    costs = CostModel.tabulated({(a, t): F(0) if a == t.score
+                                 else draw(QUARTERS)
+                                 for t in types for a in scores})
+    agent = AgentPayoff({(x, t): draw(QUARTERS) - F(1, 4)
+                         for x in outcomes for t in types})
+    outside = {t: draw(QUARTERS) / 2 for t in types}
+    decision, recommendation = {}, {}
+    for t in types:
+        weights = [draw(st.integers(0, 2)) for _ in scores]
+        weights[0] += sum(weights) == 0
+        for a, w in zip(scores, weights):
+            if w or draw(st.booleans()):
+                recommendation[(a, t)] = F(w, sum(weights))
+            if w or draw(st.booleans()):
+                q = [draw(st.integers(0, 2)) for _ in outcomes]
+                q[-1] += sum(q) == 0
+                decision.update({(x, a, t): F(k, sum(q))
+                                 for x, k in zip(outcomes, q)})
+    mech = FiniteMechanism(decision=decision, recommendation=recommendation)
+    return space, costs, agent, mech, outside
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(audit_cases())
+def test_array_audit_matches_plain_loops(case):
+    """Verdict, both violations and every best response's report, plan,
+    value and gain are the loops' exact numbers."""
+    space, costs, agent, mech, outside = case
+    report = audit_ic(space, costs, agent, mech, outside)
+    ref = _loop_audit(space, costs, agent, mech, outside)
+    assert report.passes == ref.passes
+    assert report.max_tt_violation == ref.max_tt_violation
+    assert report.max_pc_violation == ref.max_pc_violation
+    assert report.best_responses == ref.best_responses
+    for t, info in ref.best_responses.items():
+        assert best_response_finite(space, costs, agent, mech, t,
+                                    outside) == (info["report"],
+                                                 info["plan"], info["value"])
+
+
+def test_float_array_audit_matches_plain_loops():
+    """A float n=16 optimum, audited without and with outside options, to
+    1e-12 of the loops."""
+    from scoremech.continuous import discretize
+
+    inst = discretize(Uniform(-2.0, 1.0),
+                      CostModel.linear(4.0, (-2.0, 1.0)), 16)
+    _, mech = solve_drm(inst, mode="float")
+    space = inst.space
+    for outside in ({}, {t: 0.02 * i for i, t in enumerate(space.types)}):
+        report = audit_ic(space, inst.costs, inst.agent, mech, outside)
+        ref = _loop_audit(space, inst.costs, inst.agent, mech, outside)
+        assert report.passes == ref.passes
+        assert report.max_tt_violation == pytest.approx(
+            ref.max_tt_violation, abs=1e-12)
+        assert report.max_pc_violation == pytest.approx(
+            ref.max_pc_violation, abs=1e-12)
+        for t, info in ref.best_responses.items():
+            got = report.best_responses[t]
+            assert (got["report"], got["plan"]) == (info["report"],
+                                                    info["plan"])
+            for key in ("value", "gain"):
+                assert got[key] == pytest.approx(info[key], abs=1e-12)
+    assert ref.max_pc_violation > 0  # the outside options make t quit
 
 
 # ---------------------------------------------------------------------------

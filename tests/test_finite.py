@@ -248,8 +248,9 @@ def test_float_solves_leak_no_warning(college2):
 
 def test_float_lp_leaves_no_mass_on_unaffordable_scores():
     """HiGHS solves with presolve on.  Without it, this LP's optimum puts a
-    2.9e-12 round-off mass on a score a type cannot afford, which the
-    audit reads as a 6.7e-3 ex-post participation violation."""
+    2.9e-12 round-off mass on a reject-only lottery for t002 at s004, a
+    score t002 could afford if approved (it costs 0.0068).  The audit reads
+    that lottery's payoff -c as a 6.7e-3 ex-post participation violation."""
     from scoremech.continuous import TruncatedExponential, discretize
 
     dist = TruncatedExponential(-1.9263909385713407, 1.00231812103833,
