@@ -170,7 +170,10 @@ def _drm_lp(tables, keep=None) -> LinearProgram:
     rows.  Float tables drop the dead (pair, score) cells and substitute
     the settled ones (module docstring).  The z columns come first in the
     tables' (t, a, x) order; the other cells' w columns follow, numbered
-    contiguously."""
+    contiguously.  The LP carries the column bounds its rows imply, for the
+    float certificate only: z <= 1 by the unit-mass row, and w(a; t, t') <=
+    max(0, max gain[t]) by the truth-telling row, whose substituted terms
+    are >= 0 by participation."""
     objective, participation, gain, ubar = tables
     n_t, n_a, n_x = gain.shape
     zcol = np.arange(gain.size).reshape(gain.shape)
@@ -216,7 +219,10 @@ def _drm_lp(tables, keep=None) -> LinearProgram:
     rhs = np.zeros(len(relations), dtype)
     rhs[:n_t] = 1
     obj = np.concatenate((objective.ravel(), np.zeros(with_w.sum(), dtype)))
-    return LinearProgram(obj, row, col, val, relations, rhs)
+    top = gain.reshape(n_t, -1).max(axis=1, initial=0)[pt, None]  # w <= top
+    upper = np.concatenate((np.ones(gain.size, dtype),
+                            np.broadcast_to(top, with_w.shape)[with_w]))
+    return LinearProgram(obj, row, col, val, relations, rhs, upper)
 
 
 def extract_mechanism(space: FiniteTypeSpace,

@@ -23,12 +23,21 @@ readers, the benchmark's LP counts (``perfbench/jobs.py:_lp_counts``) and
   compiled extension of scipy's bundled HiGHS binding.  A float solve
   loads that extension alone, on first use, without the rest of
   ``scipy.optimize``; exact and continuous runs load no scipy at all.
-  HiGHS solves unscaled with Dantzig pricing, which suit DRM LPs; an answer
-  other than a certified optimum is solved again with HiGHS's defaults.
+  HiGHS solves without presolve and without scaling of its own, with
+  Dantzig pricing, which suit DRM LPs.  Its tolerances are absolute, so
+  each row and the objective are first scaled by the power of two that puts
+  their largest |entry| in [1/2, 1); the multipliers and the value are
+  unscaled exactly.  Column values below 1e-9 are round-off and are set to
+  0: a mass of 1e-12 on a lottery an agent cannot afford would otherwise be
+  extracted as a recommendation.  An answer other than a certified optimum
+  is solved again with HiGHS's defaults.
 
 Every optimal solve also produces a dual certificate: a vector of row
 multipliers whose implied objective bound is checked against the primal
-value (exactly in rational mode, to 1e-8 relative in float mode).
+value (exactly in rational mode, to 1e-8 relative in float mode).  A float
+LP that carries column bounds ``upper`` implied by its rows, as the DRM
+LPs do, must also pass a bound that round-off cannot fool: every positive
+reduced cost, plus its rounding error, times its column's bound.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import machinery, util
-from math import gcd
+from math import gcd, ldexp
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -56,9 +65,10 @@ _RELATIONS = (LESS, EQUAL, GREATER)
 # Exact simplex pricing passes, or HiGHS iterations, before a solve stops
 # with "iteration_limit"; read at each call.
 ITERATION_CAP = 10**6
-# The first float solve's HiGHS options.  Presolve stays on: off, round-off
-# mass can land on a reject-only lottery at a costly score (a PC violation).
-HIGHS_OPTIONS = {"simplex_dual_edge_weight_strategy": 0,
+# The first float solve's HiGHS options: no presolve and no scaling of its
+# own, since rows and objective come scaled by powers of two, and Dantzig
+# dual pricing.
+HIGHS_OPTIONS = {"presolve": "off", "simplex_dual_edge_weight_strategy": 0,
                  "simplex_scale_strategy": 0}
 
 # HiGHS model statuses; any other (kSolveError...) is "numerical"
@@ -79,9 +89,12 @@ class LinearProgram:
     never rounded).  Entries at one (row, column) are summed, in the order
     given; zero sums are dropped and the rest sorted by row, then column.
     Every array is then read-only.  An upper bound on a variable is a row.
+    ``upper``, if given, holds bounds x <= upper that the rows already
+    imply at every feasible point; only the float certificate reads them.
     """
 
-    def __init__(self, objective, row, col, val, relations, rhs):
+    def __init__(self, objective, row, col, val, relations, rhs,
+                 upper=None):
         # (row, col) -> key is one-to-one, also on indices validate() refuses
         lo = col.min(initial=0)
         key = row * (col.max(initial=0) - lo + 1) + (col - lo)
@@ -96,6 +109,7 @@ class LinearProgram:
         order = order[keep]
         self.row, self.col, self.val = row[order], col[order], val[keep]
         self.objective, self.relations, self.rhs = objective, relations, rhs
+        self.upper = upper
         for a in (objective, self.row, self.col, self.val, relations, rhs):
             a.flags.writeable = False
 
@@ -206,16 +220,51 @@ def _exact_view(lp: LinearProgram) -> LinearProgram:
 
 
 def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
+    """Exact mode: the dual bound equals the value.  Float mode: the dual
+    bound, reduced costs up to 1e-7 ignored, is within 1e-8 relative of the
+    value, and so is ``_safe_bound`` when the LP carries ``upper``."""
     try:
         if exact:
             return dual_bound(lp, sol.dual) == sol.value
-        bound = dual_bound(lp, sol.dual, tol=1e-7)
+        y = np.array(sol.dual, float)
+        bound = dual_bound(lp, y, tol=1e-7)
     except LpError:
         return False
     if bound is None:
         return False
-    scale = max(1.0, abs(float(sol.value)))
-    return abs(float(bound) - float(sol.value)) <= 1e-8 * scale
+    value = float(sol.value)
+    gap = 1e-8 * max(1.0, abs(value))
+    return abs(float(bound) - value) <= gap and (
+        lp.upper is None or _safe_bound(lp, y) - value <= gap)
+
+
+def _safe_bound(lp: LinearProgram, y: np.ndarray) -> float:
+    """An objective bound that float round-off cannot push below the
+    optimum (Neumaier & Shcherbina, Math. Programming 99, 2004): with
+    sign-feasible y and 0 <= x <= ``lp.upper``,
+
+        c . x <= y . b + sum_j upper_j max(0, r_j + err_j),
+
+    r = c - A^T y as computed in float64, and err = gamma_k (|c| +
+    |A|^T |y|) its rounding bound, k the terms in the longest column's sum;
+    y . b gets a gamma of its own.  A^T y runs over the rows with a nonzero
+    multiplier only, as in ``dual_bound``."""
+    on = (y != 0)[lp.row]
+    col = lp.col[on]
+    ya = y[lp.row[on]] * lp.val[on].astype(float)
+    c, n = lp.objective.astype(float), lp.n_vars
+    r = c - np.bincount(col, ya, n)
+    k = np.bincount(col).max(initial=0) + 2  # the products, c_j and r_j
+    err = _gamma(k) * (abs(c) + np.bincount(col, abs(ya), n))
+    yb = y * lp.rhs.astype(float)
+    return float(yb.sum() + _gamma(len(yb)) * abs(yb).sum()
+                 + lp.upper.astype(float) @ np.maximum(r + err, 0))
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the float64 unit round-off."""
+    ku = k * np.finfo(float).eps / 2
+    return ku / (1 - ku)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +306,15 @@ def _solve_float(lp: LinearProgram, options: Mapping) -> LpSolution:
         if np.all((lower <= 0) & (0 <= upper)):
             return LpSolution("optimal", 0.0, [], [0.0] * lp.n_rows)
         return LpSolution("infeasible")
+    # HiGHS's tolerances are absolute: scale each row, and the objective, by
+    # a power of two that puts its largest |entry| in [1/2, 1).  Powers of
+    # two are exact in binary, so unscaling the answer adds no rounding.
+    starts = np.flatnonzero(np.diff(lp.row, prepend=-1))  # rows are sorted
+    e = np.zeros(lp.n_rows, int)
+    e[lp.row[starts]] = np.frexp(np.maximum.reduceat(abs(val), starts))[1]
+    ec = int(np.frexp(abs(cost).max())[1])
+    val, cost = np.ldexp(val, -e[lp.row]), np.ldexp(cost, -ec)
+    lower, upper = np.ldexp(lower, -e), np.ldexp(upper, -e)
     order = np.argsort(lp.col, kind="stable")  # CSC, rows ascending
     indptr = np.concatenate([[0], np.cumsum(np.bincount(lp.col, minlength=n))])
     highs = core._Highs()
@@ -276,14 +334,17 @@ def _solve_float(lp: LinearProgram, options: Mapping) -> LpSolution:
         return LpSolution(status=status, solver_code=code)
 
     solution = highs.getSolution()
-    dual = -np.array(solution.row_dual)  # the max form's multipliers
-    # Clean round-off that would wreck the sign conditions.
-    x = np.maximum(solution.col_value, 0.0)
+    # the max form's multipliers, unscaled
+    dual = np.ldexp(-np.array(solution.row_dual), ec - e)
+    # Clean round-off: values below 1e-9, which would count as masses, and
+    # multipliers that would wreck the sign conditions.
+    x = np.array(solution.col_value)
+    x[x < 1e-9] = 0.0
     dual[(rel == LESS) & (-1e-7 < dual) & (dual < 0)] = 0.0
     dual[(rel == GREATER) & (0 < dual) & (dual < 1e-7)] = 0.0
     info = highs.getInfo()
-    return LpSolution("optimal", -info.objective_function_value, x.tolist(),
-                      dual.tolist(), solver_code=code,
+    return LpSolution("optimal", ldexp(-info.objective_function_value, ec),
+                      x.tolist(), dual.tolist(), solver_code=code,
                       iterations=info.simplex_iteration_count)
 
 

@@ -192,8 +192,12 @@ def _scaled_college(college2, k, m):
 
 @pytest.mark.parametrize("k, m", [(F(1000), F(1, 1000)),
                                   (F(1, 1000), F(10**4)),
-                                  (F(10**5), F(1))],
-                         ids=["k1e3-m1e-3", "k1e-3-m1e4", "k1e5-m1"])
+                                  (F(10**5), F(1)),
+                                  (F(1), F(1, 10**8)),
+                                  (F(10**4), F(1, 10**4)),
+                                  (F(10**8), F(1))],
+                         ids=["k1e3-m1e-3", "k1e-3-m1e4", "k1e5-m1",
+                              "k1-m1e-8", "k1e4-m1e-4", "k1e8-m1"])
 def test_float_solve_is_invariant_to_payoff_scale(college2, k, m):
     """The payoff-scaling relation (ROADMAP 8(b)): the optimum becomes
     53/24 * m, exactly in exact mode.  In floats, badly scaled data still
@@ -215,8 +219,9 @@ def test_float_solve_is_invariant_to_payoff_scale(college2, k, m):
 
 
 def test_float_mode_rescales_only_uncertified_optima(college2, monkeypatch):
-    """Float mode solves with Dantzig pricing, unscaled, and again with
-    HiGHS's defaults only when that optimum fails its certificate."""
+    """Float mode solves with Dantzig pricing, without presolve or HiGHS's
+    scaling, and again with HiGHS's defaults only when that optimum fails
+    its certificate, as with agent payoffs times 1e7."""
     seen = []
     solve = lpcore._solve_float
 
@@ -227,12 +232,51 @@ def test_float_mode_rescales_only_uncertified_optima(college2, monkeypatch):
     monkeypatch.setattr(lpcore, "_solve_float", spy)
     tuned = lpcore.HIGHS_OPTIONS
     for inst, expected in [(college2, [tuned]),
-                           (_scaled_college(college2, F(1000), F(1, 1000)),
+                           (_scaled_college(college2, F(10**7), F(1)),
                             [tuned, {}])]:
         seen.clear()
         lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
-        assert solve_lp(lp, "float").certified
+        sol = solve_lp(lp, "float")
+        assert sol.certified
+        assert abs(sol.value - 53 / 24) <= 1e-9 * 53 / 24
         assert seen == expected
+
+
+@pytest.mark.parametrize("case", ["college2", "float-n4"])
+def test_drm_lp_column_bounds_hold_on_the_feasible_set(college2, case):
+    """Every column's ``upper`` is at least the column's exact maximum over
+    the LP's rows, so the float certificate's bound is sound.  The float
+    LP has dead and substituted cells, and most of its w bounds are
+    attained."""
+    from scoremech.continuous import Uniform, discretize
+
+    inst = college2 if case == "college2" else discretize(
+        Uniform(-2.0, 1.0), CostModel.linear(4.0, (-2.0, 1.0)), 4)
+    lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
+    assert len(lp.upper) == lp.n_vars
+    for j in range(lp.n_vars):
+        unit = np.zeros(lp.n_vars, object)
+        unit[j] = 1
+        probe = lpcore.LinearProgram(unit, lp.row, lp.col, lp.val,
+                                     lp.relations, lp.rhs)
+        assert solve_lp(probe, "exact").value <= lp.upper[j]
+
+
+def test_safe_bound_holds_for_float_duals(college1, college2):
+    """The float certificate's bound, on a float solve's dual and on that
+    dual moved by 1e-6 (signs kept; y . b falls, so reduced costs turn
+    positive), is at least the exact optimum of the same float LP: both
+    colleges and random small instances."""
+    rng = random.Random(11)
+    for inst in [college1, college2] + [
+            random_instance(rng, max_types=4, n_scores=3) for _ in range(12)]:
+        inst = _to_fractions(inst, float)
+        lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
+        exact = solve_lp(lp, "exact").value
+        y = np.array(solve_lp(lp, "float").dual)
+        moved = y + 1e-6 * np.where(lp.relations == lpcore.LESS, 1, -1)
+        for dual in (y, moved):
+            assert lpcore._safe_bound(lp, dual) >= exact
 
 
 def test_float_solves_leak_no_warning(college2):
@@ -247,10 +291,12 @@ def test_float_solves_leak_no_warning(college2):
 
 
 def test_float_lp_leaves_no_mass_on_unaffordable_scores():
-    """HiGHS solves with presolve on.  Without it, this LP's optimum puts a
-    2.9e-12 round-off mass on a reject-only lottery for t002 at s004, a
-    score t002 could afford if approved (it costs 0.0068).  The audit reads
-    that lottery's payoff -c as a 6.7e-3 ex-post participation violation."""
+    """Solved by HiGHS without presolve and unscaled, this LP's optimum has
+    a 2.9e-12 round-off mass on a reject-only lottery for t002 at s004, a
+    score t002 could afford if approved (it costs 0.0068).  Were it kept,
+    the audit would read that lottery's payoff -c as a 6.7e-3 ex-post
+    participation violation; the float solve sets every column value below
+    1e-9 to 0."""
     from scoremech.continuous import TruncatedExponential, discretize
 
     dist = TruncatedExponential(-1.9263909385713407, 1.00231812103833,
@@ -263,6 +309,26 @@ def test_float_lp_leaves_no_mass_on_unaffordable_scores():
     value, _, _ = evaluate_mechanism(inst.space, inst.costs, inst.agent,
                                      inst.designer, mech)
     assert sol.certified and abs(value - sol.value) <= 1e-7
+    assert audit_ic(inst.space, inst.costs, inst.agent, mech).passes
+
+
+def test_float_lp_snaps_round_off_mass():
+    """perfbench finite_float seed 5, job float6-n24-uniform-quadratic.
+    Without presolve, on the scaled rows, HiGHS leaves a 2.2e-12 mass on an
+    approve-only lottery for t019 at s000, which costs t019 2.16; kept, the
+    audit would read its payoff 1 - 2.16 as a 1.16 ex-post participation
+    violation."""
+    from scoremech.continuous import Uniform, discretize
+
+    dist = Uniform(-2.0680791575283926, 1.0297146991431205)
+    inst = discretize(dist, CostModel.quadratic(
+        2.7832604510393417, (dist.s_min, dist.s_max)), 24)
+    sol = solve_lp(build_drm_lp(inst.space, inst.costs, inst.agent,
+                                inst.designer), "float")
+    mech = extract_mechanism(inst.space, sol)
+    value, _, _ = evaluate_mechanism(inst.space, inst.costs, inst.agent,
+                                     inst.designer, mech)
+    assert sol.certified and abs(value - sol.value) <= 1e-9
     assert audit_ic(inst.space, inst.costs, inst.agent, mech).passes
 
 

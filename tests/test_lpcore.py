@@ -316,7 +316,7 @@ def test_iterations_are_reported():
         "5-numerical"])
 def test_highs_status_is_reported_truthfully(monkeypatch, case, code,
                                              status):
-    """Real LPs that HiGHS, presolve on, stops on by the cap, finds
+    """Real LPs that HiGHS, presolve off, stops on by the cap, finds
     infeasible or unbounded; a stub binding for the numerical statuses."""
     lp = {"cap": _lp([3, 2, 4], [([1, 1, 2], "<=", 4), ([2, 0, 3], "<=", 5),
                                  ([2, 1, 3], "<=", 7)]),
@@ -395,7 +395,9 @@ def test_highs_extension_is_shared_with_scipy_optimize(first):
 
 
 def test_float_matrix_is_scipy_csc(monkeypatch):
-    """The CSC arrays handed to HiGHS are those of ``scipy.sparse``."""
+    """The CSC arrays handed to HiGHS are those of ``scipy.sparse``, over
+    the rows scaled by the powers of two that put each row's largest
+    |entry| in [1/2, 1)."""
     import scipy.sparse as sp
     from scipy.optimize._highspy import _core
 
@@ -412,7 +414,10 @@ def test_float_matrix_is_scipy_csc(monkeypatch):
                                 16)
     lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
     assert solve_lp(lp, mode="float").certified
-    a = sp.csc_array((lp.val, (lp.row, lp.col)), shape=(lp.n_rows, lp.n_vars))
+    top = np.zeros(lp.n_rows)
+    np.maximum.at(top, lp.row, abs(lp.val))
+    scaled = np.ldexp(lp.val, -np.frexp(top)[1][lp.row])
+    a = sp.csc_array((scaled, (lp.row, lp.col)), shape=(lp.n_rows, lp.n_vars))
     indptr, indices, values = seen[0]
     for mine, theirs in ((indptr, a.indptr), (indices, a.indices),
                          (values, a.data)):
