@@ -5,7 +5,9 @@ so they can certify solver output: one array pass over the mechanism's
 support prices every report for every type.  The deviator may quit after
 each score recommendation (taking the outside option), matching the
 positive part in the truth-telling constraint; disobedience maps to the
-null outcome, so richer off-path behavior never pays.
+null outcome, so richer off-path behavior never pays.  The grid brute
+force decides participation in the data's exact numbers, searches over
+float64 menu values, and re-evaluates its winner exactly.
 """
 
 from __future__ import annotations
@@ -218,44 +220,52 @@ def audit_ic(space: FiniteTypeSpace, costs: CostModel, agent: AgentPayoff,
 # ---------------------------------------------------------------------------
 
 def _grid_menus(space, costs, agent, designer, t, grid, outside, tol):
-    """All PC-feasible grid menus for one type.
+    """All PC-feasible grid menus for one type, decided exactly.
 
     A menu is a tuple of (score, rho, approval) rows; rows exist only on
     the recommendation's support, so menus differing off-support are not
-    enumerated twice.  Returns parallel lists (menus, val, own U,
-    deviation value per evaluating type).
+    enumerated twice.  Returns (menus, val, own U, dev) with float64 sums
+    over tables per (type, score, level): dev[k] is type k's payoff from
+    deviating to each menu, 0 for t itself.
     """
     x0, x1 = space.outcomes
-    scores = space.scores
-    # Per row (score index i, approval level q): each type's continuation
-    # value, a deviator's payoff (it quits below its outside option), and
-    # the designer's value of the row in t's menu.
-    cont, dev, dval = {}, {}, {}
-    for tp, i, (q, q1) in product(space.types, range(len(scores)),
-                                  enumerate(grid)):
-        c = costs.cost(scores[i], tp)
-        cont[tp, i, q] = q1 * agent.v(x1, tp) + (1 - q1) * agent.v(x0, tp) - c
-        dev[tp, i, q] = max(cont[tp, i, q], outside.get(tp, 0))
-        if tp == t:
-            dval[i, q] = (q1 * designer.dv(x1, t)
-                          + (1 - q1) * designer.dv(x0, t) - designer.loss(c))
-    # t's participation-feasible approval levels per score
-    ubar = outside.get(t, 0)
-    levels = [[q for q in range(len(grid)) if cont[t, i, q] >= ubar - tol]
-              for i in range(len(scores))]
+    types, scores = space.types, space.scores
+    u0, u1, ubar = agent.v(x0, t), agent.v(x1, t), outside.get(t, 0)
+    levels = [[q for q, q1 in enumerate(grid)
+               if q1 * u1 + (1 - q1) * u0 - costs.cost(a, t) >= ubar - tol]
+              for a in scores]
 
-    menus, vals, owns, devs = [], [], [], {tp: [] for tp in space.types}
+    menus, rows = [], []  # rows: (menu, score index, level, rho level)
     for comp in _compositions(len(grid) - 1, len(scores)):
         support = [i for i, k in enumerate(comp) if k]
         for qs in product(*(levels[i] for i in support)):
-            rows = [(i, q, grid[comp[i]]) for i, q in zip(support, qs)]
-            menus.append(tuple((scores[i], r, grid[q]) for i, q, r in rows))
-            owns.append(sum(r * cont[t, i, q] for i, q, r in rows))
-            vals.append(sum(r * dval[i, q] for i, q, r in rows))
-            for tp in space.types:
-                devs[tp].append(0 if tp == t else
-                                sum(r * dev[tp, i, q] for i, q, r in rows))
-    return menus, vals, owns, devs
+            rows += [(len(menus), i, q, comp[i]) for i, q in zip(support, qs)]
+            menus.append(tuple((scores[i], grid[comp[i]], grid[q])
+                               for i, q in zip(support, qs)))
+
+    # Tables per (score, level): each type's continuation value, a
+    # deviator's payoff (it quits below its outside option), t's own
+    # continuation and the designer's value of the row in t's menu.
+    g, own = np.array(grid, float), types.index(t)
+    v0, v1, ub = np.array([[float(agent.v(x0, tp)), float(agent.v(x1, tp)),
+                            float(outside.get(tp, 0))] for tp in types]
+                          ).T[:, :, None, None]
+    c = np.array([[float(costs.cost(a, tp)) for a in scores]
+                  for tp in types])[:, :, None]
+    cont = g * v1 + (1 - g) * v0 - c
+    loss = [float(designer.loss(costs.cost(a, t))) for a in scores]
+    dval = (g * float(designer.dv(x1, t)) + (1 - g) * float(designer.dv(x0, t))
+            - np.array(loss)[:, None])
+    table = np.concatenate([np.maximum(cont, ub), cont[own:own + 1],
+                            dval[None]])
+    table[own] = 0  # t's own menu is no deviation
+
+    m, i, q, r = np.array(rows, int).reshape(-1, 4).T
+    n = len(menus)
+    sums = np.bincount((m + n * np.arange(len(table))[:, None]).ravel(),
+                       (g[r] * table[:, i, q]).ravel(),
+                       n * len(table)).reshape(len(table), n)
+    return menus, sums[-1], sums[-2], sums[:-2]
 
 
 def _compositions(total, parts):
@@ -295,65 +305,45 @@ def brute_force_optimum(space: FiniteTypeSpace, costs: CostModel,
     grid = [Fraction(i, denom) for i in range(denom + 1)]
 
     types = list(space.types)
-    per_type = [
+    menus, vals, owns, devs = zip(*(
         _grid_menus(space, costs, agent, designer, t, grid, outside,
                     tolerance)
-        for t in types]
-
-    # float views for the search; prior-weighted values
-    vals = [np.array([float(space.mass(t)) * float(v) for v in vs])
-            for t, (_, vs, _, _) in zip(types, per_type)]
-    owns = [np.array([float(u) for u in us])
-            for (_, _, us, _) in per_type]
-    devs = [{tp: np.array([float(d) for d in dv[tp]]) for tp in dv}
-            for (_, _, _, dv) in per_type]
+        for t in types))
+    vals = [float(space.mass(t)) * v for t, v in zip(types, vals)]
     orders = [np.argsort(-v) for v in vals]
 
     k = len(types)
     tol = float(tolerance)
+    # optimistic per-depth remainder bounds
+    tops = [v.max(initial=-np.inf) for v in vals]
+    bound_rest = [sum(reversed(tops[i:])) for i in range(k + 1)]
     best_value = -float("inf")
     best_choice = None
 
-    def dfs(depth, chosen, masks, bound_rest):
+    def dfs(depth, chosen, value, masks):
         nonlocal best_value, best_choice
         if depth == k:
-            total = sum(vals[i][j] for i, j in enumerate(chosen))
-            if total > best_value:
-                best_value = total
-                best_choice = list(chosen)
+            if value > best_value:
+                best_value, best_choice = value, chosen
             return
-        t = types[depth]
-        cand = orders[depth][masks[depth][orders[depth]]]
-        rest = bound_rest[depth + 1] if depth + 1 <= k else 0.0
-        for j in cand:
-            v = vals[depth][j]
-            if sum(vals[i][c] for i, c in enumerate(chosen)) + v + rest \
-                    <= best_value + 1e-15:
+        for j in orders[depth][masks[depth][orders[depth]]]:
+            v = value + vals[depth][j]
+            if v + bound_rest[depth + 1] <= best_value + 1e-15:
                 break  # candidates sorted by value; nothing better remains
             new_masks = list(masks)
-            ok = True
             for later in range(depth + 1, k):
-                tp = types[later]
-                # tp's future menu must leave tp no profitable deviation to
-                # menu j, and must not tempt the current type past U(j)
-                m2 = masks[later] & (owns[later] >= devs[depth][tp][j] - tol)
-                m2 = m2 & (devs[later][t] <= owns[depth][j] + tol)
+                # the later type's menu must leave it no profitable deviation
+                # to menu j, and must not tempt the current type past U(j)
+                m2 = masks[later] & (owns[later]
+                                     >= devs[depth][later][j] - tol)
+                m2 = m2 & (devs[later][depth] <= owns[depth][j] + tol)
                 if not m2.any():
-                    ok = False
                     break
                 new_masks[later] = m2
-            if not ok:
-                continue
-            chosen.append(j)
-            dfs(depth + 1, chosen, new_masks, bound_rest)
-            chosen.pop()
+            else:
+                dfs(depth + 1, chosen + [j], v, new_masks)
 
-    masks = [np.ones(len(vals[i]), dtype=bool) for i in range(k)]
-    # optimistic per-depth remainder bounds
-    bound_rest = [0.0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        bound_rest[i] = bound_rest[i + 1] + float(vals[i].max())
-    dfs(0, [], masks, bound_rest)
+    dfs(0, [], 0, [np.ones(len(v), dtype=bool) for v in vals])
 
     if best_choice is None:
         raise ModelError("no grid-feasible IC mechanism found")
@@ -362,10 +352,10 @@ def brute_force_optimum(space: FiniteTypeSpace, costs: CostModel,
     decision = {}
     recommendation = {}
     x0, x1 = space.outcomes
-    for t, (menus, _, _, _), j in zip(types, per_type, best_choice):
+    for t, menu_list, j in zip(types, menus, best_choice):
         for a in space.scores:
             recommendation[(a, t)] = Fraction(0)
-        for a, r, q1 in menus[j]:
+        for a, r, q1 in menu_list[j]:
             recommendation[(a, t)] = r
             decision[(x1, a, t)] = q1
             decision[(x0, a, t)] = 1 - q1

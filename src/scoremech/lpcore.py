@@ -21,8 +21,8 @@ readers, the benchmark's LP counts (``perfbench/jobs.py:_lp_counts``) and
   the golden-value tests run in.
 * ``float`` -- the matrix goes, as CSC arrays built in numpy, to the
   compiled extension of scipy's bundled HiGHS binding.  A float solve
-  loads that extension alone, on first use, without the rest of
-  ``scipy.optimize``; exact and continuous runs load no scipy at all.
+  loads that extension alone, on first use, and imports no scipy
+  package; exact and continuous runs load no scipy at all.
   HiGHS solves without presolve and without scaling of its own, with
   Dantzig pricing, which suit DRM LPs.  Its tolerances are absolute, so
   each row and the objective are first scaled by the power of two that puts
@@ -34,10 +34,11 @@ readers, the benchmark's LP counts (``perfbench/jobs.py:_lp_counts``) and
 
 Every optimal solve also produces a dual certificate: a vector of row
 multipliers whose implied objective bound is checked against the primal
-value (exactly in rational mode, to 1e-8 relative in float mode).  A float
-LP that carries column bounds ``upper`` implied by its rows, as the DRM
-LPs do, must also pass a bound that round-off cannot fool: every positive
-reduced cost, plus its rounding error, times its column's bound.
+value (exactly in rational mode, to 1e-8 relative in float mode, where x
+must also meet every row to 1e-9 relative).  A float LP that carries
+column bounds ``upper`` implied by its rows, as the DRM LPs do, must also
+pass a bound that round-off cannot fool: every positive reduced cost, plus
+its rounding error, times its column's bound.
 """
 
 from __future__ import annotations
@@ -220,9 +221,10 @@ def _exact_view(lp: LinearProgram) -> LinearProgram:
 
 
 def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
-    """Exact mode: the dual bound equals the value.  Float mode: the dual
-    bound, reduced costs up to 1e-7 ignored, is within 1e-8 relative of the
-    value, and so is ``_safe_bound`` when the LP carries ``upper``."""
+    """Exact mode: the dual bound equals the value.  Float mode: x misses
+    no row by over 1e-9 (sum_j |a_ij x_j| + |b_i|), and the dual bound,
+    reduced costs up to 1e-7 ignored, is within 1e-8 relative of the value,
+    as is ``_safe_bound`` when the LP carries ``upper``."""
     try:
         if exact:
             return dual_bound(lp, sol.dual) == sol.value
@@ -234,7 +236,13 @@ def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
         return False
     value = float(sol.value)
     gap = 1e-8 * max(1.0, abs(value))
-    return abs(float(bound) - value) <= gap and (
+    ax = lp.val.astype(float) * np.array(sol.assignment, float)[lp.col]
+    b, rel = lp.rhs.astype(float), lp.relations
+    miss = np.bincount(lp.row, ax, lp.n_rows) - b  # activity - rhs
+    miss = np.select([rel == LESS, rel == GREATER], [miss, -miss], abs(miss))
+    rows_hold = np.all(miss <= 1e-9 * (np.bincount(lp.row, abs(ax),
+                                                   lp.n_rows) + abs(b)))
+    return bool(rows_hold) and abs(float(bound) - value) <= gap and (
         lp.upper is None or _safe_bound(lp, y) - value <= gap)
 
 
@@ -272,19 +280,21 @@ def _gamma(k: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _highs_core():
-    """scipy's compiled HiGHS binding, loaded by itself on first use (the
-    usual import runs all of ``scipy.optimize``) under scipy's own name, so
-    ``import scipy.optimize``, before or after, finds the same module."""
+    """scipy's compiled HiGHS binding, loaded by itself on first use, with
+    no scipy package imported, under scipy's own name, so ``import
+    scipy.optimize``, before or after, finds the same module."""
     name = "scipy.optimize._highspy._core"
     if name in sys.modules:
         return sys.modules[name]
-    import scipy
+    scipy = util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed")
+    where = scipy.submodule_search_locations[0] + "/optimize/_highspy"
     spec = machinery.FileFinder(
-        scipy.__path__[0] + "/optimize/_highspy",
-        (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+        where, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
     ).find_spec(name)
     if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no {name}")
+        raise ImportError(f"no {name} in {where}")
     module = sys.modules[name] = util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)

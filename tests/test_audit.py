@@ -1,14 +1,17 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scoremech import audit
 from scoremech.audit import (
     AuditReport,
+    _compositions,
     _grid_menus,
     audit_ic,
     best_response_continuous,
@@ -33,6 +36,7 @@ from scoremech.model import (
     Instance,
     ModelError,
     ScoreBasedRule,
+    college_instance,
     on_support,
 )
 
@@ -378,6 +382,102 @@ def test_brute_force_pins_menus_and_optimum_at_step_one_eighth(
     assert counts == [73] * 4
     assert brute_force_optimum(inst.space, inst.costs, inst.agent,
                                inst.designer, F(1, 8)) == value
+
+
+def _fraction_grid_menus(space, costs, agent, designer, t, grid, outside,
+                         tol):
+    """Reference for ``_grid_menus``: every row value and menu sum in the
+    data's own (Fraction) arithmetic.  Returns (menus, val, own U, {type:
+    deviation value per menu})."""
+    x0, x1 = space.outcomes
+    scores = space.scores
+    cont, dev, dval = {}, {}, {}
+    for tp, i, (q, q1) in product(space.types, range(len(scores)),
+                                  enumerate(grid)):
+        c = costs.cost(scores[i], tp)
+        cont[tp, i, q] = q1 * agent.v(x1, tp) + (1 - q1) * agent.v(x0, tp) - c
+        dev[tp, i, q] = max(cont[tp, i, q], outside.get(tp, 0))
+        if tp == t:
+            dval[i, q] = (q1 * designer.dv(x1, t)
+                          + (1 - q1) * designer.dv(x0, t) - designer.loss(c))
+    ubar = outside.get(t, 0)
+    levels = [[q for q in range(len(grid)) if cont[t, i, q] >= ubar - tol]
+              for i in range(len(scores))]
+
+    menus, vals, owns, devs = [], [], [], {tp: [] for tp in space.types}
+    for comp in _compositions(len(grid) - 1, len(scores)):
+        support = [i for i, k in enumerate(comp) if k]
+        for qs in product(*(levels[i] for i in support)):
+            rows = [(i, q, grid[comp[i]]) for i, q in zip(support, qs)]
+            menus.append(tuple((scores[i], r, grid[q]) for i, q, r in rows))
+            owns.append(sum(r * cont[t, i, q] for i, q, r in rows))
+            vals.append(sum(r * dval[i, q] for i, q, r in rows))
+            for tp in space.types:
+                devs[tp].append(0 if tp == t else
+                                sum(r * dev[tp, i, q] for i, q, r in rows))
+    return menus, vals, owns, devs
+
+
+def _float_reference_menus(space, *args):
+    """``_fraction_grid_menus`` in ``_grid_menus``'s return format, each
+    exact sum rounded to float64 once."""
+    menus, vals, owns, devs = _fraction_grid_menus(space, *args)
+    return (menus, np.array(vals, float), np.array(owns, float),
+            np.array([devs[tp] for tp in space.types], float))
+
+
+def _parity_cases():
+    """name -> (instance, outside option, step): both colleges at 1/8 and
+    1/16, and seeded random instances of up to 3 types, half with 3
+    scores, some with outside options."""
+    cases = {}
+    for scenario, internalize in (("college1", False), ("college2", True)):
+        for step in (F(1, 8), F(1, 16)):
+            cases[f"{scenario}-{step}"] = (
+                college_instance(internalize_costs=internalize), {}, step)
+    rng = random.Random(2611)
+    for n in range(12):
+        inst = random_instance(rng, max_types=3, n_scores=2 + n % 2)
+        outside = {t: F(rng.randint(-2, 2), 4) for t in inst.space.types
+                   if rng.random() < 0.5}
+        cases[f"random{n}"] = inst, outside, F(1, 4) if n % 2 else F(1, 8)
+    return cases
+
+
+_PARITY_CASES = _parity_cases()
+
+
+@pytest.mark.parametrize("name", list(_PARITY_CASES))
+def test_grid_menu_tables_match_fraction_sums(monkeypatch, name):
+    """The float64 tables give the reference's menus, in the same order,
+    with every sum within 1e-12 of the exact one, and the search over them
+    finds the same optimum.  A rho weight left out of a row, or a
+    deviator's payoff read as its continuation (no quitting), moves the
+    sums."""
+    inst, outside, step = _PARITY_CASES[name]
+    denom = int(1 / step)
+    grid = [F(i, denom) for i in range(denom + 1)]
+    args = (inst.space, inst.costs, inst.agent, inst.designer)
+    for k, t in enumerate(inst.space.types):
+        menus, vals, owns, devs = _grid_menus(*args, t, grid, outside, 1e-9)
+        ref = _float_reference_menus(*args, t, grid, outside, 1e-9)
+        assert menus == ref[0]
+        for got, want in zip((vals, owns, devs), ref[1:]):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert not devs[k].any()
+    value = brute_force_optimum(*args, step, outside)
+    monkeypatch.setattr(audit, "_grid_menus", _float_reference_menus)
+    assert value == brute_force_optimum(*args, step, outside)
+
+
+def test_brute_force_reports_a_type_without_a_feasible_menu(college2):
+    """An outside option above every row's value leaves its type no menu:
+    the search finds no mechanism and says so."""
+    t = college2.space.types[0]
+    with pytest.raises(ModelError, match="no grid-feasible IC mechanism"):
+        brute_force_optimum(college2.space, college2.costs, college2.agent,
+                            college2.designer, F(1, 4), {t: F(10)})
 
 
 def test_brute_force_single_type_matches_lp():

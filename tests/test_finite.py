@@ -190,24 +190,29 @@ def _scaled_college(college2, k, m):
             college2.designer.loss_coefficient * m / k**2))
 
 
-@pytest.mark.parametrize("k, m", [(F(1000), F(1, 1000)),
-                                  (F(1, 1000), F(10**4)),
-                                  (F(10**5), F(1)),
-                                  (F(1), F(1, 10**8)),
-                                  (F(10**4), F(1, 10**4)),
-                                  (F(10**8), F(1))],
+@pytest.mark.parametrize("k, m, number", [(F(1000), F(1, 1000), float),
+                                          (F(1, 1000), F(10**4), float),
+                                          (F(10**5), F(1), float),
+                                          (F(1), F(1, 10**8), float),
+                                          (F(10**4), F(1, 10**4), float),
+                                          (F(10**8), F(1), float),
+                                          (F(1, 10**7), F(1), F),
+                                          (F(1, 10**8), F(1), F)],
                          ids=["k1e3-m1e-3", "k1e-3-m1e4", "k1e5-m1",
-                              "k1-m1e-8", "k1e4-m1e-4", "k1e8-m1"])
-def test_float_solve_is_invariant_to_payoff_scale(college2, k, m):
+                              "k1-m1e-8", "k1e4-m1e-4", "k1e8-m1",
+                              "k1e-7-m1-fraction", "k1e-8-m1-fraction"])
+def test_float_solve_is_invariant_to_payoff_scale(college2, k, m, number):
     """The payoff-scaling relation (ROADMAP 8(b)): the optimum becomes
     53/24 * m, exactly in exact mode.  In floats, badly scaled data still
     give certified optima of that value, through row generation and through
     the full LP, and an audited mechanism.  The unscaled HiGHS solve loses
     its certificate on the first case, so float mode must solve it again
-    with HiGHS's scaling."""
+    with HiGHS's scaling.  With Fraction data and tiny agent payoffs, the
+    first solve's x misses rows by about 1e-8, which only the certificate's
+    row residual check sees."""
     scaled = _scaled_college(college2, k, m)
     assert solve_drm(scaled, mode="exact")[0].value == F(53, 24) * m
-    inst = _to_fractions(scaled, float)
+    inst = _to_fractions(scaled, number)
     full = solve_lp(build_drm_lp(inst.space, inst.costs, inst.agent,
                                  inst.designer), "float")
     sol, mech = solve_drm(inst, mode="float")
