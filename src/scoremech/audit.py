@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,6 +46,8 @@ __all__ = [
     "audit_ic",
     "brute_force_optimum",
 ]
+
+MAX_GRID_MENUS = 10**5  # per type; a menu costs the brute force a tuple
 
 
 @dataclass
@@ -235,9 +238,13 @@ def _grid_menus(space, costs, agent, designer, t, grid, outside, tol):
                if q1 * u1 + (1 - q1) * u0 - costs.cost(a, t) >= ubar - tol]
               for a in scores]
 
+    supports = [(comp, [i for i, k in enumerate(comp) if k])
+                for comp in _compositions(len(grid) - 1, len(scores))]
+    count = sum(prod(len(levels[i]) for i in s) for _, s in supports)
+    if count > MAX_GRID_MENUS:
+        raise ModelError(f"{count} grid menus for {t}, over {MAX_GRID_MENUS}")
     menus, rows = [], []  # rows: (menu, score index, level, rho level)
-    for comp in _compositions(len(grid) - 1, len(scores)):
-        support = [i for i, k in enumerate(comp) if k]
+    for comp, support in supports:
         for qs in product(*(levels[i] for i in support)):
             rows += [(len(menus), i, q, comp[i]) for i, q in zip(support, qs)]
             menus.append(tuple((scores[i], grid[comp[i]], grid[q])
@@ -270,11 +277,9 @@ def _grid_menus(space, costs, agent, designer, t, grid, outside, tol):
 
 def _compositions(total, parts):
     if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+        return [(total,)]
+    return [(head,) + rest for head in range(total + 1)
+            for rest in _compositions(total - head, parts - 1)]
 
 
 def brute_force_optimum(space: FiniteTypeSpace, costs: CostModel,
@@ -349,13 +354,10 @@ def brute_force_optimum(space: FiniteTypeSpace, costs: CostModel,
         raise ModelError("no grid-feasible IC mechanism found")
 
     # exact re-evaluation of the winner
-    decision = {}
-    recommendation = {}
+    decision, recommendation = {}, {}
     x0, x1 = space.outcomes
     for t, menu_list, j in zip(types, menus, best_choice):
-        for a in space.scores:
-            recommendation[(a, t)] = Fraction(0)
-        for a, r, q1 in menu_list[j]:
+        for a, r, q1 in menu_list[j]:  # rho(a|t) = 0 off the menu
             recommendation[(a, t)] = r
             decision[(x1, a, t)] = q1
             decision[(x0, a, t)] = 1 - q1

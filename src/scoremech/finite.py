@@ -110,7 +110,8 @@ def build_drm_lp(space: FiniteTypeSpace, costs: CostModel,
     the outside-option row.  Float data drop the dead and substituted
     scores' w columns and rows (module docstring).  Coefficients are
     computed per (t, a, x) in the caller's numbers (Fractions stay exact)
-    and gathered over pairs.
+    and gathered over pairs.  The full LP, every pair's rows: the reference
+    for the tests, the benchmark harness and the public API.
     """
     return _drm_lp(_drm_tables(space, costs, agent, designer, outside_option))
 
@@ -227,12 +228,12 @@ def _drm_lp(tables, keep=None) -> LinearProgram:
 
 def extract_mechanism(space: FiniteTypeSpace,
                       solution: LpSolution) -> FiniteMechanism:
-    """Recover (q, rho) from an optimal joint-variable assignment."""
+    """Recover (q, rho) from an optimal assignment; rho keeps no exact 0."""
     if not solution.optimal:
         raise ModelError(f"cannot extract from a {solution.status} solution")
     types, scores, outcomes = space.types, space.scores, space.outcomes
-    zs = solution.assignment[:len(types) * len(scores) * len(outcomes)]
-    z = np.array(zs, _entry_dtype(zs)).reshape(len(types), len(scores), -1)
+    z = solution.assignment[:len(types) * len(scores) * len(outcomes)]
+    z = z.reshape(len(types), len(scores), -1)
     mass = sum(z.transpose(2, 0, 1))  # in order from 0, not pairwise
     total = sum(mass.T)  # exactly 1 but for float round-off
     empty = ~_support(total)
@@ -241,8 +242,8 @@ def extract_mechanism(space: FiniteTypeSpace,
             f"degenerate all-zero joint row for {types[empty.argmax()]}")
     rho = mass / total[:, None]
     on = _support(rho)
-    recommendation = dict(zip(((a, t) for t in types for a in scores),
-                              rho.ravel().tolist()))
+    recommendation = {(scores[j], types[i]): r for i, j, r in zip(
+        *np.nonzero(rho != 0), rho[rho != 0].tolist())}
     decision = dict(zip(((x, scores[j], types[i])
                          for i, j in zip(*np.nonzero(on)) for x in outcomes),
                         (z[on] / mass[on][:, None]).ravel().tolist()))
@@ -331,8 +332,7 @@ def solve_drm(inst: Instance, mode: str = "exact"):
         sol = solve_lp(_drm_lp(tables, keep), mode=mode)
         if not sol.certified:
             break
-        z = np.array(sol.assignment[:gain.size],
-                     gain.dtype).reshape(gain.shape)
+        z = sol.assignment[:gain.size].reshape(gain.shape)
         own = (gain * z).sum(axis=(1, 2))
         dev = np.maximum(np.maximum((gain[:, None] * z).sum(axis=3),
                                     ubar[:, None, None] * z.sum(axis=2)),
@@ -436,10 +436,8 @@ def joint_law_drm(space: FiniteTypeSpace, mech: FiniteMechanism) -> dict:
     """Per-type law over (outcome, score): P(x, a | t) = rho * q."""
     law = {}
     for t in space.types:
-        for a in space.scores:
+        for a in mech.support(t, space.scores):
             r = mech.rho(a, t)
-            if not on_support(r):
-                continue
             for x in space.outcomes:
                 if (x, a, t) in mech.decision:
                     p = r * mech.q(x, a, t)

@@ -17,20 +17,20 @@ readers, the benchmark's LP counts (``perfbench/jobs.py:_lp_counts``) and
   sparse arrays and stored dense, each entry a plain-int numerator and
   denominator in lowest terms; each pivot updates only the pivot row's
   nonzero columns, and the dual is read off the maintained reduced-cost
-  row.  Optima are returned as ``fractions.Fraction``.  This is the mode
-  the golden-value tests run in.
+  row.  An optimum's ``assignment`` and ``dual`` are object arrays of
+  ``fractions.Fraction``.  The golden-value tests run in this mode.
 * ``float`` -- the matrix goes, as CSC arrays built in numpy, to the
-  compiled extension of scipy's bundled HiGHS binding.  A float solve
-  loads that extension alone, on first use, and imports no scipy
-  package; exact and continuous runs load no scipy at all.
-  HiGHS solves without presolve and without scaling of its own, with
-  Dantzig pricing, which suit DRM LPs.  Its tolerances are absolute, so
-  each row and the objective are first scaled by the power of two that puts
-  their largest |entry| in [1/2, 1); the multipliers and the value are
-  unscaled exactly.  Column values below 1e-9 are round-off and are set to
-  0: a mass of 1e-12 on a lottery an agent cannot afford would otherwise be
-  extracted as a recommendation.  An answer other than a certified optimum
-  is solved again with HiGHS's defaults.
+  compiled extension of scipy's bundled HiGHS binding.  A float solve loads
+  that extension alone, on first use, and imports no scipy package; exact
+  and continuous runs load no scipy at all.  HiGHS solves without presolve
+  and without scaling of its own, with Dantzig pricing, which suit DRM LPs.
+  Its tolerances are absolute, so each row and the objective are first
+  scaled by the power of two that puts their largest |entry| in [1/2, 1);
+  the multipliers and the value are unscaled exactly.  Column values below
+  1e-9 are round-off and are set to 0: a mass of 1e-12 on a lottery an agent
+  cannot afford would otherwise be extracted as a recommendation.
+  ``assignment`` and ``dual`` are float64 arrays.  An answer other than a
+  certified optimum is solved again with HiGHS's defaults.
 
 Every optimal solve also produces a dual certificate: a vector of row
 multipliers whose implied objective bound is checked against the primal
@@ -150,8 +150,9 @@ class LinearProgram:
 class LpSolution:
     status: str  # optimal|infeasible|unbounded|iteration_limit|numerical
     value: object = None
-    assignment: list = field(default_factory=list)
-    dual: list = field(default_factory=list)  # one multiplier per row
+    # numpy arrays in the solve's numbers (module notes), empty if no optimum
+    assignment: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    dual: np.ndarray = field(default_factory=lambda: np.zeros(0))  # per row
     certified: bool = False
     solver_code: str | None = None  # HiGHS model status name (float mode)
     iterations: int | None = None  # exact: Bland pricing passes; HiGHS nit
@@ -190,7 +191,7 @@ def dual_bound(lp: LinearProgram, dual: Sequence, tol=0):
     zero multiplier are skipped.  Arithmetic follows the LP's numbers:
     exact on object arrays of Fractions, float64 otherwise.
     """
-    y = np.array(dual, dtype=lp.val.dtype)
+    y = np.asarray(dual, dtype=lp.val.dtype)
     if len(y) != lp.n_rows:
         raise LpError(f"{len(y)} multipliers for {lp.n_rows} rows")
     rel = lp.relations
@@ -228,22 +229,21 @@ def _certify(lp: LinearProgram, sol: LpSolution, exact: bool) -> bool:
     try:
         if exact:
             return dual_bound(lp, sol.dual) == sol.value
-        y = np.array(sol.dual, float)
-        bound = dual_bound(lp, y, tol=1e-7)
+        bound = dual_bound(lp, sol.dual, tol=1e-7)
     except LpError:
         return False
     if bound is None:
         return False
     value = float(sol.value)
     gap = 1e-8 * max(1.0, abs(value))
-    ax = lp.val.astype(float) * np.array(sol.assignment, float)[lp.col]
-    b, rel = lp.rhs.astype(float), lp.relations
+    ax = np.asarray(lp.val, float) * sol.assignment[lp.col]
+    b, rel = np.asarray(lp.rhs, float), lp.relations
     miss = np.bincount(lp.row, ax, lp.n_rows) - b  # activity - rhs
     miss = np.select([rel == LESS, rel == GREATER], [miss, -miss], abs(miss))
     rows_hold = np.all(miss <= 1e-9 * (np.bincount(lp.row, abs(ax),
                                                    lp.n_rows) + abs(b)))
     return bool(rows_hold) and abs(float(bound) - value) <= gap and (
-        lp.upper is None or _safe_bound(lp, y) - value <= gap)
+        lp.upper is None or _safe_bound(lp, sol.dual) - value <= gap)
 
 
 def _safe_bound(lp: LinearProgram, y: np.ndarray) -> float:
@@ -259,14 +259,14 @@ def _safe_bound(lp: LinearProgram, y: np.ndarray) -> float:
     multiplier only, as in ``dual_bound``."""
     on = (y != 0)[lp.row]
     col = lp.col[on]
-    ya = y[lp.row[on]] * lp.val[on].astype(float)
-    c, n = lp.objective.astype(float), lp.n_vars
+    ya = y[lp.row[on]] * np.asarray(lp.val[on], float)
+    c, n = np.asarray(lp.objective, float), lp.n_vars
     r = c - np.bincount(col, ya, n)
     k = np.bincount(col).max(initial=0) + 2  # the products, c_j and r_j
     err = _gamma(k) * (abs(c) + np.bincount(col, abs(ya), n))
-    yb = y * lp.rhs.astype(float)
+    yb = y * np.asarray(lp.rhs, float)
     return float(yb.sum() + _gamma(len(yb)) * abs(yb).sum()
-                 + lp.upper.astype(float) @ np.maximum(r + err, 0))
+                 + np.asarray(lp.upper, float) @ np.maximum(r + err, 0))
 
 
 def _gamma(k: int) -> float:
@@ -306,15 +306,15 @@ def _highs_core():
 
 def _solve_float(lp: LinearProgram, options: Mapping) -> LpSolution:
     core = _highs_core()
-    n, rel, rhs = lp.n_vars, lp.relations, lp.rhs.astype(float)
-    cost, val = -lp.objective.astype(float), lp.val.astype(float)
+    n, rel, rhs = lp.n_vars, lp.relations, np.asarray(lp.rhs, float)
+    cost, val = -np.asarray(lp.objective, float), np.asarray(lp.val, float)
     if not all(np.isfinite(v).all() for v in (cost, val, rhs)):
         raise LpError("an LP number is not finite")
     lower = np.where(rel == LESS, -np.inf, rhs)
     upper = np.where(rel == GREATER, np.inf, rhs)
     if n == 0:  # HiGHS answers kModelEmpty; every row's activity is 0
         if np.all((lower <= 0) & (0 <= upper)):
-            return LpSolution("optimal", 0.0, [], [0.0] * lp.n_rows)
+            return LpSolution("optimal", 0.0, np.zeros(n), np.zeros(lp.n_rows))
         return LpSolution("infeasible")
     # HiGHS's tolerances are absolute: scale each row, and the objective, by
     # a power of two that puts its largest |entry| in [1/2, 1).  Powers of
@@ -354,7 +354,7 @@ def _solve_float(lp: LinearProgram, options: Mapping) -> LpSolution:
     dual[(rel == GREATER) & (0 < dual) & (dual < 1e-7)] = 0.0
     info = highs.getInfo()
     return LpSolution("optimal", ldexp(-info.objective_function_value, ec),
-                      x.tolist(), dual.tolist(), solver_code=code,
+                      x, dual, solver_code=code,
                       iterations=info.simplex_iteration_count)
 
 
@@ -483,10 +483,10 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:  # ints and Fractions
     if status != "optimal":
         return LpSolution(status, iterations=passes)
 
-    x = [zero] * ncols
+    x = np.full(ncols, zero, object)
     for i, b in enumerate(basis):
         x[b] = frac(num[i][ncols], den[i][ncols])
     # Row i's multiplier (y = c_B B^-1) is the cost row at its identity column.
-    dual = [f * frac(znum[j], den[m][j]) for f, j in zip(flip.tolist(), start)]
+    dual = flip * np.array([frac(znum[j], den[m][j]) for j in start], object)
     return LpSolution("optimal", value=frac(znum[ncols], den[m][ncols]),
                       assignment=x[:n], dual=dual, iterations=passes)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 from itertools import product
 
@@ -534,6 +535,52 @@ def test_brute_force_guards_instance_size(college2):
     with pytest.raises(ModelError):
         brute_force_optimum(college2.space, college2.costs, college2.agent,
                             college2.designer, F(1, 32))
+
+
+def test_brute_force_counts_menus_before_building_them():
+    """One type, 3 scores at no cost, step 1/16: all 17 approval levels are
+    PC-feasible at every score, which makes 3 * 17 + 45 * 17**2 + 105 *
+    17**3 = 528,921 grid menus.  The count is refused at once, before any
+    menu is built."""
+    t = AgentType("only", "a0")
+    space = FiniteTypeSpace(types=(t,), scores=("a0", "a1", "a2"),
+                            outcomes=("no", "yes"), prior={t: F(1)})
+    costs = CostModel.tabulated({(a, t): F(0) for a in space.scores})
+    designer = DesignerPayoff(decision_value={("yes", t): F(1),
+                                              ("no", t): F(0)})
+    start = time.perf_counter()
+    with pytest.raises(ModelError, match=r"^528921 grid menus for "):
+        brute_force_optimum(space, costs,
+                            AgentPayoff.unit_approval(space, "yes"),
+                            designer, F(1, 16))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_extracted_rho_stores_no_zero_entry(college2):
+    """solve_drm's mechanism keeps only the rho entries that are not
+    exactly 0: every dropped key reads 0, and the audit report is the one
+    of the same mechanism with every entry stored (Fraction(0) in exact
+    mode, 0.0 in float mode).  College scenario 2, exact, and a float n=16
+    discretization."""
+    from scoremech.continuous import discretize
+
+    grid = discretize(Uniform(-2.0, 1.0),
+                      CostModel.linear(4.0, (-2.0, 1.0)), 16)
+    for inst, mode, zero in ((college2, "exact", F(0)),
+                             (grid, "float", 0.0)):
+        space = inst.space
+        _, mech = solve_drm(inst, mode)
+        keys = [(a, t) for t in space.types for a in space.scores]
+        stored = mech.recommendation
+        assert 0 < len(stored) < len(keys)
+        assert all(r != 0 for r in stored.values())
+        assert all(mech.rho(*k) == 0 for k in keys if k not in stored)
+        every = FiniteMechanism(decision=mech.decision, recommendation={
+            k: stored.get(k, zero) for k in keys})
+        reports = [audit_ic(space, inst.costs, inst.agent, m,
+                            inst.outside_option) for m in (mech, every)]
+        assert reports[0].passes
+        assert repr(reports[0]) == repr(reports[1])
 
 
 def test_brute_force_refuses_an_unnormalized_prior(college2):

@@ -278,7 +278,7 @@ def test_safe_bound_holds_for_float_duals(college1, college2):
         inst = _to_fractions(inst, float)
         lp = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
         exact = solve_lp(lp, "exact").value
-        y = np.array(solve_lp(lp, "float").dual)
+        y = solve_lp(lp, "float").dual
         moved = y + 1e-6 * np.where(lp.relations == lpcore.LESS, 1, -1)
         for dual in (y, moved):
             assert lpcore._safe_bound(lp, dual) >= exact
@@ -645,7 +645,8 @@ def _simple_assignment(tail=()):
     x = [F(0)] * len(z) + list(tail)
     x[z["admit", "sH", t]] = F(3, 4)
     x[z["admit", "sL", t]] = F(1, 4)
-    return LpSolution(status="optimal", value=F(0), assignment=x)
+    return LpSolution(status="optimal", value=F(0),
+                      assignment=np.array(x, object))
 
 
 def test_extract_simple_arithmetic():
@@ -667,17 +668,32 @@ def test_extract_reads_only_the_z_block():
 def test_extract_uniform_assignment():
     t, space = _one_type_space()
     mech = extract_mechanism(space, LpSolution(
-        status="optimal", value=F(0), assignment=[F(1, 4)] * 4))
+        status="optimal", value=F(0),
+        assignment=np.array([F(1, 4)] * 4, object)))
     for a in space.scores:
         for x in space.outcomes:
             assert mech.q(x, a, t) == F(1, 2)  # 1/|X|
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_solve_drm_answer_is_in_its_gain_dtype(college2, mode):
+    """solve_drm compares the z block against its gain table and extracts
+    from it as it arrives: Fractions in object arrays in exact mode, float64
+    in float mode, from Fraction data and from float data alike."""
+    dtype = np.dtype(object if mode == "exact" else float)
+    for inst in (college2, _to_fractions(college2, float)):
+        sol, _ = solve_drm(inst, mode)
+        assert sol.assignment.dtype == sol.dual.dtype == dtype
+        if mode == "exact":
+            assert all(type(v) is F for v in sol.assignment)
 
 
 def test_extract_degenerate_row_raises():
     t, space = _one_type_space()
     with pytest.raises(ModelError):
         extract_mechanism(space, LpSolution(
-            status="optimal", value=F(0), assignment=[F(0)] * 4))
+            status="optimal", value=F(0),
+            assignment=np.array([F(0)] * 4, object)))
     with pytest.raises(ModelError):
         extract_mechanism(space, LpSolution(status="infeasible"))
 

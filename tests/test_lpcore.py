@@ -52,7 +52,38 @@ def test_zero_column_lp_gets_one_answer_in_both_modes(rhs, status):
         sol = solve_lp(lp, mode=mode)
         assert (sol.status, sol.certified) == (status, status == "optimal")
         if sol.optimal:
-            assert (sol.value, sol.assignment) == (0, [])
+            assert (sol.value, list(sol.assignment)) == (0, [])
+
+
+@pytest.mark.parametrize("dtype", [float, object])
+def test_answers_are_arrays_in_the_solves_numbers(dtype):
+    """max x0 + 2 x1 s.t. x0 + x1 <= 1 in float64 or in Fractions, and a
+    zero-column LP: assignment and dual are numpy arrays, float64 from a
+    float solve and Fractions in object arrays from an exact one, whatever
+    the LP's numbers.  An answer without an optimum has empty arrays."""
+    def numbers(*v):
+        return np.array([(float if dtype is float else F)(x) for x in v],
+                        dtype)
+
+    no = np.array([], int)
+    lp = LinearProgram(numbers(1, 2), np.array([0, 0]), np.array([0, 1]),
+                       numbers(1, 1), np.array(["<="]), numbers(1))
+    empty = LinearProgram(numbers(), no, no, numbers(), np.array(["<="]),
+                          numbers(1))
+    for mode, kind in (("float", np.float64), ("exact", object)):
+        for problem, x, y in ((lp, [0, 1], [2]), (empty, [], [0])):
+            sol = solve_lp(problem, mode=mode)
+            assert sol.certified
+            for got, want in ((sol.assignment, x), (sol.dual, y)):
+                assert isinstance(got, np.ndarray) and got.dtype == kind
+                assert list(got) == want
+                if mode == "exact":
+                    assert all(type(v) is F for v in got)
+    infeasible = solve_lp(LinearProgram(
+        numbers(1), np.array([0]), np.array([0]), numbers(1),
+        np.array(["<="]), numbers(-1)), mode="exact")
+    assert infeasible.status == "infeasible"
+    assert (infeasible.assignment.size, infeasible.dual.size) == (0, 0)
 
 
 @pytest.mark.parametrize("dtype", [float, object])
@@ -67,7 +98,8 @@ def test_repeated_entries_are_summed(dtype):
     for mode in ("exact", "float"):
         sol = solve_lp(lp, mode=mode)
         assert (sol.status, sol.certified) == ("optimal", True)
-        assert (sol.value, sol.assignment, sol.dual) == (1, [1], [F(1, 2)])
+        assert (sol.value, list(sol.assignment), list(sol.dual)) == (
+            1, [1], [F(1, 2)])
     assert dual_bound(lp, [0.5]) == 1
     assert dual_bound(lp, [0.4]) is None  # reduced cost 1 - 0.8 > 0
 
@@ -115,7 +147,7 @@ def test_every_row_flip_case():
     sol = solve_lp(lp, mode="exact")
     assert sol.status == "optimal" and sol.certified
     assert sol.value == F(5, 6)
-    assert sol.assignment == [F(5, 3), F(5, 6), 0]
+    assert list(sol.assignment) == [F(5, 3), F(5, 6), 0]
     approx = solve_lp(lp, mode="float")
     assert approx.certified
     assert abs(approx.value - 5 / 6) <= 1e-9
@@ -242,7 +274,7 @@ def test_exact_and_float_agree_on_random_lps():
         assert approx.certified, "float dual certificate failed"
         from_arrays = solve_lp(_array_form(lp), "exact")
         assert from_arrays.value == exact.value
-        assert from_arrays.dual == exact.dual
+        assert list(from_arrays.dual) == list(exact.dual)
         assert from_arrays.certified
 
 
