@@ -236,8 +236,9 @@ class Triangular(Distribution):
 class Tabulated(Distribution):
     """Grid density with linear interpolation; normalized at construction.
 
-    The cdf accumulates trapezoids and tail expectations integrate the
-    piecewise-linear density cell-exactly.
+    Construction integrates the density cell-exactly into the cdf and the
+    tail expectation at every grid point; a query adds the exact integral
+    over its part of one cell, so its cost does not grow with the grid.
     """
 
     def __init__(self, grid: Sequence[float], density: Sequence[float]):
@@ -251,51 +252,44 @@ class Tabulated(Distribution):
             raise ContinuousError("grid must be strictly increasing")
         if np.any(fs <= 0):
             raise ContinuousError("tabulated density must be positive")
-        total = float(np.trapezoid(fs, ts))
-        self._ts = ts
-        self._fs = fs / total
-        self._cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (self._fs[1:] + self._fs[:-1])
-                              * np.diff(ts))])
-        self.s_min = float(ts[0])
-        self.s_max = float(ts[-1])
+        self._ts, self._fs = ts, fs / float(np.trapezoid(fs, ts))
+        cells = (ts[:-1], ts[1:], self._fs[:-1], self._fs[1:])
+        self._cum = np.concatenate([[0.0], np.cumsum(_mass(*cells))])
+        self._tail = np.concatenate([np.cumsum(_moment(*cells)[::-1])[::-1],
+                                     [0.0]])
+        self.s_min, self.s_max = float(ts[0]), float(ts[-1])
         self.__post_init__()
 
     def pdf(self, t):
         return float(np.interp(t, self._ts, self._fs))
 
-    def cdf(self, t):
+    def _split(self, t):
+        """(cdf, tail expectation) at t: the node values of t's cell, left
+        for the cdf and right for the tail, plus t's part of the cell."""
         t = min(max(t, self.s_min), self.s_max)
-        i = int(np.searchsorted(self._ts, t, side="right") - 1)
-        i = min(i, len(self._ts) - 2)
-        t0, t1 = self._ts[i], self._ts[i + 1]
-        f0, f1 = self._fs[i], self._fs[i + 1]
-        dt = t - t0
-        slope = (f1 - f0) / (t1 - t0)
-        return float(self._cum[i] + f0 * dt + 0.5 * slope * dt * dt)
+        i = min(int(np.searchsorted(self._ts, t, side="right")) - 1,
+                len(self._ts) - 2)
+        lo, hi = self._ts[i], self._ts[i + 1]
+        flo, fhi = self._fs[i], self._fs[i + 1]
+        ft = self.pdf(t)
+        return (float(self._cum[i] + _mass(lo, t, flo, ft)),
+                float(self._tail[i + 1] + _moment(t, hi, ft, fhi)))
+
+    def cdf(self, t):
+        return self._split(t)[0]
 
     def tail_expectation(self, t):
-        t = min(max(t, self.s_min), self.s_max)
+        return self._split(t)[1]
 
-        def cell(lo, hi, flo, fhi):
-            # integral of z * (linear density) over [lo, hi]
-            if hi <= lo:
-                return 0.0
-            slope = (fhi - flo) / (hi - lo)
-            inter = flo - slope * lo
 
-            def anti(z):
-                return inter * z * z / 2.0 + slope * z ** 3 / 3.0
+def _mass(lo, hi, flo, fhi):
+    """integral of f over [lo, hi], f linear from flo to fhi."""
+    return 0.5 * (hi - lo) * (flo + fhi)
 
-            return anti(hi) - anti(lo)
 
-        i = int(np.searchsorted(self._ts, t, side="right") - 1)
-        i = min(i, len(self._ts) - 2)
-        total = cell(t, self._ts[i + 1], self.pdf(t), self._fs[i + 1])
-        for j in range(i + 1, len(self._ts) - 1):
-            total += cell(self._ts[j], self._ts[j + 1],
-                          self._fs[j], self._fs[j + 1])
-        return float(total)
+def _moment(lo, hi, flo, fhi):
+    """integral of z f(z) over [lo, hi], f linear from flo to fhi."""
+    return (hi - lo) / 6.0 * (flo * (2.0 * lo + hi) + fhi * (lo + 2.0 * hi))
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,8 @@ def build_drm_lp(space: FiniteTypeSpace, costs: CostModel,
     scores' w columns and rows (module docstring).  Coefficients are
     computed per (t, a, x) in the caller's numbers (Fractions stay exact)
     and gathered over pairs.  The full LP, every pair's rows: the reference
-    for the tests, the benchmark harness and the public API.
+    for the tests, the benchmark harness and the public API.  Validates its
+    inputs as ``solve_drm`` does.
     """
     return _drm_lp(_drm_tables(space, costs, agent, designer, outside_option))
 
@@ -137,10 +138,11 @@ def _support(r: np.ndarray) -> np.ndarray:
 def _drm_tables(space, costs, agent, designer, outside_option):
     """Per-(t, a, x) objective, participation and deviation-gain tables and
     the outside option per t, in one dtype (see ``_entry_dtype``), broadcast
-    from the inputs: float data in float64, others as objects."""
-    if costs.kind != "tabulated":
-        raise ModelError("a finite instance needs a cost table")
+    from the inputs: float data in float64, others as objects.  ModelError
+    for an invalid instance, a non-finite outside option included."""
     outside = outside_option or {}
+    require_valid("instance", validate(space, costs, designer, agent)
+                  + _non_finite("outside option", outside))
     types, scores, outcomes = space.types, space.scores, space.outcomes
     lam = designer.loss_coefficient
     numbers = ([costs.cost(a, t) for t in types for a in scores],
@@ -313,9 +315,6 @@ def solve_drm(inst: Instance, mode: str = "exact"):
     instance (a non-finite outside option included), and SolveError,
     carrying the LP status, when the LP has no certified optimum.
     """
-    require_valid("instance", validate(
-        inst.space, inst.costs, inst.designer, inst.agent)
-        + _non_finite("outside option", inst.outside_option))
     tables = _drm_tables(inst.space, inst.costs, inst.agent, inst.designer,
                          inst.outside_option)
     pt, ptp = _pairs(len(inst.space.types))

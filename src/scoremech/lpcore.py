@@ -19,7 +19,7 @@ readers, the benchmark's LP counts (``perfbench/jobs.py:_lp_counts``) and
   nonzero columns, and the dual is read off the maintained reduced-cost
   row.  An optimum's ``assignment`` and ``dual`` are object arrays of
   ``fractions.Fraction``.  The golden-value tests run in this mode.
-* ``float`` -- the matrix goes, as CSC arrays built in numpy, to the
+* ``float`` -- the matrix goes, as the LP's own CSR arrays, to the
   compiled extension of scipy's bundled HiGHS binding.  A float solve loads
   that extension alone, on first use, and imports no scipy package; exact
   and continuous runs load no scipy at all.  HiGHS solves without presolve
@@ -325,18 +325,17 @@ def _solve_float(lp: LinearProgram, options: Mapping) -> LpSolution:
     ec = int(np.frexp(abs(cost).max())[1])
     val, cost = np.ldexp(val, -e[lp.row]), np.ldexp(cost, -ec)
     lower, upper = np.ldexp(lower, -e), np.ldexp(upper, -e)
-    order = np.argsort(lp.col, kind="stable")  # CSC, rows ascending
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(lp.col, minlength=n))])
+    indptr = np.searchsorted(lp.row, np.arange(lp.n_rows + 1))  # CSR
     highs = core._Highs()
     for name, value in {"output_flag": False,
                         "simplex_iteration_limit": ITERATION_CAP,
                         **options}.items():
         highs.setOptionValue(name, value)
     # minimize -c . x over continuous x >= 0, rows between their bounds
-    highs.passModel(n, lp.n_rows, len(val), core.MatrixFormat.kColwise,
+    highs.passModel(n, lp.n_rows, len(val), core.MatrixFormat.kRowwise,
                     core.ObjSense.kMinimize, 0.0, cost, np.zeros(n),
                     np.full(n, np.inf), lower, upper,
-                    indptr, lp.row[order], val[order], np.zeros(n, np.int32))
+                    indptr, lp.col, val, np.zeros(n, np.int32))
     highs.run()
     code = highs.getModelStatus().name
     status = _HIGHS_STATUS.get(code, "numerical")

@@ -494,7 +494,7 @@ def format_number(v) -> str:
 
 def parse_number(s: str):
     """Inverse of ``format_number``: "p/q" and integers exact, else float."""
-    if "/" in s or s.lstrip("-").isdigit():
+    if "/" in s or s.lstrip("+-").isdigit():
         try:
             return Fraction(s)
         except ZeroDivisionError:

@@ -1296,6 +1296,27 @@ def test_non_finite_input_is_refused(college2, menu_mechanism, call,
         call(college2, menu_mechanism)
 
 
+@pytest.mark.parametrize("value, problem", [
+    (float("nan"), r"invalid instance: agent value at \(admit, NF:sH\) "
+                   "is nan"),
+    (None, r"invalid instance: missing agent value \(admit, NF:sH\)"),
+], ids=["nan", "missing"])
+def test_build_drm_lp_validates_like_solve_drm(college2, value, problem):
+    """The full LP's builder refuses what ``solve_drm`` refuses, with the
+    same message, before it computes a coefficient."""
+    agent = {k: v for k, v in college2.agent.value.items()
+             if k != ("admit", T3)}
+    if value is not None:
+        agent[("admit", T3)] = value
+    inst = Instance(college2.space, college2.costs, AgentPayoff(agent),
+                    college2.designer)
+    with pytest.raises(ModelError, match=problem):
+        build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
+    for mode in ("exact", "float"):
+        with pytest.raises(ModelError, match=problem):
+            solve_drm(inst, mode)
+
+
 def test_float_extraction_drops_solver_round_off():
     """HiGHS leaves z slightly below 0 on this LP (perfbench finite_float
     seed 4); the extracted mechanism stays inside [0, 1] and normalized."""

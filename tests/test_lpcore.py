@@ -426,8 +426,8 @@ def test_highs_extension_is_shared_with_scipy_optimize(first):
                    "(HiGHS status kSolveError)\n")
 
 
-def test_float_matrix_is_scipy_csc(monkeypatch):
-    """The CSC arrays handed to HiGHS are those of ``scipy.sparse``, over
+def test_float_matrix_is_scipy_csr(monkeypatch):
+    """The CSR arrays handed to HiGHS are those of ``scipy.sparse``, over
     the rows scaled by the powers of two that put each row's largest
     |entry| in [1/2, 1)."""
     import scipy.sparse as sp
@@ -449,7 +449,7 @@ def test_float_matrix_is_scipy_csc(monkeypatch):
     top = np.zeros(lp.n_rows)
     np.maximum.at(top, lp.row, abs(lp.val))
     scaled = np.ldexp(lp.val, -np.frexp(top)[1][lp.row])
-    a = sp.csc_array((scaled, (lp.row, lp.col)), shape=(lp.n_rows, lp.n_vars))
+    a = sp.csr_array((scaled, (lp.row, lp.col)), shape=(lp.n_rows, lp.n_vars))
     indptr, indices, values = seen[0]
     for mine, theirs in ((indptr, a.indptr), (indices, a.indices),
                          (values, a.data)):

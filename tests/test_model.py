@@ -176,6 +176,14 @@ def test_number_serialization_is_lossless(num, den, x):
     assert isinstance(back.outside_option[t], float)
 
 
+@pytest.mark.parametrize("text, exact", [
+    ("3", F(3)), ("-3", F(-3)), ("+3", F(3)), ("+1/2", F(1, 2)),
+    ("-1/2", F(-1, 2))])
+def test_parse_number_reads_signed_integers_and_ratios_exactly(text, exact):
+    back = parse_number(text)
+    assert back == exact and isinstance(back, F)
+
+
 @pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
 def test_parse_number_rejects_zero_denominator(text):
     with pytest.raises(ModelError, match="zero denominator"):
