@@ -18,8 +18,8 @@ The envelope derivative C is kept in original-cost form, C(t) =
 agent's equilibrium value and reproduces the worked example's constant
 approval level.  The truth-telling monotonicity requirement lives on the
 modified-cost derivative 2 a*(t)/gamma, exposed separately as `C_ic`.
-The interior quadratic solution integrates this envelope once per solve,
-into a table of adaptive Simpson panels that every later U and Q reads.
+The interior quadratic solution integrates this envelope once per solve;
+every later U and Q reads the quartic of one panel, exact at its ends.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numerics import NumericsError, bisect, simpson, simpson_panels
+from ._numerics import (NumericsError, bisect, panel_tail, simpson,
+                        simpson_panels)
 from .model import (
     AgentPayoff,
     AgentType,
@@ -112,9 +112,11 @@ class Distribution:
         """integral of z f(z) dz from t to s_max."""
         raise NotImplementedError
 
-    @cached_property
-    def _min_hazard_slope(self) -> float:  # a distribution never changes
-        return check_mhr(self).min_hazard_slope
+    @property
+    def _min_hazard_slope(self) -> float:  # stored without touching __dict__
+        if getattr(self, "_mhr", None) is None:  # a distribution never changes
+            object.__setattr__(self, "_mhr", check_mhr(self).min_hazard_slope)
+        return self._mhr
 
 
 @dataclass(frozen=True)
@@ -527,8 +529,8 @@ def _quadratic(dist: Distribution, gamma: float,
     can land above the raw crossing point, in which case every approved
     type is sent straight to the top score).
 
-    The envelope is integrated once per solve, into the panel table that
-    `integral_C` reads; above t_dagger_raw its integral is in closed form.
+    The envelope is integrated once per solve, into the panel table whose
+    quartics `integral_C` reads; above t_dagger_raw it is in closed form.
     """
     s_max = dist.s_max
     slope = dist._min_hazard_slope
@@ -562,15 +564,13 @@ def _quadratic(dist: Distribution, gamma: float,
             return s_max - t
         return -dist.tail_expectation(t) / (t * dist.pdf(t))
 
-    def C_raw(z):  # C above t0, before the cut at t*
-        return 2.0 * gap(z) / gamma
-
-    # U, Q and the t* root ask only about [t0, s_max]: one adaptive pass on
-    # [t0, t_dag_raw] serves them all.  above[i] = integral of C from the
-    # end of panel i to s_max; a query adds one five-point step to it.
-    panels = simpson_panels(C_raw, t0, t_dag_raw, tol=QUAD_TOL)
-    lefts = [lo for lo, _, _ in panels]
-    above = list(accumulate((value for _, _, value in panels[:0:-1]),
+    # U, Q and the t* root ask only about [t0, s_max]: one adaptive pass of
+    # C, uncut at t*, on [t0, t_dag_raw] serves them all.  above[i] = integral
+    # of C from the end of panel i to s_max; a query adds its part of panel i.
+    panels = simpson_panels(lambda z: 2.0 * gap(z) / gamma, t0, t_dag_raw,
+                            tol=QUAD_TOL)
+    lefts = [panel[0] for panel in panels]
+    above = list(accumulate((panel[2] for panel in panels[:0:-1]),
                             initial=(s_max - t_dag_raw) ** 2 / gamma))[::-1]
 
     def integral_C(t):
@@ -578,7 +578,7 @@ def _quadratic(dist: Distribution, gamma: float,
         if t >= t_dag_raw:
             return (s_max - t) ** 2 / gamma
         i = bisect_right(lefts, t) - 1
-        return simpson(C_raw, t, panels[i][1], max_depth=0) + above[i]
+        return above[i] + panel_tail(panels[i], t)
 
     candidate = integral_C(t0)
     if candidate <= 1.0:

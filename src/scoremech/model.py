@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import inf, isfinite
 from typing import Mapping, NamedTuple, Sequence
 
@@ -236,6 +235,8 @@ class FiniteMechanism:
         object.__setattr__(self, "recommendation", {
             (a, AgentType(*t)): v
             for (a, t), v in self.recommendation.items()})
+        object.__setattr__(self, "_decided", frozenset(
+            (a, t) for _, a, t in self.decision))
 
     def rho(self, a, t):
         return self.recommendation.get((a, t), 0)
@@ -245,10 +246,6 @@ class FiniteMechanism:
         if key not in self.decision:
             raise ModelError(f"decision undefined at {key}")
         return self.decision[key]
-
-    @cached_property
-    def _decided(self) -> frozenset:
-        return frozenset((a, t) for _, a, t in self.decision)
 
     def has_decision(self, a, t) -> bool:
         return (a, t) in self._decided

@@ -269,7 +269,15 @@ def test_quadratic_refuses_non_mhr_distribution():
         _solve(bimodal, 4.0, "quadratic")
 
 
-def test_gamma_sweep_checks_the_hazard_rate_once(monkeypatch):
+@pytest.mark.parametrize("make_dist", [
+    lambda: Uniform(-2.0, 1.0),
+    lambda: TruncatedExponential(-2.0, 1.0, rate=1.0),
+    lambda: Triangular(-2.0, 1.0, mode=-0.5),
+    # not a dataclass: the verdict is stored on a plain instance too
+    lambda: Tabulated(np.linspace(-2.0, 1.0, 31),
+                      1.2 - 0.3 * np.linspace(-2.0, 1.0, 31)),
+], ids=["Uniform", "TruncatedExponential", "Triangular", "Tabulated"])
+def test_gamma_sweep_checks_the_hazard_rate_once(monkeypatch, make_dist):
     calls = []
 
     def counting_check_mhr(dist):
@@ -277,7 +285,7 @@ def test_gamma_sweep_checks_the_hazard_rate_once(monkeypatch):
         return check_mhr(dist)
 
     monkeypatch.setattr(continuous, "check_mhr", counting_check_mhr)
-    dist = Uniform(-2.0, 1.0)
+    dist = make_dist()
     gammas = np.geomspace(1.1, 8.0, 23)
     sweep = [_solve(dist, float(g), "quadratic") for g in gammas]
     assert {sol.regime for sol in sweep} == {"interior"}
@@ -285,7 +293,7 @@ def test_gamma_sweep_checks_the_hazard_rate_once(monkeypatch):
     # the public check keeps no cache of its own
     assert check_mhr(dist) is not check_mhr(dist)
     # a fresh, equal distribution checks again
-    _solve(Uniform(-2.0, 1.0), 4.0, "quadratic")
+    _solve(make_dist(), 4.0, "quadratic")
     assert len(calls) == 2
 
 
@@ -303,8 +311,9 @@ def test_non_mhr_distribution_is_refused_on_every_solve():
 
 
 # U and Q are read off one quadrature table per solve: a partial panel is
-# closed by a single Richardson-corrected Simpson step, which these
-# closed-form and high-precision references hold to 1e-11.
+# closed by integrating the quartic through its five stored points, with no
+# prior evaluation, which these closed-form and high-precision references
+# hold to 1e-11.
 
 @pytest.mark.parametrize("gamma", [4.0, 8.0])
 def test_quadratic_uniform_envelope_matches_closed_form(gamma):
@@ -359,8 +368,9 @@ def test_quadratic_envelope_matches_fine_quadrature(dist, gamma):
 
 
 def test_quadratic_solution_integrates_the_envelope_once():
-    """Work guard: a U or Q query costs a few prior evaluations.  A fresh
-    adaptive quadrature per query would cost about 10,800 calls each."""
+    """Work guard: a U query costs no prior evaluation and a Q query one,
+    its gap below t_dagger.  A fresh adaptive quadrature per query would
+    cost about 10,800 calls each."""
     calls = []
 
     @dataclass(frozen=True)
@@ -370,8 +380,16 @@ def test_quadratic_solution_integrates_the_envelope_once():
             return super().tail_expectation(t)
 
     sol = _solve(CountingUniform(-2.0, 1.0), 4.0, "quadratic")
+    ts = np.linspace(-2.0, 1.0, 401)
     calls.clear()
-    sol.sample(np.linspace(-2.0, 1.0, 401))
+    [sol.U(t) for t in ts]
+    assert calls == []
+    for t in ts:
+        calls.clear()
+        sol.Q(t)
+        assert len(calls) == (sol.t_star <= t < sol.t_dagger)
+    calls.clear()
+    sol.sample(ts)
     assert len(calls) <= 2000
     calls.clear()
     sol.designer_value()
