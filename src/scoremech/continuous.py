@@ -100,6 +100,9 @@ class Distribution:
     def cdf(self, t: float) -> float:
         raise NotImplementedError
 
+    def sf(self, t: float) -> float:  # overridden where 1 - F cancels
+        return 1.0 - self.cdf(t)
+
     def quantile(self, p: float) -> float:
         return bisect(lambda t: self.cdf(t) - p, self.s_min, self.s_max,
                       xtol=1e-13)
@@ -165,6 +168,11 @@ class TruncatedExponential(Distribution):
     def cdf(self, t):
         t = min(max(t, self.s_min), self.s_max)
         return (1.0 - math.exp(-self.rate * (t - self.s_min))) / self._z
+
+    def sf(self, t):
+        t = min(max(t, self.s_min), self.s_max)
+        return (math.exp(-self.rate * (t - self.s_min))
+                * -math.expm1(-self.rate * (self.s_max - t)) / self._z)
 
     def quantile(self, p):
         return self.s_min - math.log(1.0 - p * self._z) / self.rate
@@ -321,15 +329,12 @@ class MhrReport:
 
 def check_mhr(dist: Distribution) -> MhrReport:
     """Check on ``MHR_GRID_POINTS`` points, whatever the support's width,
-    that the hazard rate f/(1-F) never decreases.
-
-    Points where 1-F underflows are dropped from the top of the grid.
-    """
+    that the hazard rate f/(1-F) never decreases, reading 1-F from
+    ``dist.sf``; points where it underflows leave the top of the grid."""
     grid = np.linspace(dist.s_min, dist.s_max, MHR_GRID_POINTS)
     keep, hazard = [], []
-    for t in grid:
-        t = float(t)
-        surv = 1.0 - dist.cdf(t)
+    for t in grid.tolist():
+        surv = dist.sf(t)
         if surv <= 1e-12:
             break
         f = dist.pdf(t)
@@ -337,13 +342,11 @@ def check_mhr(dist: Distribution) -> MhrReport:
             continue
         keep.append(t)
         hazard.append(f / surv)
-    keep = np.asarray(keep)
-    hazard = np.asarray(hazard)
+    keep, hazard = np.asarray(keep), np.asarray(hazard)
     slopes = np.diff(hazard) / np.diff(keep)
     min_slope = float(slopes.min()) if len(slopes) else 0.0
     return MhrReport(passes=bool(min_slope >= MHR_SLOPE_TOL),
-                     min_hazard_slope=min_slope,
-                     grid=keep, hazard=hazard)
+                     min_hazard_slope=min_slope, grid=keep, hazard=hazard)
 
 
 # ---------------------------------------------------------------------------

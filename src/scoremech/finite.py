@@ -31,13 +31,11 @@ mode too, while Fraction and all-int data keep every cell (the smaller LP
 makes Bland's rule pivot more).
 
 Only a few deviation pairs (t, t') bind at an optimum, so ``solve_drm``
-never builds all of them: it solves a restricted LP holding the pairs
-found violated so far (truth-telling row generation).  Every omitted row
-has rhs 0 and every omitted w column has cost 0, so the restricted LP's
-dual certificate, padded with zeros, certifies the full LP too;
-``build_drm_lp`` builds the full LP.  In every DRM LP, z is the first
-n_t * n_a * n_x columns in (type, score, outcome) order, and only that
-block of a solution is meaningful to callers.
+solves a restricted LP holding the pairs found violated so far
+(truth-telling row generation), yet answers in the vectors of the full LP
+that ``build_drm_lp`` builds: the restricted dual padded with zeros, and z
+with every w at its least value.  In every DRM LP, z is the first
+n_t * n_a * n_x columns in (type, score, outcome) order.
 """
 
 from __future__ import annotations
@@ -67,6 +65,7 @@ from .model import (
     parse_number,
     require_valid,
     validate,
+    validate_mechanism,
 )
 
 __all__ = [
@@ -110,11 +109,11 @@ def build_drm_lp(space: FiniteTypeSpace, costs: CostModel,
     the outside-option row.  Float data drop the dead and substituted
     scores' w columns and rows (module docstring).  Coefficients are
     computed per (t, a, x) in the caller's numbers (Fractions stay exact)
-    and gathered over pairs.  The full LP, every pair's rows: the reference
-    for the tests, the benchmark harness and the public API.  Validates its
-    inputs as ``solve_drm`` does.
+    and gathered over pairs.  The full LP, every pair's rows, which
+    ``solve_drm``'s answers index.  Validates its inputs as ``solve_drm``.
     """
-    return _drm_lp(_drm_tables(space, costs, agent, designer, outside_option))
+    tables = _drm_tables(space, costs, agent, designer, outside_option)
+    return _drm_lp(tables)[0]
 
 
 def _entry_dtype(*values) -> type:
@@ -167,34 +166,39 @@ def _pairs(n_t: int):
     return np.nonzero(~np.eye(n_t, dtype=bool))
 
 
-def _drm_lp(tables, keep=None) -> LinearProgram:
-    """The DRM LP from the tables or, with ``keep`` (a boolean mask over
-    ``_pairs``), the restricted LP of ``solve_drm``: only the kept pairs'
-    rows.  Float tables drop the dead (pair, score) cells and substitute
-    the settled ones (module docstring).  The z columns come first in the
-    tables' (t, a, x) order; the other cells' w columns follow, numbered
-    contiguously.  The LP carries the column bounds its rows imply, for the
-    float certificate only: z <= 1 by the unit-mass row, and w(a; t, t') <=
-    max(0, max gain[t]) by the truth-telling row, whose substituted terms
-    are >= 0 by participation."""
-    objective, participation, gain, ubar = tables
+def _drm_lp(tables, keep=None):
+    """(lp, rows, cells): the DRM LP from the tables or, with ``keep`` (a
+    boolean mask over ``_pairs``), the restricted LP of ``solve_drm``,
+    which keeps the full LP's rows that ``rows`` marks: the kept pairs'.
+    ``cells`` marks the (pair, score) cells that own a w column in the full
+    LP: float tables drop the dead ones and substitute the settled ones
+    (module docstring).  The z columns come first in the tables' (t, a, x)
+    order; the cells' w columns follow, numbered contiguously.  The LP
+    carries the column bounds its rows imply, for the float certificate
+    only: z <= 1 by the unit-mass row, and w(a; t, t') <= max(0, max
+    gain[t]) by the truth-telling row, whose substituted terms are >= 0 by
+    participation."""
+    objective, part, gain, ubar = tables  # part: participation
     n_t, n_a, n_x = gain.shape
     zcol = np.arange(gain.size).reshape(gain.shape)
     pt, ptp = _pairs(n_t)
-    if keep is not None:
-        pt, ptp = pt[keep], ptp[keep]
+    keep = np.ones(len(pt), bool) if keep is None else keep
     dtype = gain.dtype
     one = np.ones((), dtype)
 
-    g, zp = gain[pt], zcol[ptp]  # per (pair, score) cell: t's gain, z[t']
-    with_w = np.ones(g.shape[:2], bool)  # the cells that keep a w column
-    subst = ~with_w
+    cells = np.ones((len(pt), n_a), bool)  # the cells that own a w column
+    subst = ~cells
     if dtype != object:  # Fraction and all-int data keep every cell
         quiet = (ubar <= 0)[pt, None]
-        dead = quiet & (g <= 0).all(axis=2)
-        subst = quiet & ~dead & (g >= participation[ptp]).all(axis=2)
-        with_w = ~dead & ~subst
-    with_o = with_w & (ubar != 0)[pt, None]  # outside-option row
+        dead = quiet & (gain <= 0).all(axis=2)[pt]
+        subst = quiet & ~dead & (gain[:, None] >= part).all(axis=3)[pt, ptp]
+        cells = ~dead & ~subst
+    with_o = cells & (ubar != 0)[pt, None]  # outside-option row
+    rows = np.repeat(np.append(True, keep), np.append(
+        n_t * (1 + n_a), 1 + cells.sum(axis=1) + with_o.sum(axis=1)))
+    pt, ptp, with_w, subst, with_o = (
+        a[keep] for a in (pt, ptp, cells, subst, with_o))
+    g, zp = gain[pt], zcol[ptp]  # per kept cell: t's gain, z[t']
     size = with_w + with_o.astype(int)  # rows per cell
     per_pair = 1 + size.sum(axis=1)  # the truth-telling row first
     first = n_t * (1 + n_a) + np.cumsum(per_pair) - per_pair
@@ -205,7 +209,7 @@ def _drm_lp(tables, keep=None) -> LinearProgram:
     families = [  # (row, column, coefficient), broadcast per family
         (np.arange(n_t)[:, None], zcol.reshape(n_t, -1), one),
         (n_t + np.arange(n_t * n_a)[:, None], zcol.reshape(-1, n_x),
-         participation.reshape(-1, n_x)),
+         part.reshape(-1, n_x)),
         (first[:, None], zcol.reshape(n_t, -1)[pt],
          gain.reshape(n_t, -1)[pt]),
         (tt_row[with_w], wcol[with_w], -one),
@@ -217,15 +221,15 @@ def _drm_lp(tables, keep=None) -> LinearProgram:
     row, col, val = (np.concatenate(parts) for parts in zip(*(
         [a.ravel() for a in np.broadcast_arrays(*f)] for f in families)))
 
-    relations = np.full(n_t * (1 + n_a) + per_pair.sum(), GREATER)
-    relations[:n_t] = EQUAL
-    rhs = np.zeros(len(relations), dtype)
+    sense = np.full(n_t * (1 + n_a) + per_pair.sum(), GREATER)
+    sense[:n_t] = EQUAL
+    rhs = np.zeros(len(sense), dtype)
     rhs[:n_t] = 1
     obj = np.concatenate((objective.ravel(), np.zeros(with_w.sum(), dtype)))
     top = gain.reshape(n_t, -1).max(axis=1, initial=0)[pt, None]  # w <= top
     upper = np.concatenate((np.ones(gain.size, dtype),
                             np.broadcast_to(top, with_w.shape)[with_w]))
-    return LinearProgram(obj, row, col, val, relations, rhs, upper)
+    return LinearProgram(obj, row, col, val, sense, rhs, upper), rows, cells
 
 
 def extract_mechanism(space: FiniteTypeSpace,
@@ -296,24 +300,19 @@ def solve_drm(inst: Instance, mode: str = "exact"):
     and r[a|t'] = sum_x z[t',a,x]: exactly in exact mode, by more than
     ``FLOAT_TT_TOL`` = 1e-9 (absolute) in float mode.
 
-    The restricted LP's certificate proves the full LP's optimum.  Every
-    omitted row has rhs 0, and every omitted w column has cost 0 and
-    enters omitted rows only; so the restricted dual, padded with zeros,
-    prices every z column and the bound y . b as before, and prices each
-    omitted w column at 0 = its cost: it is a dual certificate of the full
-    LP.  When no omitted pair is violated, the z block with minimal w is
-    feasible in the full LP (in float mode, to within the tolerance) with
-    the same value, so both are optimal.  A restricted LP that is
-    infeasible makes the full LP infeasible.
-
-    Returns (lp solution, mechanism), the solution a certified optimum of
-    the final restricted LP, with ``iterations`` summed over rounds.  Only
-    its value and z block are meaningful to callers: z is the first
-    n_t * n_a * n_x entries of ``assignment`` in (type, score, outcome)
-    order, and the rest of it and all of ``dual`` index the restricted LP,
-    whose kept pairs are not returned.  Raises ModelError for an invalid
-    instance (a non-finite outside option included), and SolveError,
-    carrying the LP status, when the LP has no certified optimum.
+    Returns (lp solution, mechanism).  The solution is a certified optimum
+    of the full LP of ``build_drm_lp``, and its vectors index that LP;
+    ``iterations`` is summed over rounds.  ``dual`` is the restricted dual
+    padded with zeros: every omitted row has rhs 0, and every omitted w
+    column has cost 0 and enters omitted rows only, so it still prices
+    every column and bounds the value.  ``assignment`` is the z block, then
+    each w at its least value, the summand above: with no omitted pair
+    violated it is feasible in the full LP (in float mode, to within the
+    tolerance) and attains the same value.  A restricted LP that is
+    infeasible makes the full LP infeasible.  Raises ModelError for an
+    invalid instance (a non-finite outside option included), and
+    SolveError, carrying the LP status, when the LP has no certified
+    optimum.
     """
     tables = _drm_tables(inst.space, inst.costs, inst.agent, inst.designer,
                          inst.outside_option)
@@ -322,22 +321,26 @@ def solve_drm(inst: Instance, mode: str = "exact"):
     _, _, gain, ubar = tables
     if mode == "exact":  # floats as their exact binary Fractions
         gain, ubar = (np.frompyfunc(Fraction, 1, 1)(a) for a in (gain, ubar))
-        tol = 0
+        tol = zero = Fraction(0)
     else:
         gain, ubar = gain.astype(float), ubar.astype(float)
-        tol = FLOAT_TT_TOL
+        tol, zero = FLOAT_TT_TOL, 0.0
     spent = 0
     while True:
-        sol = solve_lp(_drm_lp(tables, keep), mode=mode)
+        lp, rows, cells = _drm_lp(tables, keep)
+        sol = solve_lp(lp, mode=mode)
         if not sol.certified:
             break
         z = sol.assignment[:gain.size].reshape(gain.shape)
         own = (gain * z).sum(axis=(1, 2))
-        dev = np.maximum(np.maximum((gain[:, None] * z).sum(axis=3),
-                                    ubar[:, None, None] * z.sum(axis=2)),
-                         0).sum(axis=2)
-        new = (dev - own[:, None] > tol)[pt, ptp] & ~keep
-        if not new.any():
+        w = np.maximum(np.maximum((gain[:, None] * z).sum(axis=3),
+                                  ubar[:, None, None] * z.sum(axis=2)),
+                       zero)  # per (t, t', a): the least w(a; t, t')
+        new = (w.sum(axis=2) - own[:, None] > tol)[pt, ptp] & ~keep
+        if not new.any():  # answer in the full LP's vectors
+            dual = np.full(len(rows), zero, sol.dual.dtype)
+            dual[rows] = sol.dual
+            sol.dual, sol.assignment = dual, np.append(z, w[pt, ptp][cells])
             break
         keep = keep | new
         spent += sol.iterations
@@ -498,6 +501,7 @@ def reduce_to_score_based(space: FiniteTypeSpace, costs: CostModel,
     compatibility.  Returns (rule, {type: submitted score}).
     """
     require_valid("instance", validate(space, costs, designer, agent))
+    require_valid("mechanism", validate_mechanism(space, mech))
     null_outcome, top_outcome = _binary_outcomes(space, agent,
                                                  "score-based reduction")
     assignment: dict[AgentType, str] = {}
@@ -596,6 +600,7 @@ def rebalance_mechanism(inst: Instance,
     space = inst.space
     require_valid("instance", validate(space, inst.costs, inst.designer,
                                        inst.agent))
+    require_valid("mechanism", validate_mechanism(space, mech))
     x0, x1 = _binary_outcomes(space, inst.agent, "rebalance")
     decision = dict(mech.decision)
     for t in space.types:
@@ -663,8 +668,10 @@ def read_mechanism_table(path) -> FiniteMechanism:
     recommendation = {}
     for label, tscore, a, x, _z, r, q in _read_table(path, _HEADER,
                                                      "mechanism"):
-        t = AgentType(label, tscore)
-        recommendation[(a, t)] = parse_number(r)
+        t, rho = AgentType(label, tscore), parse_number(r)
+        old = recommendation.setdefault((a, t), rho)
+        if str(old) != str(rho):  # by text, so a NaN matches a NaN
+            raise ModelError(f"the rows of ({a}, {t}) give rho {old} and {r}")
         decision[(x, a, t)] = parse_number(q)
     return FiniteMechanism(decision=decision, recommendation=recommendation)
 

@@ -313,12 +313,12 @@ def validate(space: FiniteTypeSpace, costs: CostModel,
                               payoff.decision_value if payoff else {})
                 + _non_finite("agent value", agent.value if agent else {}))
 
-    if len(set(space.types)) != len(space.types):
-        problems.append("duplicate types")
-    if len(set(space.scores)) != len(space.scores):
-        problems.append("duplicate scores")
-    if len(set(space.outcomes)) != len(space.outcomes):
-        problems.append("duplicate outcomes")
+    for name in ("types", "scores", "outcomes"):
+        items = getattr(space, name)
+        if not items:
+            problems.append(f"no {name}")
+        elif len(set(items)) != len(items):
+            problems.append(f"duplicate {name}")
 
     for t in space.types:
         if t.score not in space.scores:
@@ -509,9 +509,12 @@ def _from_json(v):
     return parse_number(v) if isinstance(v, str) else v
 
 
-def _need(table: dict, key: str, where: str = "at the top level"):
+def _need(table, key, where="at the top level", kind=object):
     if key not in table:
         raise ModelError(f"missing key {key!r} {where}")
+    if not isinstance(table[key], kind):
+        raise ModelError(f"key {key!r} {where} is not a JSON "
+                         + ("array" if kind is list else "object"))
     return table[key]
 
 
@@ -581,37 +584,39 @@ def instance_from_config(cfg: dict) -> Instance:
       loss_coefficient  lam                  optional; loss is lam * c^2
       outside_option  {"label|score": u}     optional, defaults to 0
 
-    A missing key that is not optional is a ModelError naming it.
+    A missing key that is not optional, or one of the wrong JSON type, is a
+    ModelError naming it.
     """
-    def numbers(table, key):
-        return {key(k): _from_json(v) for k, v in table.items()}
+    def numbers(parent, name, key, where="at the top level"):
+        return {key(k): _from_json(v)
+                for k, v in _need(parent, name, where, dict).items()}
 
     space = FiniteTypeSpace(
         types=tuple(AgentType(label, score)
-                    for label, score in _need(cfg, "types")),
-        scores=tuple(_need(cfg, "scores")),
-        outcomes=tuple(_need(cfg, "outcomes")),
-        prior=numbers(_need(cfg, "prior"), _type_from_key),
-        score_values=(numbers(cfg["score_values"], str)
+                    for label, score in _need(cfg, "types", kind=list)),
+        scores=tuple(_need(cfg, "scores", kind=list)),
+        outcomes=tuple(_need(cfg, "outcomes", kind=list)),
+        prior=numbers(cfg, "prior", _type_from_key),
+        score_values=(numbers(cfg, "score_values", str)
                       if "score_values" in cfg else None),
     )
-    ck = _need(cfg, "cost")
+    ck = _need(cfg, "cost", kind=dict)
     kind = _need(ck, "kind", 'in "cost"')
     if kind != "tabulated":
         raise ModelError(
             f"a finite instance needs a cost table, not a {kind!r} cost")
-    table = _need(ck, "table", 'in "cost"')
-    costs = CostModel.tabulated(numbers(table, _pair_from_key))
+    costs = CostModel.tabulated(numbers(ck, "table", _pair_from_key,
+                                        'in "cost"'))
     designer = DesignerPayoff(
-        decision_value=numbers(_need(cfg, "decision_value"), _pair_from_key),
+        decision_value=numbers(cfg, "decision_value", _pair_from_key),
         loss_coefficient=_from_json(cfg["loss_coefficient"])
         if "loss_coefficient" in cfg else None)
     return Instance(
         space=space, costs=costs,
-        agent=AgentPayoff(numbers(_need(cfg, "agent_value"), _pair_from_key)),
+        agent=AgentPayoff(numbers(cfg, "agent_value", _pair_from_key)),
         designer=designer,
-        outside_option=numbers(cfg.get("outside_option", {}),
-                               _type_from_key))
+        outside_option=(numbers(cfg, "outside_option", _type_from_key)
+                        if "outside_option" in cfg else {}))
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -748,3 +748,102 @@ def test_unnormalized_recommendation_exits_2(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: invalid mechanism: recommendation for ")
     assert "sums to 0.5" in err
+
+
+def _college2_solved(tmp_path, edit):
+    """College scenario 2's config and exact optimal mechanism table, the
+    table's rows (header excluded, split into cells) changed by ``edit``."""
+    from scoremech.finite import solve_drm
+    inst = college_instance(internalize_costs=True)
+    cfg = tmp_path / "college.json"
+    save_instance(inst, cfg)
+    mech_path = tmp_path / "mechanism.tsv"
+    write_mechanism_table(inst.space, solve_drm(inst)[1], mech_path)
+    header, *rows = mech_path.read_text().splitlines()
+    rows = [row.split("\t") for row in rows]
+    edit(header.split("\t"), rows)
+    mech_path.write_text("\n".join([header] + ["\t".join(r) for r in rows])
+                         + "\n")
+    return cfg, mech_path
+
+
+def test_mechanism_rows_that_disagree_on_rho_exit_2(capsys, tmp_path):
+    """rho is repeated on each outcome row of a (type, score); with inf on
+    one of them the table used to read as its last row and pass the
+    audit."""
+    def infinite_rho(header, rows):
+        first = next(r for r in rows if r[:2] == ["F", "sL"])
+        first[header.index("rho")] = "inf"
+
+    cfg, mech_path = _college2_solved(tmp_path, infinite_rho)
+    code, out, err = run_cli(capsys, "audit", "--instance", str(cfg),
+                             "--mechanism", str(mech_path),
+                             "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read mechanism table {mech_path}: the "
+                   "rows of (sH, F:sL) give rho inf and 1/1\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("op, q, problem", [
+    ("score-based", "nan", "q(reject|sH,F:sL) = nan outside [0, 1]"),
+    ("score-based", "-1", "q(reject|sH,F:sL) = -1 outside [0, 1]"),
+    ("rebalance", None, "recommendation for F:sL sums to 0.0")],
+    ids=["score-based-nan-q", "score-based-negative-q", "rebalance-empty"])
+def test_canonicalize_validates_the_mechanism(capsys, tmp_path, monkeypatch,
+                                              op, q, problem):
+    """A q of nan or -1 on one row, or a table with no rows."""
+    def edit(header, rows):
+        if q is None:
+            rows.clear()
+        else:
+            rows[0][header.index("q")] = q
+
+    cfg, mech_path = _college2_solved(tmp_path, edit)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "canonicalize", "--op", op,
+                             "--instance", str(cfg),
+                             "--mechanism", str(mech_path), "--out", "o")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid mechanism: ") and problem in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("key, value, message", [
+    ("outcomes", [], "invalid instance: no outcomes"),
+    ("types", [], "invalid instance: no types"),
+    ("scores", [], "invalid instance: no scores"),
+    ("prior", [], "cannot read instance config {cfg}: key 'prior' at the "
+     "top level is not a JSON object"),
+    ("outcomes", "admit", "cannot read instance config {cfg}: key "
+     "'outcomes' at the top level is not a JSON array")],
+    ids=["no-outcomes", "no-types", "no-scores", "prior-list",
+         "outcomes-string"])
+def test_config_of_the_wrong_shape_exits_2(capsys, tmp_path, monkeypatch,
+                                           mode, key, value, message):
+    """Empty lists and sections of the wrong JSON type used to exit 1
+    with a traceback."""
+    def reshape(data):
+        data[key] = value
+
+    cfg = _college_inputs(tmp_path, reshape)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "solve-finite", "--mode", mode,
+                             "--instance", str(cfg), "--out", "o")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(cfg=cfg))
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("rate", ["12", "20"])
+def test_steep_truncated_exponential_solves_quadratic(capsys, tmp_path,
+                                                      rate):
+    code, out, err = run_cli(capsys, "solve-continuous",
+                             "--dist", f"texp:-2,1,{rate}",
+                             "--cost", "quadratic", "--gamma", "4",
+                             "--out", str(tmp_path / "o"))
+    assert (code, err) == (0, "")
+    assert "regime = interior\n" in out

@@ -458,6 +458,32 @@ def test_mhr_truncated_exponential_passes():
     assert check_mhr(TEXP).passes
 
 
+@pytest.mark.parametrize("rate", [12.0, 20.0, 200.0])
+def test_mhr_steep_truncated_exponential_passes(rate):
+    """The hazard rate rate / (1 - exp(-rate (s_max - t))) rises on the
+    whole support.  Near the 1e-12 survival cut-off, 1 - cdf keeps about
+    4 digits, which read as slopes of about -0.1 rate; ``sf`` does not
+    cancel."""
+    report = check_mhr(TruncatedExponential(-2.0, 1.0, rate))
+    assert report.passes
+    assert report.min_hazard_slope > -1e-9
+
+
+@pytest.mark.parametrize("cost", ["linear", "quadratic"])
+@pytest.mark.parametrize("rate", [12.0, 20.0])
+def test_steep_truncated_exponential_solves_in_the_interior(rate, cost):
+    sol = solve_continuous(TruncatedExponential(-2.0, 1.0, rate),
+                           CostModel(cost, gamma=4.0, domain=(-2.0, 1.0)))
+    assert sol.regime == "interior"
+    assert sol.t0 == pytest.approx(-1.0 / rate, rel=1e-4)
+
+
+def test_truncated_exponential_survival_matches_one_minus_cdf():
+    dist = TruncatedExponential(-2.0, 1.0, 3.0)
+    for t in (-3.0, -2.0, -0.5, 0.9, 1.0, 2.0):
+        assert dist.sf(t) == pytest.approx(1.0 - dist.cdf(t), abs=1e-15)
+
+
 def test_mhr_grid_does_not_grow_with_the_support():
     report = check_mhr(Uniform(-20.0, 10.0))
     assert report.passes

@@ -10,6 +10,7 @@ import numpy as np
 
 from scoremech import finite, lpcore
 from scoremech.finite import (
+    FLOAT_TT_TOL,
     SolveError,
     build_drm_lp,
     derandomize_decision_rules,
@@ -1354,7 +1355,7 @@ def test_solve_drm_never_returns_an_uncertified_optimum(college2,
 
 
 # ---------------------------------------------------------------------------
-# truth-telling row generation: the restricted LP certifies the full LP
+# truth-telling row generation: the answer certifies the full LP
 # ---------------------------------------------------------------------------
 
 def _row_generation(monkeypatch, inst, mode):
@@ -1372,62 +1373,34 @@ def _row_generation(monkeypatch, inst, mode):
     return sol, masks
 
 
-def _padded_dual(inst, keep, dual, presolve=False):
-    """The restricted LP's multipliers in the full LP's row order, with
-    zeros on the omitted pairs' truth-telling, w and outside rows (a float
-    LP, ``presolve``, has w and outside rows for its kept cells only)."""
-    space = inst.space
-    n_a = len(space.scores)
-    head = len(space.types) * (1 + n_a)
-    y, rest = list(dual[:head]), iter(dual[head:])
-    for (t, tp), kept in zip(_layout(space)[0], keep):
-        cells = sum(_cell_class(inst, t, tp, a, presolve) == "kept"
-                    for a in space.scores)
-        size = 1 + cells * (2 if inst.outside_option.get(t, 0) != 0 else 1)
-        y += [next(rest) for _ in range(size)] if kept else [0] * size
-    assert next(rest, None) is None
-    return y
-
-
-def _lifted(inst, sol):
-    """The restricted optimum's z block with the minimal w of every pair."""
-    space, costs, agent = inst.space, inst.costs, inst.agent
-    pairs, z, w = _layout(space)
-    x = list(sol.assignment[:len(z)]) + [0] * len(w)
-    for t, tp in pairs:
-        ubar = inst.outside_option.get(t, 0)
-        for a in space.scores:
-            zs = [x[z[xo, a, tp]] for xo in space.outcomes]
-            gain = sum(v * (agent.v(xo, t) - costs.cost(a, t))
-                       for v, xo in zip(zs, space.outcomes))
-            x[w[a, t, tp]] = max(gain, ubar * sum(zs), 0)
-    return x
-
-
-def _check_row_generation(monkeypatch, inst):
-    """Exact solve_drm: the full LP's optimal value, certified by the
-    padded restricted dual and attained by the lifted restricted primal."""
-    sol, masks = _row_generation(monkeypatch, inst, "exact")
+def _check_row_generation(monkeypatch, inst, mode="exact"):
+    """solve_drm answers in the full LP's vectors: its dual certifies the
+    value, and its assignment holds every row and attains the value;
+    exactly in exact mode, to the float tolerances in float mode."""
+    sol, masks = _row_generation(monkeypatch, inst, mode)
     full = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer,
                         inst.outside_option)
-    restricted = finite._drm_lp(
-        finite._drm_tables(inst.space, inst.costs, inst.agent, inst.designer,
-                           inst.outside_option), masks[-1])
     assert sol.certified
-    assert (len(sol.assignment), len(sol.dual)) == (restricted.n_vars,
-                                                    restricted.n_rows)
-    assert dual_bound(restricted, sol.dual) == sol.value
-    assert sol.value == solve_lp(full, mode="exact").value
+    assert (len(sol.assignment), len(sol.dual)) == (full.n_vars, full.n_rows)
     for before, after in zip(masks, masks[1:]):  # each round adds pairs
         assert (after >= before).all() and after.sum() > before.sum()
-    assert dual_bound(full, _padded_dual(inst, masks[-1], sol.dual)) \
-        == sol.value
-    x = np.array(_lifted(inst, sol), dtype=object)
-    lhs = np.zeros(full.n_rows, dtype=object)
+    x = sol.assignment
+    lhs = np.zeros(full.n_rows, dtype=x.dtype)
     np.add.at(lhs, full.row, full.val * x[full.col])
-    assert (np.where(full.relations == "=", lhs == full.rhs,
-                     lhs >= full.rhs)).all()
-    assert (full.objective * x).sum() == sol.value
+    slack = np.where(full.relations == "=", -abs(lhs - full.rhs),
+                     lhs - full.rhs)
+    value = (full.objective * x).sum()
+    if mode == "exact":
+        assert sol.value == solve_lp(full, mode="exact").value
+        assert dual_bound(full, sol.dual) == sol.value
+        assert (slack >= 0).all()
+        assert value == sol.value
+    else:
+        assert abs(sol.value - solve_lp(full, mode="float").value) <= 1e-9
+        bound = dual_bound(full, sol.dual, tol=1e-7)
+        assert abs(bound - sol.value) <= 1e-8 * abs(sol.value)
+        assert slack.min() >= -FLOAT_TT_TOL
+        assert abs(value - sol.value) <= 1e-12 * abs(sol.value)
 
 
 @pytest.mark.parametrize("name", ["college1", "college2", "outside+1/2 on T2",
@@ -1508,15 +1481,9 @@ def test_row_generation_certifies_random_optima_with_outside_options(
 def test_float_row_generation_matches_the_full_lp(monkeypatch, cost):
     from scoremech.continuous import Uniform, discretize
 
-    inst = discretize(Uniform(-2.0, 1.0),
-                      CostModel(cost, gamma=4.0, domain=(-2.0, 1.0)), 16)
-    sol, masks = _row_generation(monkeypatch, inst, "float")
-    full = build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
-    assert sol.certified
-    assert abs(sol.value - solve_lp(full, mode="float").value) <= 1e-9
-    bound = dual_bound(full, _padded_dual(inst, masks[-1], sol.dual,
-                                          presolve=True), tol=1e-7)
-    assert abs(bound - sol.value) <= 1e-8
+    _check_row_generation(monkeypatch, discretize(
+        Uniform(-2.0, 1.0), CostModel(cost, gamma=4.0, domain=(-2.0, 1.0)),
+        16), "float")
 
 
 def test_row_generation_solves_only_lps_smaller_than_the_full_lp(
