@@ -25,22 +25,24 @@ for every x (w = 0 is optimal: its column and rows go) and, failing that,
 is substituted if gain >= part for every x: participation of t' then
 makes the deviation payoff nonnegative, so w is the gain term itself,
 which the truth-telling row takes in its place.  Both tests compare stored
-floats, so the projection onto z is unchanged.  The rule follows the
-data's dtype, not the solve mode: float data get the smaller LP in exact
-mode too, while Fraction and all-int data keep every cell (the smaller LP
-makes Bland's rule pivot more).
+floats, so the projection onto z is unchanged.  The rule runs once per
+instance, on the tables, and follows their dtype, not the solve mode:
+float data get the smaller LP in exact mode too, while Fraction and
+all-int data keep every cell (the smaller LP makes Bland's rule pivot more).
 
 Only a few deviation pairs (t, t') bind at an optimum, so ``solve_drm``
 solves a restricted LP holding the pairs found violated so far
 (truth-telling row generation), yet answers in the vectors of the full LP
 that ``build_drm_lp`` builds: the restricted dual padded with zeros, and z
-with every w at its least value.  In every DRM LP, z is the first
+with every w at its least value.  Exact mode reads the tables as binary
+Fractions once, before the first round.  In every DRM LP, z is the first
 n_t * n_a * n_x columns in (type, score, outcome) order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -134,11 +136,17 @@ def _support(r: np.ndarray) -> np.ndarray:
     return r > SUPPORT_TOL
 
 
+def _pairs(n_t: int):
+    """Type indices (t, t') of the deviation pairs t' != t, row-major."""
+    return np.nonzero(~np.eye(n_t, dtype=bool))
+
+
 def _drm_tables(space, costs, agent, designer, outside_option):
-    """Per-(t, a, x) objective, participation and deviation-gain tables and
-    the outside option per t, in one dtype (see ``_entry_dtype``), broadcast
-    from the inputs: float data in float64, others as objects.  ModelError
-    for an invalid instance, a non-finite outside option included."""
+    """Per-(t, a, x) objective, participation and deviation-gain tables, the
+    outside option per t, in one dtype (``_entry_dtype``), and the masks of
+    the (pair, score) cells that own a w column and that are substituted,
+    settled once per instance.  ModelError for an invalid instance, a
+    non-finite outside option or table entry included."""
     outside = outside_option or {}
     require_valid("instance", validate(space, costs, designer, agent)
                   + _non_finite("outside option", outside))
@@ -153,32 +161,44 @@ def _drm_tables(space, costs, agent, designer, outside_option):
     c, v, dv, mass, ubar = (np.array(vs, dtype).reshape(len(types), 1, -1)
                             for vs in numbers)
     c = c.transpose(0, 2, 1)  # (t, a, 1) against v's (t, 1, x)
-    gain = v - c
-    tables = (np.broadcast_to(mass * (dv - designer.loss(c)), gain.shape),
-              v - (c + ubar), gain, ubar.ravel())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        gain = v - c
+        tables = (np.broadcast_to(mass * (dv - designer.loss(c)), gain.shape),
+                  v - (c + ubar), gain, ubar.ravel())
     if dtype == object:  # mixed data may give float entries
         dtype = _entry_dtype(*(a.ravel() for a in tables))
-    return tuple(a.astype(dtype, order="C") for a in tables)
-
-
-def _pairs(n_t: int):
-    """Type indices (t, t') of the deviation pairs t' != t, row-major."""
-    return np.nonzero(~np.eye(n_t, dtype=bool))
+    objective, part, gain, ubar = (a.astype(dtype, order="C") for a in tables)
+    for name, table in (("objective", objective), ("participation", part),
+                        ("deviation gain", gain)):
+        finite = (np.isfinite(table) if dtype != object else np.array(
+            [not isinstance(x, float) or isfinite(x) for x in table.flat]
+        ).reshape(table.shape))  # no Fraction goes through float()
+        if not finite.all():
+            i, j, k = np.argwhere(~finite)[0]
+            raise ModelError(f"invalid instance: {name} at ({types[i]}, "
+                             f"{scores[j]}, {outcomes[k]}) is "
+                             f"{table[i, j, k]}")
+    pt, ptp = _pairs(len(types))
+    dead = subst = np.zeros((len(pt), len(scores)), bool)
+    if dtype != object:  # Fraction and all-int data keep every cell
+        quiet = (ubar <= 0)[pt, None]
+        dead = quiet & (gain <= 0).all(axis=2)[pt]
+        subst = quiet & ~dead & (gain[:, None] >= part).all(axis=3)[pt, ptp]
+    return objective, part, gain, ubar, ~dead & ~subst, subst
 
 
 def _drm_lp(tables, keep=None):
-    """(lp, rows, cells): the DRM LP from the tables or, with ``keep`` (a
-    boolean mask over ``_pairs``), the restricted LP of ``solve_drm``,
-    which keeps the full LP's rows that ``rows`` marks: the kept pairs'.
-    ``cells`` marks the (pair, score) cells that own a w column in the full
-    LP: float tables drop the dead ones and substitute the settled ones
-    (module docstring).  The z columns come first in the tables' (t, a, x)
-    order; the cells' w columns follow, numbered contiguously.  The LP
-    carries the column bounds its rows imply, for the float certificate
-    only: z <= 1 by the unit-mass row, and w(a; t, t') <= max(0, max
-    gain[t]) by the truth-telling row, whose substituted terms are >= 0 by
-    participation."""
-    objective, part, gain, ubar = tables  # part: participation
+    """(lp, rows): the DRM LP or, with ``keep`` (a boolean mask over
+    ``_pairs``), the restricted LP of ``solve_drm``, which keeps the full
+    LP's rows that ``rows`` marks: the kept pairs'.  It lays out the tables
+    and masks of ``_drm_tables`` as they come, settled once per instance
+    and, in exact ``solve_drm``, read as Fractions once.  The z columns come
+    first in the tables' (t, a, x) order; the cells' w columns follow,
+    numbered contiguously.  The LP carries the column bounds its rows
+    imply, for the float certificate only: z <= 1 by the unit-mass row, and
+    w(a; t, t') <= max(0, max gain[t]) by the truth-telling row, whose
+    substituted terms are >= 0 by participation."""
+    objective, part, gain, ubar, cells, subst = tables  # part: participation
     n_t, n_a, n_x = gain.shape
     zcol = np.arange(gain.size).reshape(gain.shape)
     pt, ptp = _pairs(n_t)
@@ -186,13 +206,6 @@ def _drm_lp(tables, keep=None):
     dtype = gain.dtype
     one = np.ones((), dtype)
 
-    cells = np.ones((len(pt), n_a), bool)  # the cells that own a w column
-    subst = ~cells
-    if dtype != object:  # Fraction and all-int data keep every cell
-        quiet = (ubar <= 0)[pt, None]
-        dead = quiet & (gain <= 0).all(axis=2)[pt]
-        subst = quiet & ~dead & (gain[:, None] >= part).all(axis=3)[pt, ptp]
-        cells = ~dead & ~subst
     with_o = cells & (ubar != 0)[pt, None]  # outside-option row
     rows = np.repeat(np.append(True, keep), np.append(
         n_t * (1 + n_a), 1 + cells.sum(axis=1) + with_o.sum(axis=1)))
@@ -229,7 +242,7 @@ def _drm_lp(tables, keep=None):
     top = gain.reshape(n_t, -1).max(axis=1, initial=0)[pt, None]  # w <= top
     upper = np.concatenate((np.ones(gain.size, dtype),
                             np.broadcast_to(top, with_w.shape)[with_w]))
-    return LinearProgram(obj, row, col, val, sense, rhs, upper), rows, cells
+    return LinearProgram(obj, row, col, val, sense, rhs, upper), rows
 
 
 def extract_mechanism(space: FiniteTypeSpace,
@@ -298,7 +311,8 @@ def solve_drm(inst: Instance, mode: str = "exact"):
 
     exceeds sum_{a,x} gain[t,a,x] z[t,a,x], with gain = v(x, t) - c(a, t)
     and r[a|t'] = sum_x z[t',a,x]: exactly in exact mode, by more than
-    ``FLOAT_TT_TOL`` = 1e-9 (absolute) in float mode.
+    ``FLOAT_TT_TOL`` = 1e-9 (absolute) in float mode.  Every round reads
+    the tables settled, and in exact mode read as Fractions, once.
 
     Returns (lp solution, mechanism).  The solution is a certified optimum
     of the full LP of ``build_drm_lp``, and its vectors index that LP;
@@ -310,24 +324,22 @@ def solve_drm(inst: Instance, mode: str = "exact"):
     violated it is feasible in the full LP (in float mode, to within the
     tolerance) and attains the same value.  A restricted LP that is
     infeasible makes the full LP infeasible.  Raises ModelError for an
-    invalid instance (a non-finite outside option included), and
-    SolveError, carrying the LP status, when the LP has no certified
-    optimum.
+    invalid instance (a non-finite outside option or table entry
+    included), and SolveError, carrying the LP status, when the LP has no
+    certified optimum.
     """
     tables = _drm_tables(inst.space, inst.costs, inst.agent, inst.designer,
                          inst.outside_option)
     pt, ptp = _pairs(len(inst.space.types))
     keep = abs(pt - ptp) == 1
-    _, _, gain, ubar = tables
-    if mode == "exact":  # floats as their exact binary Fractions
-        gain, ubar = (np.frompyfunc(Fraction, 1, 1)(a) for a in (gain, ubar))
-        tol = zero = Fraction(0)
-    else:
-        gain, ubar = gain.astype(float), ubar.astype(float)
-        tol, zero = FLOAT_TT_TOL, 0.0
+    if mode == "exact":  # floats as their exact binary Fractions, once
+        tables = (*map(np.frompyfunc(Fraction, 1, 1), tables[:4]), *tables[4:])
+    tol, zero = (Fraction(0),) * 2 if mode == "exact" else (FLOAT_TT_TOL, 0.0)
+    _, _, gain, ubar, cells, _ = tables  # separated in the solve's numbers
+    gain, ubar = gain.astype(type(zero)), ubar.astype(type(zero))
     spent = 0
     while True:
-        lp, rows, cells = _drm_lp(tables, keep)
+        lp, rows = _drm_lp(tables, keep)
         sol = solve_lp(lp, mode=mode)
         if not sol.certified:
             break

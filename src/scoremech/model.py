@@ -505,8 +505,19 @@ def _to_json(v):
     return format_number(v) if isinstance(v, Fraction) else v
 
 
-def _from_json(v):
-    return parse_number(v) if isinstance(v, str) else v
+def _from_json(v, key, where):
+    """A config number: a JSON number, or a string ``parse_number`` reads;
+    anything else is a ModelError naming ``key``."""
+    if isinstance(v, str):
+        try:
+            return parse_number(v)
+        except ModelError as exc:
+            raise ModelError(f"key {key!r} {where}: {exc}") from None
+        except ValueError:
+            pass
+    elif isinstance(v, (int, float)) and not isinstance(v, bool):
+        return v
+    raise ModelError(f"key {key!r} {where} is not a number: {json.dumps(v)}")
 
 
 def _need(table, key, where="at the top level", kind=object):
@@ -584,18 +595,37 @@ def instance_from_config(cfg: dict) -> Instance:
       loss_coefficient  lam                  optional; loss is lam * c^2
       outside_option  {"label|score": u}     optional, defaults to 0
 
-    A missing key that is not optional, or one of the wrong JSON type, is a
+    The config is a JSON object.  A missing key that is not optional, one
+    of the wrong JSON type, a number that is neither a JSON number nor a
+    string ``parse_number`` reads, a score or outcome that is not a string
+    and a type that is not a [label, score] pair of strings are each a
     ModelError naming it.
     """
     def numbers(parent, name, key, where="at the top level"):
-        return {key(k): _from_json(v)
+        inner = f'in "{name}"' + ("" if parent is cfg else f" {where}")
+        return {key(k): _from_json(v, k, inner)
                 for k, v in _need(parent, name, where, dict).items()}
 
+    def names(name):
+        items = _need(cfg, name, kind=list)
+        for v in items:
+            if not isinstance(v, str):
+                raise ModelError(f"an entry of {name!r} is not a string: "
+                                 f"{json.dumps(v)}")
+        return tuple(items)
+
+    if not isinstance(cfg, dict):
+        raise ModelError("the config is not a JSON object")
+    types = _need(cfg, "types", kind=list)
+    for t in types:
+        if not (isinstance(t, list) and len(t) == 2
+                and all(isinstance(v, str) for v in t)):
+            raise ModelError("an entry of 'types' is not a [label, score] "
+                             f"pair of strings: {json.dumps(t)}")
     space = FiniteTypeSpace(
-        types=tuple(AgentType(label, score)
-                    for label, score in _need(cfg, "types", kind=list)),
-        scores=tuple(_need(cfg, "scores", kind=list)),
-        outcomes=tuple(_need(cfg, "outcomes", kind=list)),
+        types=tuple(AgentType(label, score) for label, score in types),
+        scores=names("scores"),
+        outcomes=names("outcomes"),
         prior=numbers(cfg, "prior", _type_from_key),
         score_values=(numbers(cfg, "score_values", str)
                       if "score_values" in cfg else None),
@@ -609,7 +639,8 @@ def instance_from_config(cfg: dict) -> Instance:
                                         'in "cost"'))
     designer = DesignerPayoff(
         decision_value=numbers(cfg, "decision_value", _pair_from_key),
-        loss_coefficient=_from_json(cfg["loss_coefficient"])
+        loss_coefficient=_from_json(cfg["loss_coefficient"],
+                                    "loss_coefficient", "at the top level")
         if "loss_coefficient" in cfg else None)
     return Instance(
         space=space, costs=costs,

@@ -1,11 +1,19 @@
 import ast
+import copy
+import functools
 import hashlib
 import inspect
 import json
+import operator
+import tempfile
+import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from scoremech import cli, lpcore
 from scoremech import continuous as cont
@@ -20,6 +28,7 @@ from scoremech.model import (
     AgentType,
     ScoreBasedRule,
     college_instance,
+    instance_to_config,
     save_instance,
     validate_mechanism,
 )
@@ -810,25 +819,58 @@ def test_canonicalize_validates_the_mechanism(capsys, tmp_path, monkeypatch,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-@pytest.mark.parametrize("key, value, message", [
-    ("outcomes", [], "invalid instance: no outcomes"),
-    ("types", [], "invalid instance: no types"),
-    ("scores", [], "invalid instance: no scores"),
-    ("prior", [], "cannot read instance config {cfg}: key 'prior' at the "
-     "top level is not a JSON object"),
-    ("outcomes", "admit", "cannot read instance config {cfg}: key "
-     "'outcomes' at the top level is not a JSON array")],
-    ids=["no-outcomes", "no-types", "no-scores", "prior-list",
-         "outcomes-string"])
-def test_config_of_the_wrong_shape_exits_2(capsys, tmp_path, monkeypatch,
-                                           mode, key, value, message):
-    """Empty lists and sections of the wrong JSON type used to exit 1
-    with a traceback."""
-    def reshape(data):
-        data[key] = value
+_DROP = object()
 
-    cfg = _college_inputs(tmp_path, reshape)
+
+def _replace(tree, path, value):
+    """``tree`` with the value at ``path`` (keys and list indices) set to
+    ``value``, or dropped if ``value`` is ``_DROP``; the root if ``path``
+    is empty.  ``tree`` itself is left as it was."""
+    if not path:
+        return value
+    tree = copy.deepcopy(tree)
+    parent = functools.reduce(operator.getitem, path[:-1], tree)
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return tree
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("path, value, message", [
+    (("outcomes",), [], "invalid instance: no outcomes"),
+    (("types",), [], "invalid instance: no types"),
+    (("scores",), [], "invalid instance: no scores"),
+    (("prior",), [], "cannot read instance config {cfg}: key 'prior' at the "
+     "top level is not a JSON object"),
+    (("outcomes",), "admit", "cannot read instance config {cfg}: key "
+     "'outcomes' at the top level is not a JSON array"),
+    ((), 3, "cannot read instance config {cfg}: the config is not a JSON "
+     "object"),
+    ((), None, "cannot read instance config {cfg}: the config is not a "
+     "JSON object"),
+    (("types", 0), 3, "cannot read instance config {cfg}: an entry of "
+     "'types' is not a [label, score] pair of strings: 3"),
+    (("scores", 1), [], "cannot read instance config {cfg}: an entry of "
+     "'scores' is not a string: []"),
+    (("prior", "F|sL"), [1], "cannot read instance config {cfg}: key "
+     "'F|sL' in \"prior\" is not a number: [1]"),
+    (("cost", "table", "sH|F|sL"), None, "cannot read instance config "
+     "{cfg}: key 'sH|F|sL' in \"table\" in \"cost\" is not a number: null"),
+    (("loss_coefficient",), True, "cannot read instance config {cfg}: key "
+     "'loss_coefficient' at the top level is not a number: true")],
+    ids=["no-outcomes", "no-types", "no-scores", "prior-list",
+         "outcomes-string", "top-level-number", "top-level-null",
+         "type-number", "score-list", "prior-mass-list", "cost-null",
+         "loss-coefficient-true"])
+def test_config_of_the_wrong_shape_exits_2(capsys, tmp_path, monkeypatch,
+                                           mode, path, value, message):
+    """Empty lists, and sections or entries of the wrong JSON type, used to
+    exit 1 with a traceback."""
+    cfg = _college_inputs(tmp_path, lambda data: None)
+    cfg.write_text(json.dumps(_replace(json.loads(cfg.read_text()), path,
+                                       value)))
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "solve-finite", "--mode", mode,
                              "--instance", str(cfg), "--out", "o")
@@ -836,6 +878,71 @@ def test_config_of_the_wrong_shape_exits_2(capsys, tmp_path, monkeypatch,
     assert err.startswith("error: " + message.format(cfg=cfg))
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_overflowing_cost_exits_2(capsys, tmp_path, monkeypatch, mode):
+    """A cost of 1e308 passes ``validate``, but the loss lam * c^2 of the
+    objective table overflows: both modes refuse it, naming the entry.
+    Exact mode used to exit 4, converting the infinity to a Fraction."""
+    def overflow(data):
+        data["cost"]["table"]["sH|F|sL"] = 1e308
+
+    cfg = _college_inputs(tmp_path, overflow)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "solve-finite", "--mode", mode,
+                             "--instance", str(cfg), "--out", "o")
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid instance: objective at (F:sL, sH, reject)"
+                   " is -inf\n")
+    assert not (tmp_path / "o").exists()
+
+
+def _config_paths(tree, path=()):
+    """Every path in a JSON tree, the root's () first."""
+    yield path
+    if isinstance(tree, (dict, list)):
+        items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+        for key, value in items:
+            yield from _config_paths(value, path + (key,))
+
+
+_COLLEGE2 = instance_to_config(college_instance(internalize_costs=True))
+_MUTANTS = [_DROP, float("nan"), float("inf"), float("-inf"), 1e308, -1e308,
+            -1, "1/0", "abc", None, [], {}, True]
+
+
+@seed(0)
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(list(_config_paths(_COLLEGE2))),
+       value=st.sampled_from(_MUTANTS))
+def test_single_mutations_of_the_college_config_keep_the_exit_codes(
+        capsys, tmp_path, path, value):
+    """One value of college scenario 2's config (the tree ``example
+    college`` writes as college_scenario2.json) dropped or replaced, then
+    ``solve-finite`` in both modes: an exit code the CLI documents, never
+    an exception; one stderr line, a warning counted, on a refusal; a
+    passing audit on a solve."""
+    if not path and value is _DROP:
+        value = None
+    run = Path(tempfile.mkdtemp(dir=tmp_path))
+    cfg = run / "config.json"
+    cfg.write_text(json.dumps(_replace(_COLLEGE2, path, value)))
+    for mode in ("exact", "float"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "solve-finite", "--mode", mode,
+                                     "--instance", str(cfg),
+                                     "--out", str(run / mode))
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert out == ""
+            assert err.count("\n") + len(caught) == 1
+        else:
+            assert (err, caught) == ("", [])
+            summary = (run / mode / "summary.txt").read_text()
+            assert "\naudit_passes = True\n" in summary
 
 
 @pytest.mark.parametrize("rate", ["12", "20"])

@@ -676,6 +676,26 @@ def test_extract_uniform_assignment():
             assert mech.q(x, a, t) == F(1, 2)  # 1/|X|
 
 
+def test_exact_row_generation_reads_float_data_as_fractions_once(
+        monkeypatch):
+    """Exact ``solve_drm`` reads float tables as binary Fractions before
+    its first round: every round's LP reaches ``solve_lp`` in ints and
+    Fractions, so ``_exact_view`` hands each one back unchanged."""
+    from scoremech.continuous import Uniform, discretize
+    inst = discretize(Uniform(-2, 1), CostModel.linear(4, (-2, 1)), 6)
+    views, real = [], lpcore._exact_view
+
+    def spy(lp):
+        views.append((lp, real(lp)))
+        return views[-1][1]
+
+    monkeypatch.setattr(lpcore, "_exact_view", spy)
+    sol, _ = solve_drm(inst, "exact")
+    assert len(views) >= 2  # more than one round
+    assert all(lp is view for lp, view in views)
+    assert sol.value == F(156124787082177193, 2305843009213693952)
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_solve_drm_answer_is_in_its_gain_dtype(college2, mode):
     """solve_drm compares the z block against its gain table and extracts
@@ -1315,6 +1335,40 @@ def test_build_drm_lp_validates_like_solve_drm(college2, value, problem):
         build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer)
     for mode in ("exact", "float"):
         with pytest.raises(ModelError, match=problem):
+            solve_drm(inst, mode)
+
+
+def _overflowing_cost(inst):
+    table = dict(inst.costs.table)
+    table[("sH", T1)] = 1e308  # lam * c^2 overflows
+    return Instance(inst.space, CostModel.tabulated(table), inst.agent,
+                    inst.designer)
+
+
+def _overflowing_participation(inst):
+    agent = dict(inst.agent.value)
+    agent[("admit", T1)] = 1e308  # v - (c + outside) overflows
+    return Instance(inst.space, inst.costs, AgentPayoff(agent),
+                    inst.designer, {T1: -1e308})
+
+
+@pytest.mark.parametrize("number", [F, float],
+                         ids=["fraction-data", "float-data"])
+@pytest.mark.parametrize("edit, problem", [
+    (_overflowing_cost, r"objective at \(F:sL, sH, reject\) is -inf"),
+    (_overflowing_participation,
+     r"participation at \(F:sL, sL, admit\) is inf")],
+    ids=["cost", "participation"])
+def test_non_finite_table_entry_is_refused(college2, number, edit, problem):
+    """Finite inputs that overflow a table: the builder and both solve
+    modes refuse the instance, naming the table and its (type, score,
+    outcome) entry, whether the tables hold floats or objects."""
+    inst = edit(_to_fractions(college2, number))
+    with pytest.raises(ModelError, match="invalid instance: " + problem):
+        build_drm_lp(inst.space, inst.costs, inst.agent, inst.designer,
+                     inst.outside_option)
+    for mode in ("exact", "float"):
+        with pytest.raises(ModelError, match="invalid instance: " + problem):
             solve_drm(inst, mode)
 
 
