@@ -31,7 +31,6 @@ from .model import (
     FiniteTypeSpace,
     ModelError,
     ScoreBasedRule,
-    _non_finite,
     require_valid,
     validate,
     validate_mechanism,
@@ -201,8 +200,7 @@ def audit_ic(space: FiniteTypeSpace, costs: CostModel, agent: AgentPayoff,
     raises ModelError if the space, costs, agent, outside option or
     mechanism is invalid."""
     outside = outside_option or {}
-    require_valid("instance", validate(space, costs, None, agent)
-                  + _non_finite("outside option", outside))
+    require_valid("instance", validate(space, costs, None, agent, outside))
     require_valid("mechanism", validate_mechanism(space, mech))
     dev, own, gaps, best = _deviation_table(space, costs, agent, mech,
                                             outside)
@@ -295,8 +293,7 @@ def brute_force_optimum(space: FiniteTypeSpace, costs: CostModel,
     beyond the size limits.
     """
     outside = outside_option or {}
-    require_valid("instance", validate(space, costs, designer, agent)
-                  + _non_finite("outside option", outside))
+    require_valid("instance", validate(space, costs, designer, agent, outside))
     if len(space.types) > 4 or len(space.scores) > 3:
         raise ModelError("brute force is limited to <=4 types, <=3 scores")
     if len(space.outcomes) != 2:

@@ -220,7 +220,8 @@ def cmd_canonicalize(args) -> int:
         if not args.mixture:
             raise CliError("--op derandomize needs --mixture", EXIT_CONFIG)
         model.require_valid("instance", model.validate(
-            inst.space, inst.costs, inst.designer, inst.agent))
+            inst.space, inst.costs, inst.designer, inst.agent,
+            inst.outside_option))
         mech = finite.derandomize_decision_rules(_read(
             finite.read_mixture_table, args.mixture, "mixture table"))
         model.require_valid("mechanism",
@@ -320,8 +321,8 @@ def _merge_config(parser, argv):
         explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
                     for a in argv if a.startswith("--")}
         command = next(a for a in parser._actions if a.dest == "command")
-        actions = {a.dest: a for p in (parser, command.choices[args.command])
-                   for a in p._actions if hasattr(args, a.dest)}
+        actions = {a.dest: a for a in command.choices[args.command]._actions
+                   if hasattr(args, a.dest)}  # the command's own flags
         for key, value in overrides.items():
             attr = key.replace("-", "_")
             if attr not in actions:

@@ -52,7 +52,6 @@ from .lpcore import EQUAL, GREATER, LinearProgram, LpSolution, solve_lp
 from .model import (
     SUPPORT_TOL,
     _NORM_TOL,
-    _non_finite,
     AgentPayoff,
     AgentType,
     CostModel,
@@ -148,8 +147,7 @@ def _drm_tables(space, costs, agent, designer, outside_option):
     settled once per instance.  ModelError for an invalid instance, a
     non-finite outside option or table entry included."""
     outside = outside_option or {}
-    require_valid("instance", validate(space, costs, designer, agent)
-                  + _non_finite("outside option", outside))
+    require_valid("instance", validate(space, costs, designer, agent, outside))
     types, scores, outcomes = space.types, space.scores, space.outcomes
     lam = designer.loss_coefficient
     numbers = ([costs.cost(a, t) for t in types for a in scores],
@@ -392,8 +390,11 @@ def derandomize_decision_rules(
     for t, mixture in randomized.items():
         t = AgentType(*t)
         total = sum(w for w, _, _ in mixture)
-        if abs(float(total) - 1.0) > _NORM_TOL:
+        if not abs(float(total) - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ModelError(f"mixture for {t} has total mass {total}")
+        negative = [w for w, _, _ in mixture if not w >= 0]
+        if negative:
+            raise ModelError(f"mixture for {t} has weight {negative[0]} < 0")
         by_score: dict[str, list[tuple]] = {}
         for w, rule, a in mixture:
             if not any(aa == a for _, aa in rule.decision):
@@ -568,20 +569,21 @@ def monotone_rebalance(scores: Sequence[float], rho: Sequence,
         raise ModelError("scores, rho, alpha, cost must share a length")
     if n == 0:
         return []
-    if any(scores[i] >= scores[i + 1] for i in range(n - 1)):
+    # each rule written as not (what must hold), so a NaN fails it
+    if not all(scores[i] < scores[i + 1] for i in range(n - 1)):
         raise ModelError("scores must be strictly increasing")
-    if any(r <= 0 for r in rho):
+    if not all(r > 0 for r in rho):
         raise ModelError("support weights must be positive")
-    if abs(float(sum(rho)) - 1.0) > _NORM_TOL:
+    if not abs(float(sum(rho)) - 1.0) <= _NORM_TOL:
         raise ModelError("support weights must sum to 1")
-    if any(cost[i] > cost[i + 1] for i in range(n - 1)):
+    if not all(cost[i] <= cost[i + 1] for i in range(n - 1)):
         raise ModelError("costs must be nondecreasing in score")
     for i in range(n):
-        if alpha[i] < cost[i]:
+        if not alpha[i] >= cost[i]:
             raise ModelError(
                 f"obedience violated at score {scores[i]}: "
                 f"alpha={alpha[i]} < cost={cost[i]}")
-        if alpha[i] < 0 or alpha[i] > 1:
+        if not 0 <= alpha[i] <= 1:
             raise ModelError("approval probabilities must lie in [0, 1]")
 
     if all(alpha[i] <= alpha[i + 1] for i in range(n - 1)):
@@ -611,7 +613,7 @@ def rebalance_mechanism(inst: Instance,
     """
     space = inst.space
     require_valid("instance", validate(space, inst.costs, inst.designer,
-                                       inst.agent))
+                                       inst.agent, inst.outside_option))
     require_valid("mechanism", validate_mechanism(space, mech))
     x0, x1 = _binary_outcomes(space, inst.agent, "rebalance")
     decision = dict(mech.decision)
@@ -675,16 +677,27 @@ def write_mechanism_table(space: FiniteTypeSpace, mech: FiniteMechanism,
     _write_table(path, _HEADER, rows)
 
 
+def _read_once(table: dict, key: tuple, text: str, what: str) -> None:
+    """``table[key] = parse_number(text)``, refusing rows that give ``key``
+    two values (compared by text, so a NaN matches a NaN)."""
+    value = parse_number(text)
+    old = table.setdefault(key, value)
+    if str(old) != str(value):
+        raise ModelError(f"the rows of ({', '.join(map(str, key))}) give "
+                         f"{what} {old} and {text}")
+
+
 def read_mechanism_table(path) -> FiniteMechanism:
+    """The table ``write_mechanism_table`` writes.  rho repeats on each
+    outcome row of a (type, score); rows that disagree on a rho, or give
+    one (type, score, outcome) two q, are refused."""
     decision = {}
     recommendation = {}
     for label, tscore, a, x, _z, r, q in _read_table(path, _HEADER,
                                                      "mechanism"):
-        t, rho = AgentType(label, tscore), parse_number(r)
-        old = recommendation.setdefault((a, t), rho)
-        if str(old) != str(rho):  # by text, so a NaN matches a NaN
-            raise ModelError(f"the rows of ({a}, {t}) give rho {old} and {r}")
-        decision[(x, a, t)] = parse_number(q)
+        t = AgentType(label, tscore)
+        _read_once(recommendation, (a, t), r, "rho")
+        _read_once(decision, (x, a, t), q, "q")
     return FiniteMechanism(decision=decision, recommendation=recommendation)
 
 

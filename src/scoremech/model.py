@@ -235,8 +235,6 @@ class FiniteMechanism:
         object.__setattr__(self, "recommendation", {
             (a, AgentType(*t)): v
             for (a, t), v in self.recommendation.items()})
-        object.__setattr__(self, "_decided", frozenset(
-            (a, t) for _, a, t in self.decision))
 
     def rho(self, a, t):
         return self.recommendation.get((a, t), 0)
@@ -246,9 +244,6 @@ class FiniteMechanism:
         if key not in self.decision:
             raise ModelError(f"decision undefined at {key}")
         return self.decision[key]
-
-    def has_decision(self, a, t) -> bool:
-        return (a, t) in self._decided
 
     def support(self, t, scores: Sequence[str]):
         return [a for a in scores if on_support(self.rho(a, t))]
@@ -302,11 +297,14 @@ def _non_finite(what: str, numbers: Mapping) -> list[str]:
 
 def validate(space: FiniteTypeSpace, costs: CostModel,
              payoff: DesignerPayoff | None,
-             agent: AgentPayoff | None = None) -> list[str]:
+             agent: AgentPayoff | None = None,
+             outside_option: Mapping[AgentType, object] | None = None
+             ) -> list[str]:
     """Check every type invariant; returns a list of violations (empty =
-    valid).  The cost must be a table; a payoff passed as None is not
-    checked.  A float NaN or infinity in the prior, the cost table or a
-    payoff is a violation."""
+    valid).  The cost must be a table; a payoff or outside option passed
+    as None is not checked.  A float NaN or infinity in the prior, the
+    cost table, a payoff or the outside option is a violation; the outside
+    option's are listed last."""
     problems = (_non_finite("prior mass", space.prior)
                 + _non_finite("cost", costs.table or {})
                 + _non_finite("decision value",
@@ -366,7 +364,7 @@ def validate(space: FiniteTypeSpace, costs: CostModel,
                 if (x, t) not in agent.value:
                     problems.append(f"missing agent value ({x}, {t})")
 
-    return problems
+    return problems + _non_finite("outside option", outside_option or {})
 
 
 def _outside_unit(v) -> bool:
@@ -380,7 +378,9 @@ def validate_mechanism(space: FiniteTypeSpace,
                        mech: FiniteMechanism) -> list[str]:
     problems: list[str] = []
     outside = {}  # per type, its decision entries outside [0, 1]
+    decided = set()  # the (score, type) pairs with a decision entry
     for (x, a, t), v in mech.decision.items():
+        decided.add((a, t))
         if _outside_unit(v):
             outside.setdefault(t, []).append(
                 f"q({x}|{a},{t}) = {v} outside [0, 1]")
@@ -394,7 +394,7 @@ def validate_mechanism(space: FiniteTypeSpace,
             if _outside_unit(r):
                 problems.append(f"rho({a}|{t}) = {r} outside [0, 1]")
             if on_support(r):
-                if not mech.has_decision(a, t):
+                if (a, t) not in decided:
                     problems.append(f"q undefined on support at ({a}, {t})")
                     continue
                 qsum = sum(mech.q(x, a, t) for x in space.outcomes

@@ -489,6 +489,29 @@ def test_unnormalized_prior_exits_2(capsys, tmp_path, monkeypatch, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+@pytest.mark.parametrize("command", [c for c in FINITE_COMMANDS
+                                     if "score-based" not in c],
+                         ids=["solve-finite", "audit", "rebalance",
+                              "derandomize"])
+def test_non_finite_outside_option_exits_2(capsys, tmp_path, monkeypatch,
+                                           command, value):
+    """Every finite command that reads the outside option refuses a NaN
+    or an infinity there, with the same message; rebalance and derandomize
+    used to skip the check."""
+    def outside(data):
+        data["outside_option"]["F|sL"] = value
+
+    cfg = _college_inputs(tmp_path, outside)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *command, "--instance", str(cfg),
+                             "--out", "o")
+    assert (code, out) == (2, "")
+    assert err == (f"error: invalid instance: outside option at F:sL is "
+                   f"{float(value)}\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", FINITE_COMMANDS)
 def test_parametric_cost_config_exits_2(capsys, tmp_path, monkeypatch,
                                         command):
@@ -726,8 +749,11 @@ def test_config_values_are_read_like_flags(capsys, tmp_path, config):
     ({"dist": ["uniform", -2, 1]}, "config 'dist': bad value ['uniform', "
                                    "-2, 1]"),
     ({"func": "x"}, "unknown config key 'func'"),
+    ({"command": "audit"}, "unknown config key 'command'"),
+    ({"config": "x.json"}, "unknown config key 'config'"),
 ], ids=["samples-float", "samples-bool", "gamma-word", "cost-choice",
-        "mode-choice", "out-null", "dist-list", "not-a-flag"])
+        "mode-choice", "out-null", "dist-list", "not-a-flag", "command-key",
+        "config-key"])
 def test_bad_config_value_exits_2(capsys, tmp_path, config, message):
     code, out, err = _run_config(capsys, tmp_path, config, "--dist",
                                  "uniform:-2,1", "--gamma", "4")
@@ -759,16 +785,25 @@ def test_unnormalized_recommendation_exits_2(capsys, tmp_path):
     assert "sums to 0.5" in err
 
 
+@functools.cache
+def _college2_table():
+    """The lines of college scenario 2's exact optimal mechanism table, as
+    ``solve-finite`` writes it; solved once per test session."""
+    from scoremech.finite import solve_drm
+    inst = college_instance(internalize_costs=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mechanism.tsv"
+        write_mechanism_table(inst.space, solve_drm(inst)[1], path)
+        return tuple(path.read_text().splitlines())
+
+
 def _college2_solved(tmp_path, edit):
     """College scenario 2's config and exact optimal mechanism table, the
     table's rows (header excluded, split into cells) changed by ``edit``."""
-    from scoremech.finite import solve_drm
-    inst = college_instance(internalize_costs=True)
     cfg = tmp_path / "college.json"
-    save_instance(inst, cfg)
+    save_instance(college_instance(internalize_costs=True), cfg)
     mech_path = tmp_path / "mechanism.tsv"
-    write_mechanism_table(inst.space, solve_drm(inst)[1], mech_path)
-    header, *rows = mech_path.read_text().splitlines()
+    header, *rows = _college2_table()
     rows = [row.split("\t") for row in rows]
     edit(header.split("\t"), rows)
     mech_path.write_text("\n".join([header] + ["\t".join(r) for r in rows])
@@ -791,6 +826,23 @@ def test_mechanism_rows_that_disagree_on_rho_exit_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == (f"error: cannot read mechanism table {mech_path}: the "
                    "rows of (sH, F:sL) give rho inf and 1/1\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_mechanism_rows_that_give_two_q_exit_2(capsys, tmp_path):
+    """A second q for one (type, score, outcome), on a row placed before
+    the solved one, used to be dropped: the table audited as passing."""
+    def second_q(header, rows):
+        first = rows[0]  # F sL sH reject, q = 0/1
+        rows.insert(0, first[:header.index("q")] + ["1/2"])
+
+    cfg, mech_path = _college2_solved(tmp_path, second_q)
+    code, out, err = run_cli(capsys, "audit", "--instance", str(cfg),
+                             "--mechanism", str(mech_path),
+                             "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read mechanism table {mech_path}: the "
+                   "rows of (reject, sH, F:sL) give q 1/2 and 0/1\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -943,6 +995,48 @@ def test_single_mutations_of_the_college_config_keep_the_exit_codes(
             assert (err, caught) == ("", [])
             summary = (run / mode / "summary.txt").read_text()
             assert "\naudit_passes = True\n" in summary
+
+
+_ROW_EDITS = ["drop", "duplicate"]
+_CELL_MUTANTS = ["nan", "inf", "-inf", "1e308", "-1e308", "-1", "1/0", "abc",
+                 ""]
+
+
+@seed(0)
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(row=st.integers(0, 63), cell=st.integers(0, 6),
+       edit=st.sampled_from(_ROW_EDITS + _CELL_MUTANTS))
+def test_single_mutations_of_the_college_mechanism_table_keep_the_exit_codes(
+        capsys, tmp_path, row, cell, edit):
+    """College scenario 2's optimal mechanism table with one row dropped
+    or duplicated, or one cell replaced, then ``audit`` and
+    ``canonicalize --op score-based``: an exit code the CLI documents,
+    never an exception; one stderr line, a warning counted, on a
+    refusal."""
+    def mutate(header, rows):
+        i = row % len(rows)
+        if edit == "drop":
+            del rows[i]
+        elif edit == "duplicate":
+            rows.insert(i, list(rows[i]))
+        else:
+            rows[i][cell] = edit
+
+    run = Path(tempfile.mkdtemp(dir=tmp_path))
+    cfg, table = _college2_solved(run, mutate)
+    for command in (["audit"], ["canonicalize", "--op", "score-based"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *command, "--instance", str(cfg),
+                                     "--mechanism", str(table),
+                                     "--out", str(run / command[-1]))
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert out == ""
+            assert err.count("\n") + len(caught) == 1
+        else:
+            assert (err, caught) == ("", [])
 
 
 @pytest.mark.parametrize("rate", ["12", "20"])

@@ -790,7 +790,21 @@ def test_derandomize_drops_zero_mass_scores():
         {t: [(F(1), _rule(F(1, 4), F(1)), "sL"),
              (F(0), _rule(F(1), F(1)), "sH")]})
     assert mech.rho("sH", t) == 0
-    assert not mech.has_decision("sH", t)
+    assert all(a != "sH" for _, a, _ in mech.decision)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ((float("nan"), F(1)), "total mass nan"),
+    ((F(3, 2), F(-1, 2)), "weight -1/2 < 0")],
+    ids=["nan-weight", "negative-weight"])
+def test_derandomize_refuses_a_nan_or_negative_weight(weights, message):
+    """A NaN weight used to give a NaN recommendation, and weights 3/2 and
+    -1/2 a recommendation of -1/2."""
+    t = AgentType("x", "sL")
+    mixture = {t: [(weights[0], _rule(F(1, 4), F(1)), "sL"),
+                   (weights[1], _rule(F(1), F(1)), "sH")]}
+    with pytest.raises(ModelError, match=message):
+        derandomize_decision_rules(mixture)
 
 
 def test_derandomize_preserves_college_payoff(college2, menu_mechanism):
@@ -1129,6 +1143,16 @@ def test_rebalance_rejects_decreasing_costs():
     with pytest.raises(ModelError, match="costs"):
         monotone_rebalance([0.0, 1.0], [F(1, 2), F(1, 2)],
                            [F(1, 2), F(1, 2)], [F(1, 4), F(0)])
+
+
+@pytest.mark.parametrize("rho, alpha, message", [
+    ([float("nan"), 0.5], [0.5, 0.2], "support weights must be positive"),
+    ([0.5, 0.5], [float("nan"), 0.2], "obedience violated")],
+    ids=["nan-rho", "nan-alpha"])
+def test_rebalance_refuses_nan_inputs(rho, alpha, message):
+    """Either NaN used to pass every check and return a NaN level."""
+    with pytest.raises(ModelError, match=message):
+        monotone_rebalance([0, 1], rho, alpha, [0, 0.1])
 
 
 def test_rebalance_random_instances_preserve_mass_exactly():
