@@ -19,7 +19,7 @@ class NumericsError(ArithmeticError):
     pass
 
 
-def _simpson_step(f, a, fa, b, fb, m, fm):
+def _simpson_step(a, fa, b, fb, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
@@ -42,7 +42,7 @@ def simpson_panels(f, a: float, b: float, tol: float = 1e-10,
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-    whole = _simpson_step(f, a, fa, b, fb, m, fm)
+    whole = _simpson_step(a, fa, b, fb, fm)
     return _simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, max_depth, [])
 
 
@@ -50,8 +50,8 @@ def _simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, depth, panels):
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
     flm, frm = f(lm), f(rm)
-    left = _simpson_step(f, a, fa, m, fm, lm, flm)
-    right = _simpson_step(f, m, fm, b, fb, rm, frm)
+    left = _simpson_step(a, fa, m, fm, flm)
+    right = _simpson_step(m, fm, b, fb, frm)
     delta = left + right - whole
     if depth <= 0 or abs(delta) <= 15.0 * tol:
         panels.append((a, b, left + right + delta / 15.0,

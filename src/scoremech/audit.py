@@ -31,11 +31,13 @@ from .model import (
     FiniteTypeSpace,
     ModelError,
     ScoreBasedRule,
+    entry_dtype,
     require_valid,
+    support_mask,
     validate,
     validate_mechanism,
 )
-from .finite import _entry_dtype, _support, evaluate_mechanism
+from .finite import evaluate_mechanism
 
 __all__ = [
     "AuditReport",
@@ -90,7 +92,7 @@ def _deviation_table(space: FiniteTypeSpace, costs: CostModel,
                      agent: AgentPayoff, mech: FiniteMechanism, outside):
     """Every type's payoff from every report, in one array pass over the
     support entries j = (r, a), report by report, in the data's dtype
-    (``finite._entry_dtype``).  Reads rho, q, v, c and the outside option
+    (``model.entry_dtype``).  Reads rho, q, v, c and the outside option
     ubar from the mechanism and the instance alone.  t obeying a after
     reporting r gets cont[t, j] = sum_x q(x|a,r) v(x,t) - c(a,t).  Returns
     (dev, own, gaps, best): dev[t, r] sums rho(a|r) times cont, or ubar(t)
@@ -102,14 +104,14 @@ def _deviation_table(space: FiniteTypeSpace, costs: CostModel,
     types, scores, outcomes = space.types, space.scores, space.outcomes
     n_t = len(types)
     rho = [mech.recommendation.get((a, r), 0) for r in types for a in scores]
-    on = _support(np.array(rho, _entry_dtype(rho))).reshape(n_t, -1)
+    on = support_mask(np.array(rho, entry_dtype(rho))).reshape(n_t, -1)
     r_on, a_on = np.nonzero(on)
     support = list(zip(r_on.tolist(), a_on.tolist()))
     q = [mech.q(x, scores[a], types[r]) for r, a in support for x in outcomes]
     v = [agent.v(x, t) for x in outcomes for t in types]
     c = [costs.cost(a, t) for t in types for a in scores]
     ubar = [outside.get(t, 0) for t in types]
-    dtype = _entry_dtype(rho, q, v, c, ubar)
+    dtype = entry_dtype(rho, q, v, c, ubar)
     rho, q, v, c, ubar = (np.array(vs, dtype) for vs in (rho, q, v, c, ubar))
     rho, ubar = rho[on.ravel()], ubar[:, None]
     cont = sum(qx * vx for qx, vx in zip(q.reshape(-1, len(outcomes)).T,

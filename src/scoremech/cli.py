@@ -233,8 +233,7 @@ def cmd_canonicalize(args) -> int:
                      "mechanism table")
         if args.op == "score-based":
             rule, falsification = finite.reduce_to_score_based(
-                inst.space, inst.costs, inst.agent, inst.designer, mech,
-                tol=args.tol)
+                inst, mech, tol=args.tol)
             out = _out_dir(args)
             finite.write_score_rule_table(inst.space, rule,
                                           out / "scorerule.tsv")
@@ -255,12 +254,15 @@ def cmd_canonicalize(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="scoremech",
+        prog="scoremech", allow_abbrev=False,
         description="Optimal approval mechanisms under costly score "
                     "falsification")
     parser.add_argument("--config", help="JSON file whose keys mirror the "
                                          "flags; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help):  # one spelling per flag, as _merge_config reads
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
     flags = {"mode": dict(choices=("exact", "float"), default="exact"),
              "tol": dict(type=float, default=1e-9)}
@@ -270,18 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             p.add_argument("--" + name, **flags[name])
 
-    p = sub.add_parser("example", help="run a built-in instance")
+    p = command("example", "run a built-in instance")
     p.add_argument("name", nargs="?", default="college")
     common(p, "mode")
     p.set_defaults(func=cmd_example, out=None)
 
-    p = sub.add_parser("solve-finite", help="solve a finite instance by LP")
+    p = command("solve-finite", "solve a finite instance by LP")
     p.add_argument("--instance")
     common(p, "mode", "tol")
     p.set_defaults(func=cmd_solve_finite)
 
-    p = sub.add_parser("solve-continuous",
-                       help="closed-form continuum solver")
+    p = command("solve-continuous", "closed-form continuum solver")
     p.add_argument("--dist",
                    help="uniform:a,b | texp:a,b[,rate] | triangular:a,b,mode"
                         " | grid:path")
@@ -294,14 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_solve_continuous)
 
-    p = sub.add_parser("audit", help="audit a mechanism table")
+    p = command("audit", "audit a mechanism table")
     p.add_argument("--instance")
     p.add_argument("--mechanism")
     common(p, "tol")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("canonicalize",
-                       help="derandomize / rebalance / score-based reduce")
+    p = command("canonicalize", "derandomize / rebalance / score-based reduce")
     p.add_argument("--op",
                    choices=("derandomize", "rebalance", "score-based"))
     p.add_argument("--instance")

@@ -34,15 +34,15 @@ Only a few deviation pairs (t, t') bind at an optimum, so ``solve_drm``
 solves a restricted LP holding the pairs found violated so far
 (truth-telling row generation), yet answers in the vectors of the full LP
 that ``build_drm_lp`` builds: the restricted dual padded with zeros, and z
-with every w at its least value.  Exact mode reads the tables as binary
-Fractions once, before the first round.  In every DRM LP, z is the first
-n_t * n_a * n_x columns in (type, score, outcome) order.
+with every w at its least value.  It reads the tables once, before the
+first round, in the numbers of its mode: binary Fractions in exact mode,
+float64 in float mode.  In every DRM LP, z is the first n_t * n_a * n_x
+columns in (type, score, outcome) order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -51,7 +51,6 @@ import numpy as np
 from .lpcore import EQUAL, GREATER, LinearProgram, LpSolution, solve_lp
 from .model import (
     SUPPORT_TOL,
-    _NORM_TOL,
     AgentPayoff,
     AgentType,
     CostModel,
@@ -61,10 +60,17 @@ from .model import (
     Instance,
     ModelError,
     ScoreBasedRule,
+    as_float,
+    entry_dtype,
+    finite_mask,
     format_number,
+    misses_one,
+    number_array,
+    number_sum,
     on_support,
     parse_number,
     require_valid,
+    support_mask,
     validate,
     validate_mechanism,
 )
@@ -117,35 +123,18 @@ def build_drm_lp(space: FiniteTypeSpace, costs: CostModel,
     return _drm_lp(tables)[0]
 
 
-def _entry_dtype(*values) -> type:
-    """float64 when every number is a float or an int, one at least a
-    float; object otherwise, so Fractions and all-int data stay exact."""
-    kinds = {type(v) for vs in values for v in vs}
-    if all(issubclass(k, (int, float)) for k in kinds) and any(
-            issubclass(k, float) for k in kinds):
-        return np.float64
-    return object
-
-
-def _support(r: np.ndarray) -> np.ndarray:
-    """``on_support`` of each entry: float64 in one pass, objects one by
-    one (they may mix floats with exact numbers)."""
-    if r.dtype == object:
-        return np.frompyfunc(on_support, 1, 1)(r).astype(bool)
-    return r > SUPPORT_TOL
-
-
 def _pairs(n_t: int):
     """Type indices (t, t') of the deviation pairs t' != t, row-major."""
     return np.nonzero(~np.eye(n_t, dtype=bool))
 
 
-def _drm_tables(space, costs, agent, designer, outside_option):
-    """Per-(t, a, x) objective, participation and deviation-gain tables, the
-    outside option per t, in one dtype (``_entry_dtype``), and the masks of
-    the (pair, score) cells that own a w column and that are substituted,
-    settled once per instance.  ModelError for an invalid instance, a
-    non-finite outside option or table entry included."""
+def _drm_tables(space, costs, agent, designer, outside_option, mode=None):
+    """Per-(t, a, x) objective, participation and deviation-gain tables and
+    the outside option per t, in the numbers of ``mode`` (binary Fractions,
+    float64, or for None the data's ``entry_dtype``), and the masks of the
+    (pair, score) cells that own a w column and that are substituted,
+    settled once per instance on the data.  ModelError for an invalid
+    instance, a non-finite outside option or table entry included."""
     outside = outside_option or {}
     require_valid("instance", validate(space, costs, designer, agent, outside))
     types, scores, outcomes = space.types, space.scores, space.outcomes
@@ -155,8 +144,8 @@ def _drm_tables(space, costs, agent, designer, outside_option):
                [designer.dv(x, t) for t in types for x in outcomes],
                [space.mass(t) for t in types],
                [outside.get(t, 0) for t in types])
-    dtype = _entry_dtype(*numbers, [] if lam is None else [lam])
-    c, v, dv, mass, ubar = (np.array(vs, dtype).reshape(len(types), 1, -1)
+    dtype = entry_dtype(*numbers, [] if lam is None else [lam])
+    c, v, dv, mass, ubar = (number_array(vs, dtype).reshape(len(types), 1, -1)
                             for vs in numbers)
     c = c.transpose(0, 2, 1)  # (t, a, 1) against v's (t, 1, x)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -164,13 +153,13 @@ def _drm_tables(space, costs, agent, designer, outside_option):
         tables = (np.broadcast_to(mass * (dv - designer.loss(c)), gain.shape),
                   v - (c + ubar), gain, ubar.ravel())
     if dtype == object:  # mixed data may give float entries
-        dtype = _entry_dtype(*(a.ravel() for a in tables))
-    objective, part, gain, ubar = (a.astype(dtype, order="C") for a in tables)
+        dtype = entry_dtype(*(a.ravel() for a in tables))
+    objective, part, gain, ubar = (
+        number_array(a, np.float64 if mode == "float" else dtype)
+        for a in tables)
     for name, table in (("objective", objective), ("participation", part),
                         ("deviation gain", gain)):
-        finite = (np.isfinite(table) if dtype != object else np.array(
-            [not isinstance(x, float) or isfinite(x) for x in table.flat]
-        ).reshape(table.shape))  # no Fraction goes through float()
+        finite = finite_mask(table)
         if not finite.all():
             i, j, k = np.argwhere(~finite)[0]
             raise ModelError(f"invalid instance: {name} at ({types[i]}, "
@@ -182,6 +171,9 @@ def _drm_tables(space, costs, agent, designer, outside_option):
         quiet = (ubar <= 0)[pt, None]
         dead = quiet & (gain <= 0).all(axis=2)[pt]
         subst = quiet & ~dead & (gain[:, None] >= part).all(axis=3)[pt, ptp]
+    if mode == "exact":  # floats as their exact binary Fractions
+        objective, part, gain, ubar = map(np.frompyfunc(Fraction, 1, 1),
+                                          (objective, part, gain, ubar))
     return objective, part, gain, ubar, ~dead & ~subst, subst
 
 
@@ -253,12 +245,12 @@ def extract_mechanism(space: FiniteTypeSpace,
     z = z.reshape(len(types), len(scores), -1)
     mass = sum(z.transpose(2, 0, 1))  # in order from 0, not pairwise
     total = sum(mass.T)  # exactly 1 but for float round-off
-    empty = ~_support(total)
+    empty = ~support_mask(total)
     if empty.any():
         raise ModelError(
             f"degenerate all-zero joint row for {types[empty.argmax()]}")
     rho = mass / total[:, None]
-    on = _support(rho)
+    on = support_mask(rho)
     recommendation = {(scores[j], types[i]): r for i, j, r in zip(
         *np.nonzero(rho != 0), rho[rho != 0].tolist())}
     decision = dict(zip(((x, scores[j], types[i])
@@ -310,7 +302,7 @@ def solve_drm(inst: Instance, mode: str = "exact"):
     exceeds sum_{a,x} gain[t,a,x] z[t,a,x], with gain = v(x, t) - c(a, t)
     and r[a|t'] = sum_x z[t',a,x]: exactly in exact mode, by more than
     ``FLOAT_TT_TOL`` = 1e-9 (absolute) in float mode.  Every round reads
-    the tables settled, and in exact mode read as Fractions, once.
+    the tables settled, and read in the solve's numbers, once.
 
     Returns (lp solution, mechanism).  The solution is a certified optimum
     of the full LP of ``build_drm_lp``, and its vectors index that LP;
@@ -327,14 +319,11 @@ def solve_drm(inst: Instance, mode: str = "exact"):
     certified optimum.
     """
     tables = _drm_tables(inst.space, inst.costs, inst.agent, inst.designer,
-                         inst.outside_option)
+                         inst.outside_option, mode)
     pt, ptp = _pairs(len(inst.space.types))
     keep = abs(pt - ptp) == 1
-    if mode == "exact":  # floats as their exact binary Fractions, once
-        tables = (*map(np.frompyfunc(Fraction, 1, 1), tables[:4]), *tables[4:])
     tol, zero = (Fraction(0),) * 2 if mode == "exact" else (FLOAT_TT_TOL, 0.0)
-    _, _, gain, ubar, cells, _ = tables  # separated in the solve's numbers
-    gain, ubar = gain.astype(type(zero)), ubar.astype(type(zero))
+    _, _, gain, ubar, cells, _ = tables
     spent = 0
     while True:
         lp, rows = _drm_lp(tables, keep)
@@ -389,8 +378,8 @@ def derandomize_decision_rules(
     recommendation = {}
     for t, mixture in randomized.items():
         t = AgentType(*t)
-        total = sum(w for w, _, _ in mixture)
-        if not abs(float(total) - 1.0) <= _NORM_TOL:  # NaN fails too
+        total = number_sum(w for w, _, _ in mixture)
+        if misses_one(total) or total != total:  # a NaN weight too
             raise ModelError(f"mixture for {t} has total mass {total}")
         negative = [w for w, _, _ in mixture if not w >= 0]
         if negative:
@@ -501,9 +490,8 @@ def _binary_outcomes(space: FiniteTypeSpace, agent: AgentPayoff,
     return worst, best
 
 
-def reduce_to_score_based(space: FiniteTypeSpace, costs: CostModel,
-                          agent: AgentPayoff, designer: DesignerPayoff,
-                          mech: FiniteMechanism, tol: float = 1e-9):
+def reduce_to_score_based(inst: Instance, mech: FiniteMechanism,
+                          tol: float = 1e-9):
     """Collapse an IC mechanism with deterministic recommendations.
 
     Binary outcomes only.  Types sharing a recommended score are forced
@@ -513,7 +501,9 @@ def reduce_to_score_based(space: FiniteTypeSpace, costs: CostModel,
     row (all mass on the agent-worst outcome), which preserves incentive
     compatibility.  Returns (rule, {type: submitted score}).
     """
-    require_valid("instance", validate(space, costs, designer, agent))
+    space, agent, designer = inst.space, inst.agent, inst.designer
+    require_valid("instance", validate(space, inst.costs, designer, agent,
+                                       inst.outside_option))
     require_valid("mechanism", validate_mechanism(space, mech))
     null_outcome, top_outcome = _binary_outcomes(space, agent,
                                                  "score-based reduction")
@@ -540,12 +530,12 @@ def reduce_to_score_based(space: FiniteTypeSpace, costs: CostModel,
             continue
         approvals = [mech.q(top_outcome, a, t) for t in users]
         spread = max(approvals) - min(approvals)
-        if float(spread) > tol:
+        if spread > tol:
             raise ModelError(
                 f"input not IC: types sharing score {a!r} are not "
-                f"indifferent (approval spread {float(spread)})")
-        best = max(users, key=lambda t: float(
-            sum(mech.q(x, a, t) * designer.dv(x, t) for x in space.outcomes)))
+                f"indifferent (approval spread {as_float(spread)})")
+        best = max(users, key=lambda t: sum(
+            mech.q(x, a, t) * designer.dv(x, t) for x in space.outcomes))
         for x in space.outcomes:
             decision[(x, a)] = mech.q(x, a, best)
     return ScoreBasedRule(decision=decision), assignment
@@ -574,7 +564,7 @@ def monotone_rebalance(scores: Sequence[float], rho: Sequence,
         raise ModelError("scores must be strictly increasing")
     if not all(r > 0 for r in rho):
         raise ModelError("support weights must be positive")
-    if not abs(float(sum(rho)) - 1.0) <= _NORM_TOL:
+    if misses_one(number_sum(rho)):
         raise ModelError("support weights must sum to 1")
     if not all(cost[i] <= cost[i + 1] for i in range(n - 1)):
         raise ModelError("costs must be nondecreasing in score")

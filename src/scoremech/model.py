@@ -1,10 +1,13 @@
-"""Domain types shared by the solvers.
+"""Domain types shared by the solvers, and the rule for their numbers.
 
 Numbers throughout may be ints, ``fractions.Fraction`` or floats; the
 solvers never force a conversion, so an instance built from Fractions stays
-exact end to end.  Score and outcome identifiers are opaque strings ordered
-by declaration; scores may optionally carry a numeric value, which the
-monotone/continuous operations require.
+exact end to end.  Only floats carry tolerances or can be NaN or infinite,
+and no exact number goes through float() to be compared, where a large one
+overflows: ``on_support``, ``finite_mask``, ``misses_one`` and their kin
+here are the one copy of that rule.  Score and outcome identifiers are
+opaque strings ordered by declaration; scores may optionally carry a
+numeric value, which the monotone/continuous operations require.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -17,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, isfinite
 from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "AgentType",
@@ -43,6 +48,7 @@ __all__ = [
 
 SUPPORT_TOL = 1e-12  # a float rho(a|t) above this is "a in supp rho(.|t)"
 _NORM_TOL = 1e-12
+_EXACT_NORM_TOL = Fraction(_NORM_TOL)  # converted once, not per comparison
 
 
 class ModelError(ValueError):
@@ -52,6 +58,78 @@ class ModelError(ValueError):
 def on_support(r) -> bool:
     """Exact probabilities count when above 0, floats above SUPPORT_TOL."""
     return r > (SUPPORT_TOL if isinstance(r, float) else 0)
+
+
+def support_mask(r: np.ndarray) -> np.ndarray:
+    """``on_support`` per entry: float64 in one pass, objects one by one."""
+    if r.dtype == object:
+        return np.frompyfunc(on_support, 1, 1)(r).astype(bool)
+    return r > SUPPORT_TOL
+
+
+def entry_dtype(*values) -> type:
+    """float64 when every number is a float or an int, one at least a
+    float; object otherwise, so Fractions and all-int data stay exact."""
+    kinds = {type(v) for vs in values for v in vs}
+    if all(issubclass(k, (int, float)) for k in kinds) and any(
+            issubclass(k, float) for k in kinds):
+        return np.float64
+    return object
+
+
+def _finite(v) -> bool:
+    """Only a float can be NaN or infinite."""
+    return not isinstance(v, float) or isfinite(v)
+
+
+def finite_mask(table: np.ndarray) -> np.ndarray:
+    """``_finite`` of each entry: float64 in one pass, objects one by one."""
+    if table.dtype == object:
+        return np.frompyfunc(_finite, 1, 1)(table).astype(bool)
+    return np.isfinite(table)
+
+
+def as_float(v) -> float:
+    """float(v), rounded to an infinity where an exact v is beyond float
+    range, as float arithmetic rounds an overflow."""
+    try:
+        return float(v)
+    except OverflowError:
+        return inf if v > 0 else -inf
+
+
+def number_array(values, dtype) -> np.ndarray:
+    """A new C-ordered array of ``dtype``, float64 (by ``as_float``, so
+    ``finite_mask`` refuses an exact number beyond float range) or object."""
+    try:
+        return np.array(values, dtype, order="C")
+    except OverflowError:
+        return np.frompyfunc(as_float, 1, 1)(np.array(values, object)
+                                             ).astype(dtype)
+
+
+def number_sum(values):
+    """sum(values), by ``as_float`` where a float meets an exact summand
+    beyond float range."""
+    values = list(values)
+    try:
+        return sum(values)
+    except OverflowError:
+        return sum(map(as_float, values))
+
+
+def misses_one(total) -> bool:
+    """The unit-sum test, exact for an exact total; NaN misses nothing."""
+    if isinstance(total, float):
+        return abs(total - 1.0) > _NORM_TOL
+    return total != 1 and abs(total - 1) > _EXACT_NORM_TOL
+
+
+def _outside_unit(v) -> bool:
+    """v is NaN or lies outside [0, 1]: by more than ``_NORM_TOL`` for a
+    float (solver round-off), by anything for an exact number."""
+    tol = _NORM_TOL if isinstance(v, float) else 0
+    return not -tol <= v <= 1 + tol
 
 
 class AgentType(NamedTuple):
@@ -287,12 +365,10 @@ def require_valid(what: str, problems: list[str]) -> None:
 
 
 def _non_finite(what: str, numbers: Mapping) -> list[str]:
-    """A problem per float NaN or infinity among ``numbers``' values, keyed
-    by a type or an (outcome or score, type) pair.  Only floats can be
-    either; no Fraction goes through float(), where a large one overflows."""
+    """A problem per NaN or infinity (``_finite``) among ``numbers``'
+    values, keyed by a type or an (outcome or score, type) pair."""
     return [f"{what} at {k if isinstance(k, AgentType) else '(%s, %s)' % k}"
-            f" is {v}" for k, v in numbers.items()
-            if isinstance(v, float) and not isfinite(v)]
+            f" is {v}" for k, v in numbers.items() if not _finite(v)]
 
 
 def validate(space: FiniteTypeSpace, costs: CostModel,
@@ -325,9 +401,9 @@ def validate(space: FiniteTypeSpace, costs: CostModel,
         if t not in space.prior:
             problems.append(f"prior missing for {t}")
 
-    total = sum(space.prior.get(t, 0) for t in space.types)
-    if abs(float(total) - 1.0) > _NORM_TOL:
-        problems.append(f"prior not normalized (sums to {float(total)})")
+    total = number_sum(space.prior.get(t, 0) for t in space.types)
+    if misses_one(total):
+        problems.append(f"prior not normalized (sums to {as_float(total)})")
     for t, p in space.prior.items():
         if p < 0:
             problems.append(f"negative prior mass at {t}")
@@ -367,15 +443,13 @@ def validate(space: FiniteTypeSpace, costs: CostModel,
     return problems + _non_finite("outside option", outside_option or {})
 
 
-def _outside_unit(v) -> bool:
-    """v is NaN or lies outside [0, 1]: by more than ``_NORM_TOL`` for a
-    float (solver round-off), by anything for an exact number."""
-    tol = _NORM_TOL if isinstance(v, float) else 0
-    return not -tol <= v <= 1 + tol
-
-
 def validate_mechanism(space: FiniteTypeSpace,
                        mech: FiniteMechanism) -> list[str]:
+    """Violations of a mechanism on a type space (empty = valid), per type
+    in order: rho(.|t) sums to 1 (``misses_one``); each rho(a|t) lies in
+    [0, 1] (``_outside_unit``, which NaN fails); q(.|a,t) is defined where
+    rho(a|t) is ``on_support`` and sums to 1 there; then each of t's
+    decision entries, on support or not, lies in [0, 1]."""
     problems: list[str] = []
     outside = {}  # per type, its decision entries outside [0, 1]
     decided = set()  # the (score, type) pairs with a decision entry
@@ -385,10 +459,10 @@ def validate_mechanism(space: FiniteTypeSpace,
             outside.setdefault(t, []).append(
                 f"q({x}|{a},{t}) = {v} outside [0, 1]")
     for t in space.types:
-        total = sum(mech.rho(a, t) for a in space.scores)
-        if abs(float(total) - 1.0) > _NORM_TOL:
+        total = number_sum(mech.rho(a, t) for a in space.scores)
+        if misses_one(total):
             problems.append(
-                f"recommendation for {t} sums to {float(total)}")
+                f"recommendation for {t} sums to {as_float(total)}")
         for a in space.scores:
             r = mech.rho(a, t)
             if _outside_unit(r):
@@ -397,11 +471,10 @@ def validate_mechanism(space: FiniteTypeSpace,
                 if (a, t) not in decided:
                     problems.append(f"q undefined on support at ({a}, {t})")
                     continue
-                qsum = sum(mech.q(x, a, t) for x in space.outcomes
-                           if (x, a, t) in mech.decision)
-                if abs(float(qsum) - 1.0) > _NORM_TOL:
-                    problems.append(
-                        f"q(.|{a},{t}) sums to {float(qsum)}")
+                qsum = number_sum(mech.q(x, a, t) for x in space.outcomes
+                                  if (x, a, t) in mech.decision)
+                if misses_one(qsum):
+                    problems.append(f"q(.|{a},{t}) sums to {as_float(qsum)}")
         problems += outside.get(t, [])
     return problems
 

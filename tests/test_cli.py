@@ -229,6 +229,14 @@ def test_config_file_mirrors_flags(capsys, tmp_path):
     assert "gamma = 4" in out
     assert (tmp_path / "from_config" / "summary.txt").exists()
 
+    # a flag has one spelling: the prefix --gam used to be read as --gamma
+    # by argparse but not by the config merge, so the config's gamma won
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(run_cfg), "solve-continuous",
+                  "--gam", "1024"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gam 1024" in capsys.readouterr().err
+
 
 def test_audit_command(capsys, tmp_path):
     inst = college_instance(internalize_costs=True)
@@ -474,31 +482,92 @@ def _college_inputs(tmp_path, edit):
     return cfg
 
 
+# an exact number beyond float range, where float() raises OverflowError
+_HUGE = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("command", FINITE_COMMANDS)
 def test_unnormalized_prior_exits_2(capsys, tmp_path, monkeypatch, command):
-    def unnormalize(data):
-        data["prior"]["NF|sL"] = "0/1"  # the prior now sums to 3/4
+    """A prior summing to 3/4, and one with an exact mass too large for a
+    float, which used to exit 4 with "integer division result too large
+    for a float"."""
+    for key, mass, total in [("NF|sL", "0/1", "0.75"), ("F|sL", _HUGE, "inf")]:
+        run = Path(tempfile.mkdtemp(dir=tmp_path))
+        cfg = _college_inputs(run, lambda data: data["prior"].update(
+            {key: mass}))
+        monkeypatch.chdir(run)
+        code, out, err = run_cli(capsys, *command, "--instance", str(cfg),
+                                 "--out", "o")
+        assert (code, out) == (2, "")
+        assert err == ("error: invalid instance: prior not normalized "
+                       f"(sums to {total})\n")
+        assert not (run / "o").exists()
 
-    cfg = _college_inputs(tmp_path, unnormalize)
+
+_HUGE_RHO = ("invalid mechanism: recommendation for F:sL sums to inf; "
+             f"rho(sL|F:sL) = {_HUGE} outside [0, 1]")
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    (["audit", "--mechanism", "menu.tsv"], "rho", _HUGE_RHO),
+    (["canonicalize", "--op", "score-based", "--mechanism", "menu.tsv"],
+     "rho", _HUGE_RHO),
+    (["canonicalize", "--op", "rebalance", "--mechanism", "menu.tsv"], "rho",
+     _HUGE_RHO),
+    (["canonicalize", "--op", "derandomize", "--mixture", "mix.tsv"],
+     "weight", f"mixture for F:sL has total mass {_HUGE}"),
+    (["solve-finite", "--mode", "float"], "cost",
+     "invalid instance: objective at (F:sL, sH, reject) is -inf"),
+], ids=["audit-rho", "score-based-rho", "rebalance-rho", "derandomize-weight",
+        "solve-float-cost"])
+def test_exact_number_beyond_float_range_exits_2(capsys, tmp_path,
+                                                 monkeypatch, command, edit,
+                                                 message):
+    """An exact rho (on both outcome rows of one type and score), mixture
+    weight or cost of 10^400 used to exit 4 with "integer division result
+    too large for a float".  Float mode reads the cost as -inf in the
+    objective table (the loss is c^2/6) and refuses it there."""
+    def huge_cost(data):
+        if edit == "cost":
+            data["cost"]["table"]["sH|F|sL"] = _HUGE
+
+    cfg = _college_inputs(tmp_path, huge_cost)
+    for name, column, key in (("menu.tsv", "rho", ["F", "sL", "sL"]),
+                              ("mix.tsv", "weight", ["F", "sL"])):
+        header, *rows = (tmp_path / name).read_text().splitlines()
+        rows = [row.split("\t") for row in rows]
+        for row in rows:
+            if edit == column and row[:len(key)] == key:
+                row[header.split("\t").index(column)] = _HUGE
+        (tmp_path / name).write_text(
+            "\n".join([header] + ["\t".join(r) for r in rows]) + "\n")
     monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(capsys, *command, "--instance", str(cfg),
-                           "--out", "o")
-    assert code == 2
-    assert err == ("error: invalid instance: prior not normalized "
-                   "(sums to 0.75)\n")
+    code, out, err = run_cli(capsys, *command, "--instance", str(cfg),
+                             "--out", "o")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
+def test_exact_mode_solves_a_cost_beyond_float_range(capsys, tmp_path):
+    """Exact mode solves with the cost that float mode refuses."""
+    cfg = _college_inputs(tmp_path, lambda data: data["cost"]["table"].update(
+        {"sH|F|sL": _HUGE}))
+    code, out, err = run_cli(capsys, "solve-finite", "--mode", "exact",
+                             "--instance", str(cfg),
+                             "--out", str(tmp_path / "o"))
+    assert (code, out, err) == (0, "value = 2 = 2/1\n", "")
+
+
 @pytest.mark.parametrize("value", ["nan", "-inf"])
-@pytest.mark.parametrize("command", [c for c in FINITE_COMMANDS
-                                     if "score-based" not in c],
+@pytest.mark.parametrize("command", FINITE_COMMANDS,
                          ids=["solve-finite", "audit", "rebalance",
-                              "derandomize"])
+                              "score-based", "derandomize"])
 def test_non_finite_outside_option_exits_2(capsys, tmp_path, monkeypatch,
                                            command, value):
-    """Every finite command that reads the outside option refuses a NaN
-    or an infinity there, with the same message; rebalance and derandomize
-    used to skip the check."""
+    """Every finite command refuses a NaN or an infinity in the outside
+    option, with the same message; rebalance, derandomize and the
+    score-based reduction used to skip the check."""
     def outside(data):
         data["outside_option"]["F|sL"] = value
 
@@ -961,7 +1030,7 @@ def _config_paths(tree, path=()):
 
 _COLLEGE2 = instance_to_config(college_instance(internalize_costs=True))
 _MUTANTS = [_DROP, float("nan"), float("inf"), float("-inf"), 1e308, -1e308,
-            -1, "1/0", "abc", None, [], {}, True]
+            -1, "1/0", "abc", None, [], {}, True, _HUGE]
 
 
 @seed(0)
@@ -999,7 +1068,7 @@ def test_single_mutations_of_the_college_config_keep_the_exit_codes(
 
 _ROW_EDITS = ["drop", "duplicate"]
 _CELL_MUTANTS = ["nan", "inf", "-inf", "1e308", "-1e308", "-1", "1/0", "abc",
-                 ""]
+                 "", _HUGE]
 
 
 @seed(0)
@@ -1011,9 +1080,9 @@ def test_single_mutations_of_the_college_mechanism_table_keep_the_exit_codes(
         capsys, tmp_path, row, cell, edit):
     """College scenario 2's optimal mechanism table with one row dropped
     or duplicated, or one cell replaced, then ``audit`` and
-    ``canonicalize --op score-based``: an exit code the CLI documents,
-    never an exception; one stderr line, a warning counted, on a
-    refusal."""
+    ``canonicalize --op score-based``: a success or a refusal (neither
+    solves an LP, so exits 3 and 4 never apply), never an exception; one
+    stderr line, a warning counted, on a refusal."""
     def mutate(header, rows):
         i = row % len(rows)
         if edit == "drop":
@@ -1031,7 +1100,7 @@ def test_single_mutations_of_the_college_mechanism_table_keep_the_exit_codes(
             code, out, err = run_cli(capsys, *command, "--instance", str(cfg),
                                      "--mechanism", str(table),
                                      "--out", str(run / command[-1]))
-        assert code in (0, 2, 3, 4)
+        assert code in (0, 2)
         if code:
             assert out == ""
             assert err.count("\n") + len(caught) == 1

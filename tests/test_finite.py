@@ -953,53 +953,46 @@ def _two_types_shared_score(q_shared, off_a, off_b, q_b=None):
     recommendation = {("sH", ta): F(1), ("sL", ta): F(0),
                       ("sH", tb): F(1), ("sL", tb): F(0)}
     mech = FiniteMechanism(decision=decision, recommendation=recommendation)
-    return space, costs, agent, designer, mech
+    return Instance(space, costs, agent, designer), mech
 
 
 def test_reduction_keeps_shared_score_lottery():
-    space, costs, agent, designer, mech = _two_types_shared_score(
-        F(7, 10), F(0), F(0))
-    rule, falsification = reduce_to_score_based(space, costs, agent,
-                                                designer, mech)
+    inst, mech = _two_types_shared_score(F(7, 10), F(0), F(0))
+    rule, falsification = reduce_to_score_based(inst, mech)
     assert rule.q("admit", "sH") == F(7, 10)
-    assert falsification == {t: "sH" for t in space.types}
+    assert falsification == {t: "sH" for t in inst.space.types}
 
 
 def test_reduction_keeps_the_lottery_the_designer_prefers():
     """a's and b's lotteries at sH differ within ``tol``; the designer
     values b's at 2 * 7/10 = 7/5 and a's at 3/5, so b's is kept."""
-    space, costs, agent, designer, mech = _two_types_shared_score(
-        F(3, 5), F(0), F(0), q_b=F(7, 10))
-    rule, _ = reduce_to_score_based(space, costs, agent, designer, mech,
-                                    tol=F(1, 5))
+    inst, mech = _two_types_shared_score(F(3, 5), F(0), F(0), q_b=F(7, 10))
+    rule, _ = reduce_to_score_based(inst, mech, tol=F(1, 5))
     assert rule.q("admit", "sH") == F(7, 10)
 
 
 def test_reduction_replaces_off_path_rows():
-    space, costs, agent, designer, mech = _two_types_shared_score(
+    inst, mech = _two_types_shared_score(
         F(3, 5), F(1, 2), F(9, 10))  # junk off-path rows differ
-    rule, _ = reduce_to_score_based(space, costs, agent, designer, mech)
+    rule, _ = reduce_to_score_based(inst, mech)
     assert rule.q("admit", "sH") == F(3, 5)
     assert rule.q("admit", "sL") == 0  # deterrent null row
 
 
 def test_reduction_rejects_non_indifferent_inputs():
-    space, costs, agent, designer, mech = _two_types_shared_score(
-        F(3, 5), F(0), F(0))
+    inst, mech = _two_types_shared_score(F(3, 5), F(0), F(0))
     broken = dict(mech.decision)
     broken[("admit", "sH", AgentType("a", "sL"))] = F(2, 5)
     broken[("reject", "sH", AgentType("a", "sL"))] = F(3, 5)
     with pytest.raises(ModelError, match="not IC"):
         reduce_to_score_based(
-            space, costs, agent, designer,
-            FiniteMechanism(decision=broken,
-                            recommendation=mech.recommendation))
+            inst, FiniteMechanism(decision=broken,
+                                  recommendation=mech.recommendation))
 
 
 def test_reduction_rejects_random_recommendations(college2, menu_mechanism):
     with pytest.raises(ModelError, match="deterministic"):
-        reduce_to_score_based(college2.space, college2.costs, college2.agent,
-                              college2.designer, menu_mechanism)
+        reduce_to_score_based(college2, menu_mechanism)
 
 
 def _random_ic_deterministic_instance(rng):
@@ -1040,8 +1033,7 @@ def test_reduction_preserves_payoffs_on_random_ic_instances():
         before_value, before_u, before_costs = evaluate_mechanism(
             inst.space, inst.costs, inst.agent, inst.designer, mech)
         try:
-            rule, falsification = reduce_to_score_based(
-                inst.space, inst.costs, inst.agent, inst.designer, mech)
+            rule, falsification = reduce_to_score_based(inst, mech)
         except ModelError:
             continue  # two types share a score with distinct lotteries
         kept += 1
@@ -1090,8 +1082,7 @@ def test_optimal_drm_is_score_based(cost, mode, n):
         assert len(support) == 1, (t, support)
         if cost == "linear":
             assert support[0] in (t.score, space.scores[-1]), (t, support)
-    rule, assignment = reduce_to_score_based(space, inst.costs, inst.agent,
-                                             inst.designer, mech)
+    rule, assignment = reduce_to_score_based(inst, mech)
     collapsed = FiniteMechanism(
         decision={(x, a, t): rule.q(x, a) for t in space.types
                   for a in space.scores for x in space.outcomes},
@@ -1251,8 +1242,7 @@ def test_reduction_rejects_tied_outcomes():
     deterministic = FiniteMechanism(
         decision=mech.decision, recommendation={("s0", t): F(1)})
     with pytest.raises(ModelError, match="tie"):
-        reduce_to_score_based(inst.space, inst.costs, inst.agent,
-                              inst.designer, deterministic)
+        reduce_to_score_based(inst, deterministic)
 
 
 def test_solve_drm_validates_the_instance(college2):
@@ -1268,8 +1258,7 @@ def test_solve_drm_validates_the_instance(college2):
 
 @pytest.mark.parametrize("call", [
     lambda inst, mech: audit_ic(inst.space, inst.costs, inst.agent, mech),
-    lambda inst, mech: reduce_to_score_based(
-        inst.space, inst.costs, inst.agent, inst.designer, mech),
+    lambda inst, mech: reduce_to_score_based(inst, mech),
     lambda inst, mech: rebalance_mechanism(inst, mech),
 ], ids=["audit_ic", "reduce_to_score_based", "rebalance_mechanism"])
 def test_library_entry_points_validate_the_instance(college2,
@@ -1289,8 +1278,7 @@ def test_library_entry_points_validate_the_instance(college2,
     lambda inst, mech: audit_ic(inst.space, inst.costs, inst.agent, mech),
     lambda inst, mech: brute_force_optimum(
         inst.space, inst.costs, inst.agent, inst.designer, F(1, 2)),
-    lambda inst, mech: reduce_to_score_based(
-        inst.space, inst.costs, inst.agent, inst.designer, mech),
+    lambda inst, mech: reduce_to_score_based(inst, mech),
     lambda inst, mech: rebalance_mechanism(inst, mech),
     lambda inst, mech: build_drm_lp(inst.space, inst.costs, inst.agent,
                                     inst.designer),
