@@ -12,7 +12,6 @@ float64 menu values, and re-evaluates its winner exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -31,11 +30,14 @@ from .model import (
     FiniteTypeSpace,
     ModelError,
     ScoreBasedRule,
+    as_float,
+    beyond_float,
     entry_dtype,
     require_valid,
     support_mask,
     validate,
     validate_mechanism,
+    write_json,
 )
 from .finite import evaluate_mechanism
 
@@ -69,23 +71,21 @@ class AuditReport:
         return {
             "passes": self.passes,
             "tolerance": self.tolerance,
-            "max_tt_violation": float(self.max_tt_violation),
-            "max_pc_violation": float(self.max_pc_violation),
+            "max_tt_violation": as_float(self.max_tt_violation),
+            "max_pc_violation": as_float(self.max_pc_violation),
             "best_responses": {
                 str(t): {
                     "report": str(info["report"]),
                     "plan": dict(info["plan"]),
-                    "value": float(info["value"]),
-                    "gain": float(info["gain"]),
+                    "value": as_float(info["value"]),
+                    "gain": as_float(info["gain"]),
                 }
                 for t, info in self.best_responses.items()
             },
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_config(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_config())
 
 
 def _deviation_table(space: FiniteTypeSpace, costs: CostModel,
@@ -99,7 +99,8 @@ def _deviation_table(space: FiniteTypeSpace, costs: CostModel,
     where t quits because cont < ubar(t), over r's support; own[t] sums
     rho(a|t) cont over t's support; gaps are ubar(t) - cont there; best is
     per type (report, plan, value), the first maximum of dev[t], the truth
-    first.  Sums add left to right from 0, as scalar loops do.
+    first.  Sums add left to right from 0, as scalar loops do.  Among
+    floats, an exact number beyond float range is a ModelError naming it.
     """
     types, scores, outcomes = space.types, space.scores, space.outcomes
     n_t = len(types)
@@ -111,6 +112,10 @@ def _deviation_table(space: FiniteTypeSpace, costs: CostModel,
     v = [agent.v(x, t) for x in outcomes for t in types]
     c = [costs.cost(a, t) for t in types for a in scores]
     ubar = [outside.get(t, 0) for t in types]
+    if any(isinstance(n, float) for vs in (rho, q, v, c, ubar) for n in vs):
+        require_valid("instance", beyond_float("cost", costs.table)
+                      + beyond_float("agent value", agent.value)
+                      + beyond_float("outside option", outside))
     dtype = entry_dtype(rho, q, v, c, ubar)
     rho, q, v, c, ubar = (np.array(vs, dtype) for vs in (rho, q, v, c, ubar))
     rho, ubar = rho[on.ravel()], ubar[:, None]
@@ -212,8 +217,8 @@ def audit_ic(space: FiniteTypeSpace, costs: CostModel, agent: AgentPayoff,
                           "gain": value - u}
                       for t, (r, plan, value), u in zip(space.types, best,
                                                         own.tolist())}
-    return AuditReport(max_tt_violation=float(max_tt),
-                       max_pc_violation=float(max([0] + gaps.tolist())),
+    return AuditReport(max_tt_violation=as_float(max_tt),
+                       max_pc_violation=as_float(max([0] + gaps.tolist())),
                        tolerance=tolerance,
                        best_responses=best_responses)
 

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Commands: ``example``, ``solve-finite``, ``solve-continuous``, ``audit``,
-``canonicalize``.  Tables and summaries are plain delimiter-separated
-text with reals at 12 significant digits and rationals as "p/q"; the JSON
-artifacts (``audit.json``, an instance config) write reals as
-full-precision JSON floats.  Reruns are byte-identical and diff-friendly.
+``canonicalize``.  ``model`` writes every artifact: tables and summaries
+as delimiter-separated text, reals at 12 significant digits and rationals
+as "p/q"; JSON (``audit.json``, an instance config) with full-precision
+floats.  Reruns are byte-identical and diff-friendly.
 
 Exit codes: 0 success, 2 config error, 3 infeasible LP or a refused
 continuous problem (nonnegative mean, hazard rate), 4 numerical failure.
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -46,19 +45,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _fmt(v) -> str:
-    """Summary display: a rational shows as "<12 digits> = p/q"."""
-    if isinstance(v, Fraction):
-        return f"{_fmt(float(v))} = {model.format_number(v)}"
-    if isinstance(v, float):
-        return model.format_number(v)
-    return "none" if v is None else str(v)
-
-
-def _summary(entries: list[tuple[str, object]]) -> str:
-    return "".join(f"{k} = {_fmt(v)}\n" for k, v in entries)
 
 
 def _out_dir(args) -> Path:
@@ -132,7 +118,7 @@ def cmd_example(args) -> int:
     lines.append(("scenario2 reference menu value", menu_value))
     for t in inst2.space.types:
         lines.append((f"reference menu U({t})", menu_u[t]))
-    text = _summary(lines)
+    text = model.summary_text(lines)
     print(text, end="")
     if args.out:
         out = _out_dir(args)
@@ -150,7 +136,7 @@ def cmd_solve_finite(args) -> int:
     out = _out_dir(args)
     finite.write_mechanism_table(inst.space, mech, out / "mechanism.tsv")
     report.save(out / "audit.json")
-    (out / "summary.txt").write_text(_summary([
+    (out / "summary.txt").write_text(model.summary_text([
         ("status", sol.status),
         ("mode", args.mode),
         ("value", sol.value),
@@ -159,7 +145,7 @@ def cmd_solve_finite(args) -> int:
         ("max_tt_violation", report.max_tt_violation),
         ("max_pc_violation", report.max_pc_violation),
     ]))
-    print(f"value = {_fmt(sol.value)}")
+    print(model.summary_text([("value", sol.value)]), end="")
     return EXIT_OK
 
 
@@ -192,7 +178,7 @@ def cmd_solve_continuous(args) -> int:
         lp_sol, _ = finite.solve_drm(inst, "float")
         entries.append(("lp_value", lp_sol.value))
         entries.append(("lp_gap", abs(lp_sol.value - value)))
-    text = _summary(entries)
+    text = model.summary_text(entries)
     (out / "summary.txt").write_text(text)
     print(text, end="")
     return EXIT_OK

@@ -41,8 +41,9 @@ from .model import (
     DesignerPayoff,
     FiniteTypeSpace,
     Instance,
-    format_number,
+    read_table,
     require_gamma,
+    write_table,
 )
 
 __all__ = [
@@ -68,6 +69,7 @@ ROOT_XTOL = 1e-12
 MHR_GRID_POINTS = 3001
 # smallest hazard-rate slope that still passes (grid round-off)
 MHR_SLOPE_TOL = -1e-8
+SOLUTION_HEADER = "t\ta_star\tQ_star\tC\tU\tcost"
 
 
 class ContinuousError(ValueError):
@@ -675,19 +677,12 @@ def discretize(dist: Distribution, costs: CostModel,
 def write_solution_table(solution: ContinuousSolution, ts: Sequence[float],
                          path) -> None:
     cols = solution.sample(ts)
-    names = ["t", "a_star", "Q_star", "C", "U", "cost"]
-    lines = ["\t".join(names)]
-    for i in range(len(cols["t"])):
-        lines.append("\t".join(
-            format_number(float(cols[n][i])) for n in names))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, SOLUTION_HEADER,
+                zip(*(cols[name] for name in SOLUTION_HEADER.split())))
 
 
 def read_solution_table(path) -> dict[str, np.ndarray]:
-    with open(path) as fh:
-        names = fh.readline().strip().split("\t")
-        rows = [[float(v) for v in line.split("\t")]
-                for line in fh if line.strip()]
-    data = np.asarray(rows)
-    return {name: data[:, i] for i, name in enumerate(names)}
+    names = SOLUTION_HEADER.split()
+    rows = read_table(path, SOLUTION_HEADER, "solution")
+    data = np.array(rows, float).reshape(len(rows), len(names))
+    return dict(zip(names, data.T))

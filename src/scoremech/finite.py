@@ -43,7 +43,6 @@ columns in (type, score, outcome) order.
 from __future__ import annotations
 
 from fractions import Fraction
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -63,16 +62,17 @@ from .model import (
     as_float,
     entry_dtype,
     finite_mask,
-    format_number,
     misses_one,
     number_array,
     number_sum,
     on_support,
     parse_number,
+    read_table,
     require_valid,
     support_mask,
     validate,
     validate_mechanism,
+    write_table,
 )
 
 __all__ = [
@@ -628,25 +628,12 @@ def rebalance_mechanism(inst: Instance,
 
 
 # ---------------------------------------------------------------------------
-# tables (flat tab-separated export; numbers through format_number)
+# tables (``model.write_table``; numbers through format_number)
 # ---------------------------------------------------------------------------
 
 _HEADER = "type_label\ttype_score\tscore\toutcome\tz\trho\tq"
 MIXTURE_HEADER = ("type_label\ttype_score\tcomponent\tweight\trec_score"
                   "\tscore\toutcome\tq")
-
-
-def _write_table(path, header: str, rows) -> None:
-    lines = [header] + ["\t".join(row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _read_table(path, header: str, what: str) -> list[list[str]]:
-    with open(path) as fh:
-        found = fh.readline().strip()
-        if found != header:
-            raise ModelError(f"unexpected {what} table header: {found!r}")
-        return [line.split("\t") for line in map(str.strip, fh) if line]
 
 
 def write_mechanism_table(space: FiniteTypeSpace, mech: FiniteMechanism,
@@ -662,9 +649,8 @@ def write_mechanism_table(space: FiniteTypeSpace, mech: FiniteMechanism,
                             f"q undefined on support at ({a}, {t})")
                     continue
                 q = mech.decision[(x, a, t)]
-                rows.append([t.label, t.score, a, x] + [
-                    format_number(v) for v in (r * q, r, q)])
-    _write_table(path, _HEADER, rows)
+                rows.append([t.label, t.score, a, x, r * q, r, q])
+    write_table(path, _HEADER, rows)
 
 
 def _read_once(table: dict, key: tuple, text: str, what: str) -> None:
@@ -683,8 +669,8 @@ def read_mechanism_table(path) -> FiniteMechanism:
     one (type, score, outcome) two q, are refused."""
     decision = {}
     recommendation = {}
-    for label, tscore, a, x, _z, r, q in _read_table(path, _HEADER,
-                                                     "mechanism"):
+    for label, tscore, a, x, _z, r, q in read_table(path, _HEADER,
+                                                    "mechanism"):
         t = AgentType(label, tscore)
         _read_once(recommendation, (a, t), r, "rho")
         _read_once(decision, (x, a, t), q, "q")
@@ -700,16 +686,15 @@ def write_mixture_table(randomized, path) -> None:
         for ci, (w, rule, rec) in enumerate(mixture):
             for (x, a), q in sorted(rule.decision.items(),
                                     key=lambda kv: (kv[0][1], kv[0][0])):
-                rows.append([t.label, t.score, str(ci), format_number(w),
-                             rec, a, x, format_number(q)])
-    _write_table(path, MIXTURE_HEADER, rows)
+                rows.append([t.label, t.score, ci, w, rec, a, x, q])
+    write_table(path, MIXTURE_HEADER, rows)
 
 
 def read_mixture_table(path):
     """{type: [(weight, ScoreBasedRule, score), ...]}, the input of
     ``derandomize_decision_rules``."""
     grouped: dict = {}
-    for label, tscore, comp, w, rec, a, x, q in _read_table(
+    for label, tscore, comp, w, rec, a, x, q in read_table(
             path, MIXTURE_HEADER, "mixture"):
         _, _, decision = grouped.setdefault(
             (AgentType(label, tscore), int(comp)), (parse_number(w), rec, {}))
@@ -724,8 +709,8 @@ def read_mixture_table(path):
 
 def write_score_rule_table(space: FiniteTypeSpace, rule: ScoreBasedRule,
                            path) -> None:
-    _write_table(path, "score\toutcome\tq", (
-        [a, x, format_number(rule.q(x, a))]
+    write_table(path, "score\toutcome\tq", (
+        [a, x, rule.q(x, a)]
         for a in space.scores for x in space.outcomes))
 
 
@@ -734,5 +719,5 @@ def write_falsification_table(space: FiniteTypeSpace,
                               path) -> None:
     """The submitted score per type, as returned by
     ``reduce_to_score_based``."""
-    _write_table(path, "type_label\ttype_score\tscore",
-                 ([t.label, t.score, assignment[t]] for t in space.types))
+    write_table(path, "type_label\ttype_score\tscore",
+                ([t.label, t.score, assignment[t]] for t in space.types))

@@ -5,9 +5,11 @@ solvers never force a conversion, so an instance built from Fractions stays
 exact end to end.  Only floats carry tolerances or can be NaN or infinite,
 and no exact number goes through float() to be compared, where a large one
 overflows: ``on_support``, ``finite_mask``, ``misses_one`` and their kin
-here are the one copy of that rule.  Score and outcome identifiers are
-opaque strings ordered by declaration; scores may optionally carry a
-numeric value, which the monotone/continuous operations require.
+here are the one copy of that rule, and the artifact codec (tables, JSON,
+summaries) shows an exact number by ``as_float``.  Score and outcome
+identifiers are opaque strings ordered by declaration; scores may
+optionally carry a numeric value, which the monotone/continuous operations
+require.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -19,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, isfinite
+from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -119,7 +122,9 @@ def number_sum(values):
 
 
 def misses_one(total) -> bool:
-    """The unit-sum test, exact for an exact total; NaN misses nothing."""
+    """The unit-sum test; NaN misses nothing.  A float total may miss 1 by
+    ``_NORM_TOL`` and so may an exact one, compared exactly with that
+    tolerance as a Fraction: an exact total of 1 + 10^-13 passes."""
     if isinstance(total, float):
         return abs(total - 1.0) > _NORM_TOL
     return total != 1 and abs(total - 1) > _EXACT_NORM_TOL
@@ -371,6 +376,13 @@ def _non_finite(what: str, numbers: Mapping) -> list[str]:
             f" is {v}" for k, v in numbers.items() if not _finite(v)]
 
 
+def beyond_float(what: str, numbers: Mapping) -> list[str]:
+    """``_non_finite`` of the exact numbers among ``numbers``' values as
+    ``as_float`` rounds them: those that float arithmetic overflows on."""
+    return _non_finite(what, {k: as_float(v) for k, v in numbers.items()
+                              if not isinstance(v, float)})
+
+
 def validate(space: FiniteTypeSpace, costs: CostModel,
              payoff: DesignerPayoff | None,
              agent: AgentPayoff | None = None,
@@ -550,7 +562,7 @@ def college_menu_mechanism() -> FiniteMechanism:
 
 
 # ---------------------------------------------------------------------------
-# number codec and config serialization (JSON tree; rationals as "p/q")
+# number codec and artifacts: tables, JSON trees, summaries ("p/q")
 # ---------------------------------------------------------------------------
 
 def format_number(v) -> str:
@@ -570,6 +582,42 @@ def parse_number(s: str):
         except ZeroDivisionError:
             raise ModelError(f"zero denominator in {s!r}") from None
     return float(s)
+
+
+def _show_number(v) -> str:
+    """Summary display: a rational as "<its ``as_float``> = p/q"."""
+    if isinstance(v, Fraction):
+        return f"{format_number(as_float(v))} = {format_number(v)}"
+    if isinstance(v, float):
+        return format_number(v)
+    return "none" if v is None else str(v)
+
+
+def summary_text(entries) -> str:
+    """One "key = value" line per (key, value), by ``_show_number``."""
+    return "".join(f"{k} = {_show_number(v)}\n" for k, v in entries)
+
+
+def write_table(path, header: str, rows) -> None:
+    """``header``, then one tab-separated line per row of cells: strings
+    as they are, numbers through ``format_number``."""
+    lines = [header] + ["\t".join(c if isinstance(c, str) else format_number(c)
+                                  for c in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_table(path, header: str, what: str) -> list[list[str]]:
+    """The cells of a ``write_table`` table whose header is ``header``."""
+    with open(path) as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise ModelError(f"unexpected {what} table header: {found!r}")
+        return [line.split("\t") for line in map(str.strip, fh) if line]
+
+
+def write_json(path, tree) -> None:
+    """Indented JSON with sorted keys, built before the file is opened."""
+    Path(path).write_text(json.dumps(tree, indent=2, sort_keys=True) + "\n")
 
 
 def _to_json(v):
@@ -724,9 +772,7 @@ def instance_from_config(cfg: dict) -> Instance:
 
 
 def save_instance(inst: Instance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_config(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, instance_to_config(inst))
 
 
 def load_instance(path) -> Instance:

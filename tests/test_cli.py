@@ -210,6 +210,17 @@ def test_failed_certificate_exits_4(capsys, tmp_path, monkeypatch):
     assert err == "error: dual certificate failed verification\n"
 
 
+def test_exact_iteration_limit_exits_4(capsys, tmp_path, monkeypatch):
+    """The cap stops the Fraction simplex in the first restricted LP."""
+    monkeypatch.setattr(lpcore, "ITERATION_CAP", 1)
+    cfg = tmp_path / "college.json"
+    save_instance(college_instance(internalize_costs=True), cfg)
+    code, out, err = run_cli(capsys, "solve-finite", "--mode", "exact",
+                             "--instance", str(cfg), "--out",
+                             str(tmp_path / "o"))
+    assert (code, out, err) == (4, "", "error: LP hit the iteration limit\n")
+
+
 def test_config_file_mirrors_flags(capsys, tmp_path):
     run_cfg = tmp_path / "run.json"
     run_cfg.write_text(json.dumps({
@@ -486,15 +497,31 @@ def _college_inputs(tmp_path, edit):
 _HUGE = "1" + "0" * 400
 
 
+def _as_floats(data, section, key, value):
+    """Edit a config tree in place: every "p/q" string a float, as in CI's
+    floats.json, then ``value`` at ``data[section][key]``."""
+    def floats(tree):
+        if isinstance(tree, dict):
+            return {k: floats(v) for k, v in tree.items()}
+        exact = isinstance(tree, str) and "/" in tree
+        return float(F(tree)) if exact else tree
+
+    data.update(floats(data))
+    data[section][key] = value
+
+
 @pytest.mark.parametrize("command", FINITE_COMMANDS)
 def test_unnormalized_prior_exits_2(capsys, tmp_path, monkeypatch, command):
     """A prior summing to 3/4, and one with an exact mass too large for a
     float, which used to exit 4 with "integer division result too large
-    for a float"."""
-    for key, mass, total in [("NF|sL", "0/1", "0.75"), ("F|sL", _HUGE, "inf")]:
+    for a float".  Among float masses, the JSON integer 10^400 makes the
+    sum overflow, and ``number_sum`` sums the masses as floats instead."""
+    for edit, total in [
+            (lambda data: data["prior"].update({"NF|sL": "0/1"}), "0.75"),
+            (lambda data: data["prior"].update({"F|sL": _HUGE}), "inf"),
+            (lambda data: _as_floats(data, "prior", "F|sL", 10**400), "inf")]:
         run = Path(tempfile.mkdtemp(dir=tmp_path))
-        cfg = _college_inputs(run, lambda data: data["prior"].update(
-            {key: mass}))
+        cfg = _college_inputs(run, edit)
         monkeypatch.chdir(run)
         code, out, err = run_cli(capsys, *command, "--instance", str(cfg),
                                  "--out", "o")
@@ -518,18 +545,24 @@ _HUGE_RHO = ("invalid mechanism: recommendation for F:sL sums to inf; "
      "weight", f"mixture for F:sL has total mass {_HUGE}"),
     (["solve-finite", "--mode", "float"], "cost",
      "invalid instance: objective at (F:sL, sH, reject) is -inf"),
+    (["audit", "--mechanism", "menu.tsv"], "float-data",
+     "invalid instance: agent value at (reject, F:sL) is inf"),
 ], ids=["audit-rho", "score-based-rho", "rebalance-rho", "derandomize-weight",
-        "solve-float-cost"])
+        "solve-float-cost", "audit-float-data"])
 def test_exact_number_beyond_float_range_exits_2(capsys, tmp_path,
                                                  monkeypatch, command, edit,
                                                  message):
     """An exact rho (on both outcome rows of one type and score), mixture
     weight or cost of 10^400 used to exit 4 with "integer division result
     too large for a float".  Float mode reads the cost as -inf in the
-    objective table (the loss is c^2/6) and refuses it there."""
+    objective table (the loss is c^2/6) and refuses it there.  So did the
+    audit of float data holding the JSON integer 10^400 as an agent value:
+    its float arithmetic would overflow, and it refuses the entry first."""
     def huge_cost(data):
         if edit == "cost":
             data["cost"]["table"]["sH|F|sL"] = _HUGE
+        if edit == "float-data":
+            _as_floats(data, "agent_value", "reject|F|sL", 10**400)
 
     cfg = _college_inputs(tmp_path, huge_cost)
     for name, column, key in (("menu.tsv", "rho", ["F", "sL", "sL"]),
@@ -557,6 +590,32 @@ def test_exact_mode_solves_a_cost_beyond_float_range(capsys, tmp_path):
                              "--instance", str(cfg),
                              "--out", str(tmp_path / "o"))
     assert (code, out, err) == (0, "value = 2 = 2/1\n", "")
+
+
+@pytest.mark.parametrize("section", ["decision_value", "agent_value"])
+def test_exact_values_beyond_float_range_show_as_infinities(capsys, tmp_path,
+                                                             section):
+    """An exact solve with a decision or an agent value of 10^400 used to
+    exit 4 after solving, converting the value (in summary.txt) or a best
+    response's value (in audit.json) by float(): no summary.txt, or an
+    empty audit.json.  They show as "inf = p/q" and as Infinity."""
+    cfg = _college_inputs(tmp_path, lambda data: data[section].update(
+        {"admit|F|sL": _HUGE}))
+    code, out, err = run_cli(capsys, "solve-finite", "--mode", "exact",
+                             "--instance", str(cfg),
+                             "--out", str(tmp_path / "o"))
+    assert (code, err) == (0, "")
+    summary = (tmp_path / "o" / "summary.txt").read_text()
+    report = json.loads((tmp_path / "o" / "audit.json").read_text())
+    assert report["passes"] is True and "\naudit_passes = True\n" in summary
+    assert f"\n{out}" in summary
+    shown, exact = out.removeprefix("value = ").rstrip("\n").split(" = ")
+    if section == "decision_value":
+        assert shown == "inf" and F(exact) > 10**400 // 4
+    else:
+        assert (shown, exact) == ("2.20833333333", "53/24")
+        assert float("inf") in (info["value"] for info
+                                in report["best_responses"].values())
 
 
 @pytest.mark.parametrize("value", ["nan", "-inf"])
@@ -1044,7 +1103,9 @@ def test_single_mutations_of_the_college_config_keep_the_exit_codes(
     college`` writes as college_scenario2.json) dropped or replaced, then
     ``solve-finite`` in both modes: an exit code the CLI documents, never
     an exception; one stderr line, a warning counted, on a refusal; a
-    passing audit on a solve."""
+    passing audit on a solve.  Exact mode never exits 4, since an exact
+    value beyond float range is shown as "inf = p/q"; float mode does on a
+    +-1e308 value, whose dual certificate fails."""
     if not path and value is _DROP:
         value = None
     run = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -1056,7 +1117,7 @@ def test_single_mutations_of_the_college_config_keep_the_exit_codes(
             code, out, err = run_cli(capsys, "solve-finite", "--mode", mode,
                                      "--instance", str(cfg),
                                      "--out", str(run / mode))
-        assert code in (0, 2, 3, 4)
+        assert code in ((0, 2, 3) if mode == "exact" else (0, 2, 3, 4))
         if code:
             assert out == ""
             assert err.count("\n") + len(caught) == 1

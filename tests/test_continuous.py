@@ -573,3 +573,15 @@ def test_solution_table_roundtrip(tmp_path):
     np.testing.assert_allclose(data["t"], ts, atol=1e-10)
     np.testing.assert_allclose(data["Q_star"],
                                [sol.Q(t) for t in ts], atol=1e-10)
+
+
+def test_solution_table_reader_checks_the_header(tmp_path):
+    """The reader used to take its column names from whatever header the
+    file had; it now refuses any header but ``SOLUTION_HEADER``."""
+    path = tmp_path / "solution.tsv"
+    write_solution_table(_solve(UNIFORM, 4.0, "linear"), [0.0, 0.5], path)
+    header, *rows = path.read_text().splitlines()
+    assert header == continuous.SOLUTION_HEADER
+    path.write_text("\n".join([header.replace("U", "V")] + rows) + "\n")
+    with pytest.raises(ModelError, match="unexpected solution table header"):
+        read_solution_table(path)
