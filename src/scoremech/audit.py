@@ -296,11 +296,20 @@ def brute_force_optimum(space: FiniteTypeSpace, costs: CostModel,
     q and rho entries range over multiples of the step; only mechanisms
     passing the incentive audit (at ``tolerance``) count.  Branch and bound
     over per-type menus with pairwise truth-telling feasibility masks.
-    Raises ModelError for an invalid instance or outside option, or one
-    beyond the size limits.
+    Raises ModelError for an invalid instance or outside option, one
+    holding an exact number that the float64 search would read as an
+    infinity (a designer loss lam c^2 too), or one beyond the size limits.
     """
     outside = outside_option or {}
     require_valid("instance", validate(space, costs, designer, agent, outside))
+    require_valid("instance", beyond_float("cost", costs.table)
+                  + beyond_float("decision value", designer.decision_value)
+                  + beyond_float("agent value", agent.value)
+                  + beyond_float("outside option", outside))
+    # after the tables: a float lam times a cost beyond float range raises
+    require_valid("instance", beyond_float("designer loss", {
+        (a, t): designer.loss(costs.cost(a, t))
+        for t in space.types for a in space.scores}))
     if len(space.types) > 4 or len(space.scores) > 3:
         raise ModelError("brute force is limited to <=4 types, <=3 scores")
     if len(space.outcomes) != 2:

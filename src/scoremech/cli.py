@@ -202,35 +202,24 @@ def cmd_audit(args) -> int:
 def cmd_canonicalize(args) -> int:
     _require(args, "op", "instance")
     inst = _read(model.load_instance, args.instance, "instance config")
-    if args.op == "derandomize":
-        if not args.mixture:
-            raise CliError("--op derandomize needs --mixture", EXIT_CONFIG)
-        model.require_valid("instance", model.validate(
-            inst.space, inst.costs, inst.designer, inst.agent,
-            inst.outside_option))
-        mech = finite.derandomize_decision_rules(_read(
-            finite.read_mixture_table, args.mixture, "mixture table"))
-        model.require_valid("mechanism",
-                            model.validate_mechanism(inst.space, mech))
+    name = "mixture" if args.op == "derandomize" else "mechanism"
+    if not getattr(args, name):
+        raise CliError(f"--op {args.op} needs --{name}", EXIT_CONFIG)
+    read = (finite.read_mixture_table if name == "mixture"
+            else finite.read_mechanism_table)
+    data = _read(read, getattr(args, name), f"{name} table")
+    if args.op == "score-based":  # (rule, falsification)
+        results = finite.reduce_to_score_based(inst, data, tol=args.tol)
+        writers = {"scorerule.tsv": finite.write_score_rule_table,
+                   "falsification.tsv": finite.write_falsification_table}
     else:
-        if not args.mechanism:
-            raise CliError(f"--op {args.op} needs --mechanism", EXIT_CONFIG)
-        mech = _read(finite.read_mechanism_table, args.mechanism,
-                     "mechanism table")
-        if args.op == "score-based":
-            rule, falsification = finite.reduce_to_score_based(
-                inst, mech, tol=args.tol)
-            out = _out_dir(args)
-            finite.write_score_rule_table(inst.space, rule,
-                                          out / "scorerule.tsv")
-            finite.write_falsification_table(inst.space, falsification,
-                                             out / "falsification.tsv")
-            print("wrote scorerule.tsv, falsification.tsv")
-            return EXIT_OK
-        mech = finite.rebalance_mechanism(inst, mech)
+        results = [(finite.derandomize_mechanism if name == "mixture"
+                    else finite.rebalance_mechanism)(inst, data)]
+        writers = {"mechanism.tsv": finite.write_mechanism_table}
     out = _out_dir(args)
-    finite.write_mechanism_table(inst.space, mech, out / "mechanism.tsv")
-    print("wrote mechanism.tsv")
+    for (file, write), result in zip(writers.items(), results):
+        write(inst.space, result, out / file)
+    print("wrote " + ", ".join(writers))
     return EXIT_OK
 
 

@@ -82,6 +82,7 @@ __all__ = [
     "solve_drm",
     "SolveError",
     "derandomize_decision_rules",
+    "derandomize_mechanism",
     "derive_drm",
     "reduce_to_score_based",
     "monotone_rebalance",
@@ -343,8 +344,7 @@ def solve_drm(inst: Instance, mode: str = "exact"):
             break
         keep = keep | new
         spent += sol.iterations
-    if sol.iterations is not None:
-        sol.iterations += spent
+    sol.iterations += spent
     if sol.status in ("infeasible", "unbounded"):
         message = f"LP is {sol.status}"
     elif sol.status == "iteration_limit":
@@ -401,6 +401,16 @@ def derandomize_decision_rules(
                     w * rule.decision.get((x, a), 0)
                     for w, rule in parts) / mass
     return FiniteMechanism(decision=decision, recommendation=recommendation)
+
+
+def derandomize_mechanism(inst: Instance, randomized) -> FiniteMechanism:
+    """``derandomize_decision_rules`` checked on ``inst``: the instance, its
+    outside option included, then the collapse on its space."""
+    require_valid("instance", validate(inst.space, inst.costs, inst.designer,
+                                       inst.agent, inst.outside_option))
+    mech = derandomize_decision_rules(randomized)
+    require_valid("mechanism", validate_mechanism(inst.space, mech))
+    return mech
 
 
 def derive_drm(indirect: Mapping[object, Sequence[tuple]],

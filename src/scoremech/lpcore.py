@@ -15,10 +15,11 @@ readers, the benchmark's LP counts (``perfbench/jobs.py:_lp_counts``) and
   "optimal", "unbounded" or "iteration_limit".  Floats are read as their
   binary Fractions once, before the solve.  The tableau is built from the
   sparse arrays and stored dense, each entry a plain-int numerator and
-  denominator in lowest terms; each pivot updates only the pivot row's
-  nonzero columns, and the dual is read off the maintained reduced-cost
-  row.  An optimum's ``assignment`` and ``dual`` are object arrays of
-  ``fractions.Fraction``.  The golden-value tests run in this mode.
+  denominator in lowest terms, with both phases' reduced-cost rows; each
+  pivot updates only the pivot row's nonzero columns, in every row, and
+  the dual is read off phase 2's row.  An optimum's ``assignment`` and
+  ``dual`` are object arrays of ``fractions.Fraction``.  The golden-value
+  tests run in this mode.
 * ``float`` -- the matrix goes, as the LP's own CSR arrays, to the
   compiled extension of scipy's bundled HiGHS binding.  A float solve loads
   that extension alone, on first use, and imports no scipy package; exact
@@ -30,7 +31,8 @@ readers, the benchmark's LP counts (``perfbench/jobs.py:_lp_counts``) and
   1e-9 are round-off and are set to 0: a mass of 1e-12 on a lottery an agent
   cannot afford would otherwise be extracted as a recommendation.
   ``assignment`` and ``dual`` are float64 arrays.  An answer other than a
-  certified optimum is solved again with HiGHS's defaults.
+  certified optimum is solved again with HiGHS's defaults, and
+  ``iterations`` counts both attempts.
 
 Every optimal solve also produces a dual certificate: a vector of row
 multipliers whose implied objective bound is checked against the primal
@@ -155,7 +157,7 @@ class LpSolution:
     dual: np.ndarray = field(default_factory=lambda: np.zeros(0))  # per row
     certified: bool = False
     solver_code: str | None = None  # HiGHS model status name (float mode)
-    iterations: int | None = None  # exact: Bland pricing passes; HiGHS nit
+    iterations: int = 0  # exact: Bland pricing passes; float: HiGHS's nit
 
     @property
     def optimal(self) -> bool:
@@ -176,8 +178,10 @@ def solve_lp(lp: LinearProgram, mode: str = "exact") -> LpSolution:
         raise LpError(f"unknown mode {mode!r}")
     sol.certified = sol.optimal and _certify(lp, sol, exact=(mode == "exact"))
     if mode == "float" and not sol.certified:  # HiGHS's defaults
+        first = sol.iterations
         sol = _solve_float(lp, {})
         sol.certified = sol.optimal and _certify(lp, sol, exact=False)
+        sol.iterations += first
     return sol
 
 
@@ -339,8 +343,10 @@ def _solve_float(lp: LinearProgram, options: Mapping) -> LpSolution:
     highs.run()
     code = highs.getModelStatus().name
     status = _HIGHS_STATUS.get(code, "numerical")
+    info = highs.getInfo()
     if status != "optimal":
-        return LpSolution(status=status, solver_code=code)
+        return LpSolution(status=status, solver_code=code,
+                          iterations=info.simplex_iteration_count)
 
     solution = highs.getSolution()
     # the max form's multipliers, unscaled
@@ -351,7 +357,6 @@ def _solve_float(lp: LinearProgram, options: Mapping) -> LpSolution:
     x[x < 1e-9] = 0.0
     dual[(rel == LESS) & (-1e-7 < dual) & (dual < 0)] = 0.0
     dual[(rel == GREATER) & (0 < dual) & (dual < 1e-7)] = 0.0
-    info = highs.getInfo()
     return LpSolution("optimal", ldexp(-info.objective_function_value, ec),
                       x, dual, solver_code=code,
                       iterations=info.simplex_iteration_count)
@@ -376,18 +381,26 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:  # ints and Fractions
     art = slack + has_slack
     ncols = n + int(width.sum())
 
-    # Entry (i, j) is num[i][j] / den[i][j] in lowest terms with den > 0;
-    # row m is the cost row: c_B B^-1 A_j - c_j for the phase's cost, and
-    # over the rhs column (ncols) the phase objective c_B B^-1 b.
-    num = [[0] * (ncols + 1) for _ in range(m + 1)]
-    den = [[1] * (ncols + 1) for _ in range(m + 1)]
+    # Entry (i, j) is num[i][j] / den[i][j] in lowest terms with den > 0.
+    # Rows m and m + 1 are the cost rows of phases 2 and 1 (max -sum of
+    # artificials): c_B B^-1 A_j - c_j, and c_B B^-1 b over the rhs column
+    # ncols; in the first basis, -c and minus the artificials' rows.
+    num = [[0] * (ncols + 1) for _ in range(m + 2)]
+    den = [[1] * (ncols + 1) for _ in range(m + 2)]
     r = np.concatenate([lp.row, np.flatnonzero(has_slack),
                         np.flatnonzero(has_art), np.arange(m)])
     c = np.concatenate([lp.col, slack[has_slack], art[has_art],
                         np.full(m, ncols)])
     v = np.concatenate([flip[lp.row] * lp.val, sense[has_slack],
                         np.ones(int(has_art.sum()), int), flip * lp.rhs])
-    for i, j, a in zip(r.tolist(), c.tolist(), v.tolist()):
+    cost = np.zeros((2, ncols + 1), object)
+    cost[0, :n] = -lp.objective
+    np.add.at(cost[1], c[has_art[r]], -v[has_art[r]])
+    cost[1, art[has_art]] = 0
+    ck, cj = np.nonzero(cost)
+    for i, j, a in zip(np.append(r, m + ck).tolist(),
+                       np.append(c, cj).tolist(),
+                       np.append(v, cost[ck, cj]).tolist()):
         num[i][j], den[i][j] = a.as_integer_ratio()
     # each row's identity column: the artificial if it has one, else slack
     start = np.where(has_art, art, slack).tolist()
@@ -395,11 +408,10 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:  # ints and Fractions
 
     artificials = set(art[has_art].tolist())
     passes = 0
-    zero, znum = frac(0), num[m]
 
     def pivot(ti, tj):
         """Dense storage, sparse update: only the pivot row's nonzero
-        columns change in the other rows and in the cost row."""
+        columns change in the other rows and in the cost rows."""
         rn, rd = num[ti], den[ti]
         inv_n, inv_d = rd[tj], rn[tj]  # 1 / pivot, with inv_d made > 0
         if inv_d < 0:
@@ -409,11 +421,9 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:  # ints and Fractions
             a, b = rn[j] * inv_n, rd[j] * inv_d
             g = gcd(a, b)
             rn[j], rd[j] = a // g, b // g
-        for k in range(m + 1):
-            kn = num[k]
+        for kn, kd in zip(num, den):
             fn = kn[tj]
-            if fn and k != ti:  # row k -= (fn / fd) * pivot row
-                kd = den[k]
+            if fn and kn is not rn:  # row -= (fn / fd) * pivot row
                 fd = kd[tj]
                 for j in nonzero:
                     u = fd * rd[j]
@@ -422,20 +432,12 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:  # ints and Fractions
                     kn[j], kd[j] = a // g, b // g
         basis[ti] = tj
 
-    def load_cost(cost):
-        zrow = [-c for c in cost] + [zero]
-        for rn, rd, b in zip(num, den, basis):
-            if cost[b]:
-                for j, x in enumerate(rn):
-                    if x:
-                        zrow[j] += cost[b] * frac(x, rd[j])
-        znum[:], den[m][:] = zip(*[z.as_integer_ratio() for z in zrow])
-
-    def run_simplex(allowed):
-        """Maximize the loaded cost by Bland's rule over ``allowed``, in
+    def run_simplex(k, allowed):
+        """Maximize the cost of row k by Bland's rule over ``allowed``, in
         order; a basic column has reduced cost exactly 0, so never enters.
         Returns "optimal", "unbounded" or "iteration_limit"."""
         nonlocal passes
+        znum = num[k]
         while True:
             passes += 1
             if passes > cap:
@@ -458,11 +460,9 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:  # ints and Fractions
 
     # Phase 1: drive artificials to zero.
     if artificials:
-        load_cost([frac(-1) if j in artificials else zero
-                   for j in range(ncols)])
-        status = run_simplex(range(ncols))
+        status = run_simplex(m + 1, range(ncols))
         assert status != "unbounded", "phase-1 objective is bounded"
-        if status == "optimal" and znum[ncols] != 0:  # -sum of artificials
+        if status == "optimal" and num[m + 1][ncols]:  # -sum of artificials
             status = "infeasible"
         if status != "optimal":
             return LpSolution(status, iterations=passes)
@@ -477,15 +477,15 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:  # ints and Fractions
                 # leave the artificial basic at value zero.
 
     # Phase 2.
-    load_cost(lp.objective.tolist() + [zero] * (ncols - n))
-    status = run_simplex([j for j in range(ncols) if j not in artificials])
+    del num[m + 1], den[m + 1]
+    status = run_simplex(m, [j for j in range(ncols) if j not in artificials])
     if status != "optimal":
         return LpSolution(status, iterations=passes)
 
-    x = np.full(ncols, zero, object)
+    x = np.full(ncols, frac(0), object)
     for i, b in enumerate(basis):
         x[b] = frac(num[i][ncols], den[i][ncols])
     # Row i's multiplier (y = c_B B^-1) is the cost row at its identity column.
-    dual = flip * np.array([frac(znum[j], den[m][j]) for j in start], object)
-    return LpSolution("optimal", value=frac(znum[ncols], den[m][ncols]),
+    dual = flip * np.array([frac(num[m][j], den[m][j]) for j in start], object)
+    return LpSolution("optimal", value=frac(num[m][ncols], den[m][ncols]),
                       assignment=x[:n], dual=dual, iterations=passes)

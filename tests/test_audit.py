@@ -537,6 +537,37 @@ def test_brute_force_guards_instance_size(college2):
                             college2.designer, F(1, 32))
 
 
+def _unit_instance(n_types, scores, outcomes=("no", "yes")):
+    """Types t0, t1, ... at the first score, equal prior, no costs."""
+    types = tuple(AgentType(f"t{i}", scores[0]) for i in range(n_types))
+    space = FiniteTypeSpace(types=types, scores=scores, outcomes=outcomes,
+                            prior={t: F(1, n_types) for t in types})
+    costs = CostModel.tabulated({(a, t): F(0) for a in scores
+                                 for t in types})
+    values = {(x, t): F(x == outcomes[-1]) for x in outcomes for t in types}
+    return space, costs, AgentPayoff(values), DesignerPayoff(values)
+
+
+@pytest.mark.parametrize("n_types, scores, outcomes, step, message", [
+    (5, ("a0",), ("no", "yes"), F(1, 2),
+     "brute force is limited to <=4 types, <=3 scores"),
+    (1, ("a0", "a1", "a2", "a3"), ("no", "yes"), F(1, 2),
+     "brute force is limited to <=4 types, <=3 scores"),
+    (1, ("a0",), ("no", "maybe", "yes"), F(1, 2),
+     "brute force requires binary outcomes"),
+    (1, ("a0",), ("no", "yes"), F(1, 32),
+     "grid step below 1/16 is not supported"),
+    (1, ("a0",), ("no", "yes"), F(2, 5), "grid step must divide 1"),
+], ids=["five-types", "four-scores", "three-outcomes", "fine-step",
+        "step-not-dividing-1"])
+def test_brute_force_refusals(n_types, scores, outcomes, step, message):
+    """On valid instances, so each refusal is the size or grid rule's own
+    (the 5-type space of the test above fails validation first)."""
+    with pytest.raises(ModelError) as caught:
+        brute_force_optimum(*_unit_instance(n_types, scores, outcomes), step)
+    assert str(caught.value) == message
+
+
 def test_brute_force_counts_menus_before_building_them():
     """One type, 3 scores at no cost, step 1/16: all 17 approval levels are
     PC-feasible at every score, which makes 3 * 17 + 45 * 17**2 + 105 *
@@ -593,6 +624,48 @@ def test_brute_force_refuses_an_unnormalized_prior(college2):
                                          r"normalized \(sums to 2\.0\)"):
         brute_force_optimum(doubled, college2.costs, college2.agent,
                             college2.designer, F(1, 2))
+
+
+_HUGE = F(10**400)  # exact, where float() raises OverflowError
+
+
+@pytest.mark.parametrize("table, message", [
+    ("prior", "prior not normalized (sums to inf)"),
+    ("cost", "cost at (sH, F:sL) is inf"),
+    ("decision value", "decision value at (admit, F:sL) is inf"),
+    ("agent value", "agent value at (admit, F:sL) is inf"),
+    ("outside option", "outside option at F:sL is inf"),
+    ("loss coefficient", "designer loss at (sH, F:sL) is inf; designer loss"
+                         " at (sH, NF:sL) is inf; designer loss at (sL, "
+                         "NF:sH) is inf; designer loss at (sL, F:sH) is inf"),
+])
+def test_brute_force_refuses_an_exact_number_beyond_float_range(
+        college2, table, message):
+    """The grid search reads every number of the instance as a float64, and
+    float() of an exact 10^400 raised OverflowError out of ``_grid_menus``.
+    A prior mass that large is already refused by the prior's sum; a loss
+    coefficient that large, by the designer losses lam c^2 it makes."""
+    space, costs, agent, designer = (college2.space, college2.costs,
+                                     college2.agent, college2.designer)
+    outside = {}
+    if table == "prior":
+        space = FiniteTypeSpace(space.types, space.scores, space.outcomes,
+                                {**space.prior, T1: _HUGE})
+    elif table == "cost":
+        costs = CostModel.tabulated({**costs.table, ("sH", T1): _HUGE})
+    elif table == "decision value":
+        designer = DesignerPayoff({**designer.decision_value,
+                                   ("admit", T1): _HUGE},
+                                  designer.loss_coefficient)
+    elif table == "agent value":
+        agent = AgentPayoff({**agent.value, ("admit", T1): _HUGE})
+    elif table == "outside option":
+        outside = {T1: _HUGE}
+    else:
+        designer = DesignerPayoff(designer.decision_value, _HUGE)
+    with pytest.raises(ModelError) as caught:
+        brute_force_optimum(space, costs, agent, designer, F(1, 2), outside)
+    assert str(caught.value) == f"invalid instance: {message}"
 
 
 def test_best_response_is_monotone_in_the_mechanism():

@@ -84,6 +84,25 @@ def test_invalid_distributions_fail_at_construction(make):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Triangular(-2.0, 1.0, 1.0),
+     "mode must lie strictly inside the support"),
+    (lambda: Tabulated([-2.0, 0.0, 1.0], [1.0, 1.0]),
+     "grid and density must be 1-d, same length"),
+    (lambda: Tabulated([-2.0], [1.0]),
+     "grid and density must be 1-d, same length"),
+    (lambda: Tabulated([-2.0, 1.0, 0.0], [1.0, 1.0, 1.0]),
+     "grid must be strictly increasing"),
+    (lambda: Tabulated([-2.0, 0.0, 1.0], [1.0, 0.0, 1.0]),
+     "tabulated density must be positive"),
+], ids=["triangular-mode-at-top", "tabulated-shape", "tabulated-one-point",
+        "tabulated-order", "tabulated-zero-density"])
+def test_distribution_refusals_name_the_rule(make, message):
+    with pytest.raises(ContinuousError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
 def test_tabulated_matches_quadrature():
     xs = np.linspace(-2.0, 1.0, 25)
     dist = Tabulated(xs, 1.0 + 0.5 * np.sin(xs))

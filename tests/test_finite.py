@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import warnings
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from scoremech.finite import (
     SolveError,
     build_drm_lp,
     derandomize_decision_rules,
+    derandomize_mechanism,
     derive_drm,
     evaluate_mechanism,
     extract_mechanism,
@@ -837,6 +839,52 @@ def test_derandomize_preserves_college_payoff(college2, menu_mechanism):
         assert utilities[t] == direct_u(t, mixture[t])
 
 
+def test_derandomize_mechanism_checks_the_instance_then_the_collapse(
+        college2):
+    """The messages ``canonicalize --op derandomize`` prints: a NaN outside
+    option refuses the instance before the mixture is collapsed, and a
+    mixture for one type collapses to a mechanism that recommends nothing
+    to the others.  A mixture for every type collapses as without an
+    instance."""
+    rule = _rule(F(1, 4), F(1))
+    partial = {T1: [(F(1), rule, "sL")]}
+    nan = Instance(college2.space, college2.costs, college2.agent,
+                   college2.designer, {T1: float("nan")})
+    with pytest.raises(ModelError) as caught:
+        derandomize_mechanism(nan, partial)
+    assert str(caught.value) == ("invalid instance: outside option at F:sL "
+                                 "is nan")
+    with pytest.raises(ModelError) as caught:
+        derandomize_mechanism(college2, partial)
+    assert str(caught.value) == (
+        "invalid mechanism: recommendation for NF:sL sums to 0.0; "
+        "recommendation for NF:sH sums to 0.0; recommendation for F:sH "
+        "sums to 0.0")
+    full = {t: [(F(1), rule, t.score)] for t in college2.space.types}
+    assert (derandomize_mechanism(college2, full)
+            == derandomize_decision_rules(full))
+
+
+def test_derandomize_refuses_a_rule_without_a_decision_at_its_score():
+    rule = ScoreBasedRule({("admit", "sL"): F(1), ("reject", "sL"): F(0)})
+    with pytest.raises(ModelError) as caught:
+        derandomize_decision_rules({T1: [(F(1), rule, "sH")]})
+    assert str(caught.value) == ("rule recommended at 'sH' defines no "
+                                 "decision there")
+
+
+def test_derive_drm_refuses_a_report_without_a_handler():
+    """A report of probability 0 is skipped; one of positive probability
+    that the indirect mechanism does not handle is refused."""
+    indirect = {"r0": [(F(1), _rule(F(1), F(1)), "m0")]}
+    action = {"m0": {"sL": F(1)}}
+    mech = derive_drm(indirect, {T1: {"r1": F(0), "r0": F(1)}}, action)
+    assert mech.rho("sL", T1) == 1
+    with pytest.raises(ModelError) as caught:
+        derive_drm(indirect, {T1: {"r0": F(0), "r1": F(1)}}, action)
+    assert str(caught.value) == "report 'r1' not handled by the mechanism"
+
+
 def _random_rule(rng, scores, outcomes) -> ScoreBasedRule:
     decision = {}
     for a in scores:
@@ -1245,6 +1293,98 @@ def test_reduction_rejects_tied_outcomes():
         reduce_to_score_based(inst, deterministic)
 
 
+def _three_outcomes():
+    """``_rebalance_instance`` with a third outcome, "maybe", that no
+    mechanism row uses."""
+    inst, mech, t = _rebalance_instance()
+    space = dataclasses.replace(inst.space, outcomes=("no", "yes", "maybe"))
+    maybe = {("maybe", t): F(1, 2)}
+    inst = Instance(space, inst.costs, AgentPayoff({**inst.agent.value,
+                                                     **maybe}),
+                    DesignerPayoff({**inst.designer.decision_value, **maybe}))
+    mech = FiniteMechanism(
+        decision={**mech.decision, ("maybe", "s0", t): F(0),
+                  ("maybe", "s1", t): F(0)},
+        recommendation={("s0", t): F(1)})
+    return inst, mech
+
+
+@pytest.mark.parametrize("call, operation", [
+    (reduce_to_score_based, "score-based reduction"),
+    (rebalance_mechanism, "rebalance")])
+def test_binary_operations_refuse_a_third_outcome(call, operation):
+    inst, mech = _three_outcomes()
+    with pytest.raises(ModelError) as caught:
+        call(inst, mech)
+    assert str(caught.value) == f"{operation} requires binary outcomes"
+
+
+def test_reduction_refuses_a_type_that_does_not_prefer_approval():
+    """"yes" wins the prior average (3/4 against 1/4), but y prefers
+    "no"."""
+    x, y = AgentType("x", "s0"), AgentType("y", "s0")
+    space = FiniteTypeSpace(types=(x, y), scores=("s0", "s1"),
+                            outcomes=("no", "yes"),
+                            prior={x: F(3, 4), y: F(1, 4)})
+    costs = CostModel.tabulated({(a, t): F(0) if a == "s0" else F(3, 10)
+                                 for a in space.scores for t in (x, y)})
+    values = {("yes", x): F(1), ("no", x): F(0),
+              ("yes", y): F(0), ("no", y): F(1)}
+    inst = Instance(space, costs, AgentPayoff(values),
+                    DesignerPayoff(values))
+    mech = FiniteMechanism(
+        decision={(o, "s0", t): F(1, 2) for o in ("no", "yes")
+                  for t in (x, y)},
+        recommendation={("s0", x): F(1), ("s0", y): F(1)})
+    with pytest.raises(ModelError) as caught:
+        reduce_to_score_based(inst, mech)
+    assert str(caught.value) == ("y:s0 does not strictly prefer 'yes'; the "
+                                 "binary reduction needs a common preferred "
+                                 "outcome")
+
+
+def test_rebalance_mechanism_leaves_a_one_score_support_alone():
+    inst, mech, t = _rebalance_instance()
+    one = FiniteMechanism(decision=mech.decision,
+                          recommendation={("s0", t): F(1)})
+    assert rebalance_mechanism(inst, one) == one
+
+
+@pytest.mark.parametrize("scores, rho, alpha, message", [
+    ([0, 1], [F(1)], [F(1)], "scores, rho, alpha, cost must share a length"),
+    ([1, 0], [F(1, 2)] * 2, [F(1), F(0)], "scores must be strictly "
+                                          "increasing"),
+    ([0, 1], [F(1, 2), F(1, 4)], [F(1), F(0)], "support weights must sum "
+                                               "to 1"),
+    ([0, 1], [F(1, 2)] * 2, [F(3, 2), F(0)], "approval probabilities must "
+                                             "lie in [0, 1]"),
+    # float round-off: the levels' rho-weighted total passes 1 by an ulp
+    ([0, 1, 2, 3], [0.049965279567761256, 0.6902350439440763,
+                    0.03515514969667758, 0.22464452679148483],
+     [1.0, 0.9999999999999999, 1.0, 1.0],
+     "rebalance overflow: total mass exceeds 1"),
+], ids=["lengths", "order", "weight-sum", "unit-interval", "overflow"])
+def test_monotone_rebalance_refusals(scores, rho, alpha, message):
+    with pytest.raises(ModelError) as caught:
+        monotone_rebalance(scores, rho, alpha, [0 * a for a in alpha])
+    assert str(caught.value) == message
+
+
+def test_monotone_rebalance_of_nothing_is_nothing():
+    assert monotone_rebalance([], [], [], []) == []
+
+
+def test_mechanism_table_refuses_a_missing_q_on_support(college2,
+                                                        menu_mechanism,
+                                                        tmp_path):
+    decision = {k: v for k, v in menu_mechanism.decision.items()
+                if k[1:] != ("sL", T1)}
+    broken = FiniteMechanism(decision, menu_mechanism.recommendation)
+    with pytest.raises(ModelError) as caught:
+        write_mechanism_table(college2.space, broken, tmp_path / "m.tsv")
+    assert str(caught.value) == "q undefined on support at (sL, F:sL)"
+
+
 def test_solve_drm_validates_the_instance(college2):
     agent = dict(college2.agent.value)
     del agent[("admit", T3)]
@@ -1260,7 +1400,9 @@ def test_solve_drm_validates_the_instance(college2):
     lambda inst, mech: audit_ic(inst.space, inst.costs, inst.agent, mech),
     lambda inst, mech: reduce_to_score_based(inst, mech),
     lambda inst, mech: rebalance_mechanism(inst, mech),
-], ids=["audit_ic", "reduce_to_score_based", "rebalance_mechanism"])
+    lambda inst, mech: derandomize_mechanism(inst, {}),
+], ids=["audit_ic", "reduce_to_score_based", "rebalance_mechanism",
+        "derandomize_mechanism"])
 def test_library_entry_points_validate_the_instance(college2,
                                                     menu_mechanism, call):
     agent = dict(college2.agent.value)
@@ -1282,8 +1424,10 @@ def test_library_entry_points_validate_the_instance(college2,
     lambda inst, mech: rebalance_mechanism(inst, mech),
     lambda inst, mech: build_drm_lp(inst.space, inst.costs, inst.agent,
                                     inst.designer),
+    lambda inst, mech: derandomize_mechanism(inst, {}),
 ], ids=["solve_drm", "audit_ic", "brute_force_optimum",
-        "reduce_to_score_based", "rebalance_mechanism", "build_drm_lp"])
+        "reduce_to_score_based", "rebalance_mechanism", "build_drm_lp",
+        "derandomize_mechanism"])
 def test_finite_entry_points_refuse_a_parametric_cost(college2,
                                                       menu_mechanism, call):
     parametric = Instance(college2.space, CostModel.linear(4.0, (-2.0, 1.0)),

@@ -10,8 +10,9 @@ import pytest
 
 import scoremech
 from scoremech import lpcore
-from scoremech.finite import build_drm_lp
+from scoremech.finite import build_drm_lp, solve_drm
 from scoremech.lpcore import LinearProgram, LpError, dual_bound, solve_lp
+from scoremech.model import college_instance
 
 from conftest import stub_highs_status
 
@@ -226,6 +227,16 @@ def test_dual_bound_rejects_bad_signs():
         dual_bound(lp, [-1])
 
 
+@pytest.mark.parametrize("rows, dual, message", [
+    ([([1], "<=", 1)], [1, 0], "2 multipliers for 1 rows"),
+    ([([1], ">=", 0)], [1], "multiplier on >= row must be nonpositive"),
+], ids=["length", "positive-on-greater"])
+def test_dual_bound_refusals(rows, dual, message):
+    with pytest.raises(LpError) as caught:
+        dual_bound(_lp([1], rows), dual)
+    assert str(caught.value) == message
+
+
 def test_dual_bound_is_infinite_on_a_positive_reduced_cost():
     lp = _lp([1, 1], [([1, 0], "<=", 1), ([0, 1], "<=", 1)])
     assert dual_bound(lp, [1, 1]) == 2
@@ -336,6 +347,21 @@ def test_iterations_are_reported():
     assert solve_lp(lp, mode="exact").iterations == 2
     nit = solve_lp(lp, mode="float").iterations
     assert isinstance(nit, int) and nit >= 0
+
+
+def test_float_iterations_count_both_highs_attempts(monkeypatch):
+    """With the cap at 1, the first HiGHS attempt stops after 1 iteration
+    and the retry with HiGHS's defaults runs; the count sums both.  In
+    ``solve_drm`` the retry's presolve solves the one round's LP in 0
+    iterations (the count used to be 0); the full LP stops at the cap
+    again (the count used to be None)."""
+    inst = college_instance(internalize_costs=True)
+    monkeypatch.setattr(lpcore, "ITERATION_CAP", 1)
+    sol, _ = solve_drm(inst, "float")
+    assert (sol.status, sol.certified, sol.iterations) == ("optimal", True, 1)
+    sol = solve_lp(build_drm_lp(inst.space, inst.costs, inst.agent,
+                                inst.designer), mode="float")
+    assert (sol.status, sol.iterations) == ("iteration_limit", 2)
 
 # The ids keep the numbers of scipy's linprog statuses these cases map to.
 @pytest.mark.parametrize("case,code,status", [

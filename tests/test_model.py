@@ -15,6 +15,7 @@ from scoremech.model import (
     FiniteTypeSpace,
     Instance,
     ModelError,
+    ScoreBasedRule,
     college_instance,
     format_number,
     instance_from_config,
@@ -255,6 +256,34 @@ def test_parametric_gamma_must_be_positive(gamma):
     with pytest.raises(ModelError,
                        match=r"parametric cost model requires gamma > 0"):
         require_gamma(costs)
+
+
+def test_tabulated_cost_has_no_gamma_and_no_raw_cost(college2):
+    with pytest.raises(ModelError) as caught:
+        require_gamma(college2.costs)
+    assert str(caught.value) == ("need a linear or quadratic cost model, "
+                                 "got 'tabulated'")
+    with pytest.raises(ModelError) as caught:
+        college2.costs.raw_cost("sH", AgentType("F", "sL"))
+    assert str(caught.value) == ("raw_cost is only defined for parametric "
+                                 "kinds")
+
+
+def test_score_rule_refuses_a_score_off_its_table():
+    rule = ScoreBasedRule({("admit", "sL"): F(1), ("reject", "sL"): F(0)})
+    with pytest.raises(ModelError) as caught:
+        rule.q("admit", "sH")
+    assert str(caught.value) == "score rule undefined at ('admit', 'sH')"
+
+
+def test_validate_names_duplicate_types_scores_and_outcomes(college2):
+    space = college2.space
+    twice = FiniteTypeSpace(space.types + space.types[:1],
+                            space.scores + space.scores[:1],
+                            space.outcomes + space.outcomes[:1], space.prior)
+    assert validate(twice, college2.costs, college2.designer,
+                    college2.agent)[:3] == [
+        "duplicate types", "duplicate scores", "duplicate outcomes"]
 
 
 def test_infinite_gamma_is_a_valid_parametric_cost():
